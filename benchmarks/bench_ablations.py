@@ -3,7 +3,7 @@
 * **A1 segmentation**: Algorithm 1's divide-and-conquer vs running
   Algorithm 2 over the whole un-segmented TPIIN.
 * **A2 engines**: the faithful pattern-base materialization vs the
-  optimized path-index engine.
+  parallel engine's compact kernels (in-process).
 * **A3 parallelism**: the future-work multiprocessing detector.
 """
 
@@ -13,7 +13,6 @@ import time
 
 from benchmarks.conftest import write_report
 from repro.analysis.reporting import render_table
-from repro.mining.detector import detect
 from repro.mining.detector import detect
 from repro.mining.matching import match_component_patterns
 from repro.mining.parallel import parallel_detect
@@ -41,8 +40,8 @@ def test_a2_faithful_engine(benchmark, medium_tpiin):
     assert result.group_count > 0
 
 
-def test_a2_fast_engine(benchmark, medium_tpiin):
-    result = benchmark(lambda: detect(medium_tpiin, engine="fast", collect_groups=False))
+def test_a2_parallel_engine(benchmark, medium_tpiin):
+    result = benchmark(lambda: detect(medium_tpiin, engine="parallel"))
     assert result.group_count > 0
 
 
@@ -62,7 +61,7 @@ def test_ablation_report(benchmark, medium_tpiin):
         variants = (
             ("faithful (segmented)", lambda: detect(medium_tpiin)),
             ("faithful (unsegmented)", lambda: _detect_unsegmented(medium_tpiin)),
-            ("fast", lambda: detect(medium_tpiin, engine="fast", collect_groups=False)),
+            ("parallel", lambda: detect(medium_tpiin, engine="parallel")),
             ("parallel x4", lambda: parallel_detect(medium_tpiin, processes=4)),
         )
         rows = []
@@ -74,4 +73,4 @@ def test_ablation_report(benchmark, medium_tpiin):
 
     report = benchmark.pedantic(build_report, rounds=1, iterations=1)
     write_report("ablations.txt", report)
-    assert "fast" in report
+    assert "parallel" in report

@@ -2,7 +2,7 @@
 
 The paper claims (Sections 1 and 5) that the pattern-tree method
 "greatly improves the efficiency" over the global traversing baseline.
-This bench times the faithful engine, the optimized engine and the
+This bench times the faithful engine, the parallel engine and the
 global-traversal baseline on growing synthetic TPIINs and reports the
 speedup curve.
 """
@@ -18,7 +18,6 @@ from repro.analysis.reporting import render_table
 from repro.baseline.global_traversal import global_traversal_detect
 from repro.datagen.config import ProvinceConfig
 from repro.datagen.province import generate_province
-from repro.mining.detector import detect
 from repro.mining.detector import detect
 
 SIZES = (60, 120, 240)
@@ -38,9 +37,9 @@ def test_faithful_engine(benchmark, companies):
 
 
 @pytest.mark.parametrize("companies", SIZES)
-def test_fast_engine(benchmark, companies):
+def test_parallel_engine(benchmark, companies):
     tpiin = _tpiin_for(companies)
-    result = benchmark(lambda: detect(tpiin, engine="fast", collect_groups=False))
+    result = benchmark(lambda: detect(tpiin, engine="parallel"))
     assert result.suspicious_arc_count >= 0
 
 
@@ -63,7 +62,7 @@ def test_efficiency_report(benchmark):
             timings = {}
             for name, runner in (
                 ("faithful", lambda: detect(tpiin)),
-                ("fast", lambda: detect(tpiin, engine="fast", collect_groups=False)),
+                ("parallel", lambda: detect(tpiin, engine="parallel")),
                 ("baseline", lambda: global_traversal_detect(tpiin)),
             ):
                 started = time.perf_counter()
@@ -73,13 +72,13 @@ def test_efficiency_report(benchmark):
                 [
                     companies,
                     f"{1000 * timings['faithful']:.1f}",
-                    f"{1000 * timings['fast']:.1f}",
+                    f"{1000 * timings['parallel']:.1f}",
                     f"{1000 * timings['baseline']:.1f}",
-                    f"{timings['baseline'] / timings['fast']:.1f}x",
+                    f"{timings['baseline'] / timings['parallel']:.1f}x",
                 ]
             )
         return render_table(
-            ["companies", "faithful ms", "fast ms", "baseline ms", "speedup"],
+            ["companies", "faithful ms", "parallel ms", "baseline ms", "speedup"],
             rows,
         )
 

@@ -54,7 +54,7 @@ def test_batch_equivalent(benchmark):
             scs_subgraphs=dict(base.scs_subgraphs),
         )
         tpiin.graph.add_arcs(feed, EColor.TRADING)
-        return detect(tpiin, engine="fast", collect_groups=False)
+        return detect(tpiin, engine="parallel")
 
     result = benchmark.pedantic(batch, rounds=1, iterations=1)
     assert result.total_trading_arcs == len(set(feed))

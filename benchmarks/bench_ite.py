@@ -25,7 +25,7 @@ def _setup():
     ds = generate_province(ProvinceConfig.small(companies=300, seed=41))
     base = ds.antecedent_tpiin()
     tpiin = ds.overlay_trading(base, 0.01)
-    detection = detect(tpiin, engine="fast")
+    detection = detect(tpiin, engine="parallel")
     industry_of = {
         c.company_id: c.industry for c in ds.registry.companies.values()
     }

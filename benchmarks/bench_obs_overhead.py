@@ -111,7 +111,7 @@ def test_untraced_detect_allocates_no_tracer():
 def test_untraced_result_carries_no_trace():
     _, companies, probability = FULL_SETTINGS[0]
     tpiin = build_tpiin(companies, probability)
-    result = detect(tpiin, engine="fast")
+    result = detect(tpiin, engine="parallel")
     assert result.trace is None
 
 

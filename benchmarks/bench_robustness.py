@@ -40,7 +40,7 @@ def test_scale_free_detection(benchmark, paper_province, paper_base):
     )
     tpiin = _overlay_arcs(paper_province, paper_base, arcs)
     result = benchmark.pedantic(
-        detect, args=(tpiin,), kwargs={"engine": "fast", "collect_groups": False},
+        detect, args=(tpiin,), kwargs={"engine": "parallel"},
         rounds=1, iterations=1,
     )
     assert result.total_trading_arcs > 0
@@ -51,7 +51,7 @@ def test_robustness_report(benchmark, paper_province, paper_base):
         rows = []
         # ER reference at a similar arc count.
         er = paper_province.overlay_trading(paper_base, 0.002)
-        er_result = detect(er, engine="fast", collect_groups=False)
+        er_result = detect(er, engine="parallel")
         rows.append(
             [
                 "Erdos-Renyi p=0.002",
@@ -65,7 +65,7 @@ def test_robustness_report(benchmark, paper_province, paper_base):
                 paper_province.company_ids, arcs_per_company=m, seed=61
             )
             tpiin = _overlay_arcs(paper_province, paper_base, arcs)
-            result = detect(tpiin, engine="fast", collect_groups=False)
+            result = detect(tpiin, engine="parallel")
             rows.append(
                 [
                     f"scale-free m={m}",

@@ -3,10 +3,10 @@
 The paper's conclusion points to parallel/distributed processing "with
 the increasing of the size of the TPIIN".  This bench grows the
 synthetic province from 500 to 4,000 companies (holding the trading
-probability fixed) and reports how detection time scales — the fast
-engine's per-trading-arc cost should stay near-constant because each
-arc pays one packed-bitset test plus, if suspicious, a bounded group
-enumeration.
+probability fixed) and reports how the parallel engine's detection
+time scales: one whole-graph freeze, then a patterns-tree walk per
+influence component, so the per-trading-arc cost should stay
+near-constant while components stay small.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def test_scaling_detection(benchmark, companies):
     result = benchmark.pedantic(
         detect,
         args=(tpiin,),
-        kwargs={"engine": "fast", "collect_groups": False},
+        kwargs={"engine": "parallel"},
         rounds=1,
         iterations=1,
     )
@@ -50,7 +50,7 @@ def test_scaling_report(benchmark):
         for companies in SIZES:
             tpiin = _tpiin_for(companies)
             started = time.perf_counter()
-            result = detect(tpiin, engine="fast", collect_groups=False)
+            result = detect(tpiin, engine="parallel")
             seconds = time.perf_counter() - started
             per_arc_us = 1e6 * seconds / max(1, result.total_trading_arcs)
             rows.append(

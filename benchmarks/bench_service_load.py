@@ -25,7 +25,7 @@ Protocol: interleaved best-of-``--repeats`` — config order rotates
 inside each repeat so drift hits all configs evenly, and ``gc.collect()``
 runs before every timed window.  Every config replays the *same* seeded
 op sequence, and the run ends with an agreement check: every service's
-incremental result must equal a batch ``detect(engine="fast")`` over
+incremental result must equal a batch ``detect(engine="parallel")`` over
 the final arc set.
 
 Honesty notes (recorded in the output): this host has one CPU core, so
@@ -363,12 +363,12 @@ def main(argv: list[str] | None = None) -> int:
 
     # ------------------------------------------------------------------
     # agreement: every config replayed the same stream; all services
-    # must agree with each other AND with a batch fast-engine detect.
+    # must agree with each other AND with a batch parallel-engine detect.
     expected_arcs = final_arcs(tpiin, ops)
     graph = tpiin.antecedent_graph()
     for seller, buyer in sorted(expected_arcs):
         graph.add_arc(seller, buyer, EColor.TRADING)
-    batch_result = detect(TPIIN(graph=graph), engine="fast")
+    batch_result = detect(TPIIN(graph=graph), engine="parallel")
     batch_signature = (
         frozenset(g.key() for g in batch_result.groups),
         len(expected_arcs),
@@ -400,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
         "protocol": (
             f"interleaved best-of-{repeats}, gc.collect() before each "
             "window, identical seeded op stream per config, post-ingest "
-            "agreement vs batch fast-engine detect"
+            "agreement vs batch parallel-engine detect"
         ),
         "dataset": {
             "generator_seed": 23,
@@ -422,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
             for name, load in best.items()
         },
         "ratios": ratios,
-        "agreement": "all configs matched batch fast-engine detect",
+        "agreement": "all configs matched batch parallel-engine detect",
         "notes": (
             "seed_single_shard is the previous revision's daemon as "
             "shipped (single shard, per-request fsync, no TCP_NODELAY; "

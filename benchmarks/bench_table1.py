@@ -26,13 +26,13 @@ BENCH_PROBABILITIES = (0.002, 0.004, 0.01, 0.02, 0.05, 0.1)
 
 @pytest.mark.parametrize("probability", BENCH_PROBABILITIES)
 def test_table1_detection(benchmark, paper_province, paper_base, probability):
-    """Time one sweep point: overlay + fast detection (count mode)."""
+    """Time one sweep point: overlay + parallel detection."""
     tpiin = paper_province.overlay_trading(paper_base, probability)
 
     result = benchmark.pedantic(
         detect,
         args=(tpiin,),
-        kwargs={"engine": "fast", "collect_groups": False},
+        kwargs={"engine": "parallel"},
         rounds=1,
         iterations=1,
     )
@@ -52,7 +52,7 @@ def test_table1_report(benchmark, paper_province, paper_base):
         rows: list[Table1Row] = []
         for probability in BENCH_PROBABILITIES:
             tpiin = paper_province.overlay_trading(paper_base, probability)
-            detection = detect(tpiin, engine="fast", collect_groups=False)
+            detection = detect(tpiin, engine="parallel")
             rows.append(
                 compute_table1_row(
                     tpiin, detection, trading_probability=probability

@@ -11,7 +11,7 @@ Usage::
 
     python benchmarks/run_bench.py                    # full sweep -> BENCH_PR7.json
     python benchmarks/run_bench.py --smoke            # tiny CI sweep, < 60 s
-    python benchmarks/run_bench.py -o out.json --engines faithful csr
+    python benchmarks/run_bench.py -o out.json --engines faithful parallel
 
 Exit status is non-zero when any engine disagrees with the faithful
 group set, or when a parallel run leaves a shared-memory segment
@@ -61,7 +61,7 @@ SMOKE_SETTINGS: tuple[tuple[str, int, float], ...] = (
     ("smoke-90", 90, 0.050),
 )
 
-ENGINES: tuple[str, ...] = ("faithful", "fast", "parallel", "csr")
+ENGINES: tuple[str, ...] = ("faithful", "parallel")
 
 GENERATOR_SEED = 31
 
@@ -168,7 +168,7 @@ def build_registry_tpiin(companies: int, probability: float) -> TPIIN:
 def detectors_cell(smoke: bool) -> dict[str, Any]:
     """Time the full detector portfolio against an IAT-only run.
 
-    Both runs share one tier and one engine (fast); the difference is
+    Both runs share one tier and one engine (parallel); the difference is
     what the three structural detectors plus the shared trading freeze
     cost on top of the paper's miner.  Best-of-repeats, interleaved,
     same GC discipline as :func:`time_engines`.
@@ -176,7 +176,7 @@ def detectors_cell(smoke: bool) -> dict[str, Any]:
     label, companies, probability = DETECTOR_SMOKE_TIER if smoke else DETECTOR_TIER
     repeats = repeats_for(companies, smoke)
     tpiin = build_registry_tpiin(companies, probability)
-    options = DetectOptions(engine="fast")
+    options = DetectOptions(engine="parallel")
     walls = {"iat_only": float("inf"), "portfolio": float("inf")}
     for _ in range(repeats):
         for key, selection in (
@@ -193,7 +193,7 @@ def detectors_cell(smoke: bool) -> dict[str, Any]:
         "setting": label,
         "companies": companies,
         "trading_probability": probability,
-        "engine": "fast",
+        "engine": "parallel",
         "iat_only_wall_seconds": round(walls["iat_only"], 4),
         "portfolio_wall_seconds": round(walls["portfolio"], 4),
         "portfolio_overhead_seconds": round(overhead, 4),
@@ -297,7 +297,6 @@ def bench_setting(
         started = time.perf_counter()
         group_keys[engine] = frozenset(g.key() for g in result.groups)
         materialize = time.perf_counter() - started
-        # The fast engine skips trail enumeration entirely and reports None.
         trails = result.pattern_trail_count
         cells[engine] = {
             "wall_seconds": round(wall, 4),
@@ -327,12 +326,12 @@ def bench_setting(
         "engines_agree": agree,
         "shm_leftovers": shm_leftovers(),
     }
-    for engine, key in (("csr", "csr_speedup_vs_faithful"),
-                        ("parallel", "parallel_speedup_vs_faithful")):
-        if "faithful" in cells and engine in cells:
-            faithful_wall = cells["faithful"]["wall_seconds"]
-            wall = cells[engine]["wall_seconds"]
-            setting[key] = round(faithful_wall / wall, 2) if wall > 0 else None
+    if "faithful" in cells and "parallel" in cells:
+        faithful_wall = cells["faithful"]["wall_seconds"]
+        wall = cells["parallel"]["wall_seconds"]
+        setting["parallel_speedup_vs_faithful"] = (
+            round(faithful_wall / wall, 2) if wall > 0 else None
+        )
     return setting
 
 
@@ -545,10 +544,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  !! engines disagree on {label}", flush=True)
         if setting["shm_leftovers"]:
             print(f"  !! leaked shm segments: {setting['shm_leftovers']}", flush=True)
-        for key in ("csr_speedup_vs_faithful", "parallel_speedup_vs_faithful"):
-            if key in setting:
-                engine = key.split("_", 1)[0]
-                print(f"  {engine} speedup vs faithful: {setting[key]}x", flush=True)
+        if "parallel_speedup_vs_faithful" in setting:
+            speedup = setting["parallel_speedup_vs_faithful"]
+            print(f"  parallel speedup vs faithful: {speedup}x", flush=True)
         results.append(setting)
 
     report = {

@@ -62,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.investigate:
         base = dataset.antecedent_tpiin()
         tpiin = dataset.overlay_trading(base, 0.002)
-        result = detect(tpiin, engine="fast")
+        result = detect(tpiin, engine="parallel")
         briefing = investigate_company(tpiin, result, args.investigate)
         print(briefing.render())
         print()

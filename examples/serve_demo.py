@@ -82,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     base = dataset.antecedent_tpiin()
     tpiin = dataset.overlay_trading(base, args.probability)
-    batch = detect(tpiin, engine="fast")
+    batch = detect(tpiin, engine="parallel")
     print(
         f"dataset: {batch.total_trading_arcs} trading arcs, "
         f"{batch.group_count} suspicious groups in batch"

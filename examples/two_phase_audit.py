@@ -36,7 +36,7 @@ def main(argv: list[str] | None = None) -> int:
     tpiin = dataset.overlay_trading(base, args.probability)
 
     print("Phase 1 — MSG: mining suspicious groups")
-    detection = detect(tpiin, engine="fast")
+    detection = detect(tpiin, engine="parallel")
     print(" ", detection.summary())
     print()
 

@@ -35,14 +35,13 @@ Quick start::
 """
 
 from repro.fusion import TPIIN, fuse
-from repro.mining import (  # reprolint: disable=R011  (deprecated alias stays exported)
+from repro.mining import (
     DetectionResult,
     DetectOptions,
     Engine,
     GroupKind,
     SuspiciousGroup,
     detect,
-    fast_detect,
 )
 
 __version__ = "1.0.0"
@@ -55,7 +54,6 @@ __all__ = [
     "SuspiciousGroup",
     "TPIIN",
     "detect",
-    "fast_detect",
     "fuse",
     "__version__",
 ]

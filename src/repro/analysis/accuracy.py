@@ -2,7 +2,7 @@
 
 Behind Table 1's 100% accuracy columns sits an agreement check between
 the proposed method and the baseline; this module generalizes it: run
-any subset of {faithful, fast, parallel, global-traversal} plus the
+any subset of {faithful, parallel, incremental, global-traversal} plus the
 reachability oracle on the same TPIIN and report pairwise agreement on
 group sets and suspicious-arc sets.
 """
@@ -49,7 +49,7 @@ class AccuracyReport:
 def compare_engines(
     tpiin: TPIIN,
     *,
-    engines: tuple[str, ...] = ("faithful", "fast", "global-traversal"),
+    engines: tuple[str, ...] = ("faithful", "parallel", "global-traversal"),
 ) -> AccuracyReport:
     """Run the requested engines and compare their outputs.
 

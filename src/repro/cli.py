@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine = sub.add_parser("mine", help="mine suspicious groups from a TPIIN CSV")
     mine.add_argument("arcs", type=Path, help="arc CSV (start,end,color)")
     mine.add_argument("nodes", type=Path, help="node CSV (node,color)")
-    mine.add_argument("--engine", default="faithful", choices=_ENGINE_CHOICES)
+    mine.add_argument("--engine", default="parallel", choices=_ENGINE_CHOICES)
     mine.add_argument(
         "--processes",
         type=int,
@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ingest", help="mine a registry-CSV directory (persons/companies/relations)"
     )
     ingest.add_argument("directory", type=Path)
-    ingest.add_argument("--engine", default="faithful", choices=_ENGINE_CHOICES)
+    ingest.add_argument("--engine", default="parallel", choices=_ENGINE_CHOICES)
     ingest.add_argument(
         "--processes",
         type=int,
@@ -270,7 +270,7 @@ def _cmd_investigate(args: argparse.Namespace) -> int:
     dataset = generate_province(_province_config(args))
     base = dataset.antecedent_tpiin()
     tpiin = dataset.overlay_trading(base, args.probability)
-    result = detect(tpiin, engine=Engine.FAST)
+    result = detect(tpiin, engine=Engine.PARALLEL)
     investigation = investigate_company(tpiin, result, args.company)
     print(investigation.render())
     print()
@@ -289,7 +289,7 @@ def _cmd_twophase(args: argparse.Namespace) -> int:
     dataset = generate_province(_province_config(args))
     base = dataset.antecedent_tpiin()
     tpiin = dataset.overlay_trading(base, args.probability)
-    result = detect(tpiin, engine=Engine.FAST)
+    result = detect(tpiin, engine=Engine.PARALLEL)
     print(result.summary())
     industry_of = {
         c.company_id: c.industry for c in dataset.registry.companies.values()

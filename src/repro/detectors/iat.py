@@ -1,7 +1,7 @@
 """The paper's IAT group miner, behind the detector protocol.
 
 This is the *reference* detector of the plugin framework: it adapts
-:func:`repro.mining.detect` (Algorithm 1, any of the five engines) to
+:func:`repro.mining.detect` (Algorithm 1, any of its three engines) to
 the :class:`~repro.detectors.base.Detector` contract without changing
 its behavior — the property suite in
 ``tests/property/test_detector_equivalence.py`` holds the plugin path

@@ -14,7 +14,7 @@ hot-path disciplines that otherwise live only in docstrings:
 * the hot-path dataclasses stay allocation-lean via ``slots=True``
   (R003);
 
-plus general hygiene gates (R004-R007, R009-R011).  The whole-program
+plus general hygiene gates (R004-R007, R009-R010).  The whole-program
 phase builds a project index (import graph + symbol table) and runs
 the cross-module passes: declared-architecture layering (R012), dead
 exports (R013), service lock discipline (R014) and hot-loop allocation

@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "reprolint: project-specific static analysis for the TPIIN "
-            "pipeline (per-file rules R001-R011 plus whole-program "
+            "pipeline (per-file rules R001-R010 plus whole-program "
             "passes R012-R015)"
         ),
     )

@@ -36,10 +36,6 @@ _DEFAULT_LAYERS: tuple[tuple[str, ...], ...] = (
 )
 
 _DEFAULT_HOT_FUNCTIONS: tuple[str, ...] = (
-    "repro.graph.csr::_pack",
-    "repro.graph.csr::CSRGraph.freeze_parts",
-    "repro.mining.csr_engine::_enumerate",
-    "repro.mining.csr_engine::mine_frozen",
     "repro.mining.csr_engine::mine_frontier_compact",
     "repro.mining.csr_engine::mine_stack_compact",
     "repro.mining.compact::_circle_flags",

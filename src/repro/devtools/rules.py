@@ -1,4 +1,4 @@
-"""The reprolint rule catalogue (R001-R011).
+"""The reprolint rule catalogue (R001-R010).
 
 Each rule machine-checks one invariant of the TPIIN reproduction; the
 invariant and its paper grounding are spelled out in the rule's
@@ -20,7 +20,6 @@ __all__ = [
     "ForbiddenDependencyRule",
     "FrozenMutationRule",
     "NoBareExceptRule",
-    "NoDeprecatedDetectRule",
     "NoFunctionBodyImportRule",
     "NoPrintRule",
     "NoRecursiveTraversalRule",
@@ -589,63 +588,6 @@ class FrozenMutationRule:
                             "restrict it to __post_init__/__setstate__ or use "
                             "dataclasses.replace",
                         )
-
-
-@register
-class NoDeprecatedDetectRule:
-    """R011 - no new call sites of the deprecated ``fast_detect``.
-
-    ``fast_detect`` survives only as a :class:`DeprecationWarning`-emitting
-    alias for ``detect(tpiin, engine=Engine.FAST)``; the consolidated
-    options API is the one entry point every caller (and its tracing,
-    metrics and override semantics) flows through.  Flags calls to, and
-    first-party imports of, ``fast_detect`` everywhere except its home
-    module ``mining/fast.py``.
-    """
-
-    rule_id = "R011"
-    title = "no new call sites of the deprecated fast_detect"
-
-    _DEPRECATED = "fast_detect"
-    _HINT = "call detect(tpiin, engine=Engine.FAST) instead"
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        if ctx.in_test_tree or ctx.path_endswith("mining/fast.py"):
-            return
-        aliases = _import_aliases(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ImportFrom):
-                if node.level != 0 or not node.module:
-                    continue
-                if not self._first_party(node.module):
-                    continue
-                for name in node.names:
-                    if name.name == self._DEPRECATED:
-                        yield ctx.diagnostic(
-                            node,
-                            self.rule_id,
-                            f"imports deprecated '{self._DEPRECATED}' "
-                            f"from '{node.module}'",
-                            self._HINT,
-                        )
-            elif isinstance(node, ast.Call):
-                dotted = _dotted_name(node.func)
-                if dotted is None:
-                    continue
-                resolved = _resolve(dotted, aliases)
-                if self._first_party(resolved) and resolved.endswith(
-                    "." + self._DEPRECATED
-                ):
-                    yield ctx.diagnostic(
-                        node,
-                        self.rule_id,
-                        f"calls deprecated '{self._DEPRECATED}'",
-                        self._HINT,
-                    )
-
-    @staticmethod
-    def _first_party(module: str) -> bool:
-        return module == "repro" or module.startswith("repro.")
 
 
 @register

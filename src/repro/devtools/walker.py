@@ -10,7 +10,7 @@ diagnostic so a broken tree can never slip through as "clean".
 
 Two entry points:
 
-* :func:`lint_paths` — the historical per-file pass (rules R001-R011).
+* :func:`lint_paths` — the historical per-file pass (rules R001-R010).
 * :func:`lint_project` — the two-phase whole-program analysis: phase 1
   parses the linted files *plus* the configured reference roots into a
   :class:`~repro.devtools.project.ProjectIndex`; phase 2 runs the

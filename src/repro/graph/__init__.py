@@ -4,7 +4,7 @@ Everything in this package is implemented from scratch (no ``networkx``
 at runtime): the colored digraph core, DFS/BFS and the ``findsubgraph``
 weak-component extraction of Appendix B, Tarjan's SCC algorithm [26], DAG
 utilities backing Property 1, the paper's ``r x 3`` edge-list format, a
-packed-bit root-ancestor index used by the fast mining engine, and the
+packed-bit root-ancestor index used by the incremental detector, and the
 frozen color-partitioned CSR kernel the mining hot paths run on.
 """
 

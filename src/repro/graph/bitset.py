@@ -4,7 +4,7 @@ The decisive question of the whole mining problem is: *do two companies
 share an antecedent?*  In a DAG, two nodes share an ancestor (allowing a
 node to count as its own ancestor) if and only if they share an
 indegree-zero **root** ancestor, because every ancestor is itself reached
-from some root.  The fast mining engine therefore precomputes, for every
+from some root.  The incremental detector therefore precomputes, for every
 node, the set of roots that reach it, packed into a fixed-width bit row,
 and answers each of the hundreds of thousands of Table-1 trading-arc
 queries with one vectorized ``AND``.

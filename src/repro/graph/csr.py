@@ -29,7 +29,7 @@ import pickle
 import struct
 from array import array
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from typing import Any, Union
 
 import numpy as np
@@ -140,58 +140,6 @@ class CSRGraph:
             out_targets[color] = _from_int64(heads)
             in_offsets[color] = _from_int64(in_offs)
             in_targets[color] = _from_int64(in_tgts)
-        return cls(
-            decode,
-            node_colors,
-            palette,
-            out_offsets,
-            out_targets,
-            in_offsets,
-            in_targets,
-        )
-
-    @classmethod
-    def freeze_parts(
-        cls,
-        nodes: Iterable[tuple[Node, Any]],
-        arcs: Iterable[tuple[Node, Node, Any]],
-        colors: Sequence[Any],
-    ) -> "CSRGraph":
-        """Freeze directly from ``(node, color)`` and ``(tail, head, color)``.
-
-        Skips the intermediate :class:`DiGraph` — the detection engines
-        slice one parent graph into per-component kernels, and building a
-        throwaway dict-of-dict graph per slice just to re-read it here
-        would dominate the freeze.  Arc colors must be drawn from
-        ``colors``; interning and row layout are identical to
-        :meth:`freeze` on the equivalent graph.
-        """
-        node_list = sorted(nodes, key=lambda pair: str(pair[0]))
-        decode = tuple(node for node, _ in node_list)
-        encode = {n: i for i, n in enumerate(decode)}
-        node_colors = tuple(color for _, color in node_list)
-        palette = tuple(colors)
-
-        n = len(decode)
-        out_rows: dict[Any, list[list[int]]] = {
-            c: [[] for _ in range(n)] for c in palette
-        }
-        in_rows: dict[Any, list[list[int]]] = {
-            c: [[] for _ in range(n)] for c in palette
-        }
-        for tail, head, color in arcs:
-            t = encode[tail]
-            h = encode[head]
-            out_rows[color][t].append(h)
-            in_rows[color][h].append(t)
-
-        out_offsets: dict[Any, IntBuffer] = {}
-        out_targets: dict[Any, IntBuffer] = {}
-        in_offsets: dict[Any, IntBuffer] = {}
-        in_targets: dict[Any, IntBuffer] = {}
-        for color in palette:
-            out_offsets[color], out_targets[color] = _pack(out_rows[color])
-            in_offsets[color], in_targets[color] = _pack(in_rows[color])
         return cls(
             decode,
             node_colors,
@@ -459,16 +407,3 @@ def _from_int64(values: "np.ndarray") -> "array[int]":
     out = array(_TYPECODE)
     out.frombytes(values.tobytes())
     return out
-
-
-def _pack(rows: list[list[int]]) -> tuple["array[int]", "array[int]"]:
-    """Rows of target ids -> sorted CSR ``(offsets, targets)`` arrays."""
-    offsets = array(_TYPECODE, [0] * (len(rows) + 1))
-    targets = array(_TYPECODE)
-    total = 0
-    for u, row in enumerate(rows):
-        row.sort()
-        targets.extend(row)
-        total += len(row)
-        offsets[u + 1] = total
-    return offsets, targets

@@ -2,8 +2,8 @@
 
 Property 1 of the paper states that the antecedent network is a DAG after
 strongly-connected-subgraph contraction, so every walk in it is a trail
-and a path.  The pattern-tree construction (Algorithm 2) and the fast
-mining engine both lean on the utilities here: acyclicity checking,
+and a path.  The pattern-tree construction (Algorithm 2) and the
+incremental detector both lean on the utilities here: acyclicity checking,
 topological order, indegree-zero roots, and exhaustive simple-path
 enumeration/counting between roots and reachable nodes.
 """

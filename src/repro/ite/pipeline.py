@@ -82,7 +82,7 @@ def run_two_phase(
     tpiin: TPIIN,
     book: TransactionBook,
     *,
-    engine: str = "fast",
+    engine: str = "parallel",
     profiles: dict[str, IndustryProfile] | None = None,
     msg_result: DetectionResult | None = None,
     tracer: TracerLike = NULL_TRACER,

@@ -1,8 +1,6 @@
 """Suspicious-group mining (Section 4.3, Algorithms 1 and 2)."""
 
-from repro.mining.csr_engine import build_patterns_tree_csr, csr_detect
 from repro.mining.detector import DetectionResult, SubTPIINResult, detect
-from repro.mining.fast import fast_detect  # reprolint: disable=R011  (deprecated alias stays exported)
 from repro.mining.groups import GroupKind, SuspiciousGroup, minimal_groups
 from repro.mining.incremental import ArcUpdate, IncrementalDetector, PathCacheStats
 from repro.mining.matching import match_component_patterns, match_pairs_naive
@@ -41,12 +39,9 @@ __all__ = [
     "WindowResult",
     "sliding_window_detect",
     "build_patterns_tree",
-    "build_patterns_tree_csr",
-    "csr_detect",
     "ShareEstimate",
     "detect",
     "estimate_suspicious_share",
-    "fast_detect",
     "list_d_order",
     "match_component_patterns",
     "match_pairs_naive",

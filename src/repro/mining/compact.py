@@ -24,9 +24,11 @@ drives the kernels with the structures in this module:
   ``Sequence[SuspiciousGroup]`` view that materializes the decoded
   groups once, on first access, from the same arrays.
 
-Counting and materialization follow the same emission semantics as
-:func:`repro.mining.csr_engine.mine_frozen`, so the group *set* (the
-cross-engine contract) and every count agree with the other engines.
+Counting and materialization follow the Appendix-B matcher's emission
+semantics (one matched group per same-root prefix ending at an
+emission's target, circles deduped on their cycle), so the group *set*
+(the cross-engine contract) and every count agree with the faithful
+engine.
 """
 
 from __future__ import annotations
@@ -376,9 +378,9 @@ def count_mine(mine: CompactMine, plan: MiningPlan) -> CompactCounts:
     """All tallies straight off the arrays.
 
     Matched groups per emission equal the emission root's tree-node
-    count at the target label (the fused matcher's ``index[t]`` size);
+    count at the target label (the matcher's prefix-index size);
     circle emissions dedup on their ancestor-walk node tuple, which is
-    in bijection with ``mine_frozen``'s forward circle ids.
+    in bijection with the cycle's forward node sequence.
     """
     n_components = plan.n_components
     comp_id = plan.comp_id
@@ -516,8 +518,8 @@ def _materialize(
 ) -> dict[int, list[SuspiciousGroup]]:
     """Decode every group from the arrays, grouped by component ordinal.
 
-    Reproduces ``mine_frozen``'s emission semantics: one matched group
-    per (emission, same-root prefix ending at the target), circle
+    Reproduces the Appendix-B matcher's emission semantics: one matched
+    group per (emission, same-root prefix ending at the target), circle
     groups deduped on their cycle node tuple.  The group set — and the
     per-component count — equal :func:`count_mine`'s tallies by
     construction (same index, same dedup keys).

@@ -1,57 +1,37 @@
-"""CSR-backed mining engine (``engine="csr"``).
+"""Compact mining kernels over a frozen CSR graph.
 
-Runs the faithful pipeline — segmentation, Algorithm 2's patterns tree,
-Appendix-B matching, SCS groups — but over the frozen
-:class:`~repro.graph.csr.CSRGraph` kernel instead of the hash-based
-:class:`~repro.graph.digraph.DiGraph`:
+These are the kernels the ``parallel`` engine
+(:mod:`repro.mining.parallel`) runs, in-process or inside a worker
+attached to the shared-memory freeze.  They walk Algorithm 2's patterns
+tree over a :class:`~repro.graph.csr.CSRGraph` of the *whole* TPIIN,
+restricted to the components a :class:`~repro.mining.compact.MiningPlan`
+selects, and record the DFS prefix forest plus the first-trading-arc
+emissions as flat arrays (:class:`~repro.mining.compact.CompactMine`)
+instead of building group objects:
 
-* each subTPIIN is **frozen once**: nodes interned to dense ints
-  (``str``-sorted, so int order equals the faithful engine's sort
-  order), adjacency packed into color-partitioned CSR arrays, and the
-  per-node ``(successor, is_trading)`` merge precomputed;
-* the trail DFS walks precomputed tuples — no hashing, no per-visit
-  sorting, no per-step allocation beyond the emitted trail;
-* the DFS and Appendix-B matcher are **fused**: every influence prefix
-  is a path to a DFS tree node, so the matcher's prefix index is built
-  during the walk (one registration per tree node) instead of slicing
-  every trail's prefixes afterwards, and groups are emitted directly
-  in decoded form.
+* :func:`mine_frontier_compact` — batched, level-synchronous frontier
+  expansion for large acyclic components;
+* :func:`mine_stack_compact` — the guarded stack DFS for everything
+  else (cyclic, or too small to amortize vectorization);
+* :func:`mine_components` — picks the kernel per component and merges
+  the records.
 
-Equivalence with the faithful engine is exact, not just set-wise:
-:func:`build_patterns_tree_csr` reproduces
-:func:`~repro.mining.patterns.build_patterns_tree`'s trail list in
-order, which the property suite asserts.
+Counting and lazy group materialization over those records live in
+:mod:`repro.mining.compact`; equality with the faithful engine is
+property-tested.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.fusion.tpiin import TPIIN
 from repro.graph.csr import CSRGraph
-from repro.graph.digraph import DiGraph, Node
-from repro.graph.traversal import weakly_connected_components
 from repro.mining.compact import CompactMine, MiningPlan, as_int64
-from repro.mining.detector import DetectionResult, SubTPIINResult
-from repro.mining.groups import GroupKind, SuspiciousGroup
-from repro.mining.patterns import (
-    PatternsTreeResult,
-    PatternTrail,
-    PatternTreeNode,
-)
-from repro.mining.scs_groups import scs_suspicious_groups
 from repro.model.colors import EColor
-from repro.obs.profile import SUBTPIIN_SPAN
-from repro.obs.tracing import NULL_TRACER, TracerLike
 
 __all__ = [
-    "build_patterns_tree_csr",
-    "csr_detect",
-    "freeze_subtpiin",
-    "merged_out_arcs",
     "mine_components",
     "mine_frontier_compact",
-    "mine_frozen",
     "mine_stack_compact",
 ]
 
@@ -59,305 +39,6 @@ __all__ = [
 #: take the vectorized frontier kernel; smaller (or cyclic) ones stay
 #: on the guarded python stack kernel, whose per-node constant is lower.
 _FRONTIER_MIN_TREE = 256.0
-
-_trusted = SuspiciousGroup.trusted
-_MATCHED = GroupKind.MATCHED
-
-
-def freeze_subtpiin(graph: DiGraph) -> CSRGraph:
-    """Freeze one subTPIIN with the two mining partitions (IN, TR)."""
-    return CSRGraph.freeze(graph, colors=(EColor.INFLUENCE, EColor.TRADING))
-
-
-def merged_out_arcs(csr: CSRGraph) -> list[tuple[tuple[int, bool], ...]]:
-    """Per node, the merged ``(successor_id, is_trading)`` out-arc tuple.
-
-    Ordered by successor id (= the faithful engine's ``str`` order) with
-    the influence arc before the trading arc on a two-color pair —
-    exactly the order ``patterns.py::out_arcs_of`` produces, computed
-    once per freeze instead of once per DFS visit.
-    """
-    infl_offs, infl_tgts = csr.out_adjacency(EColor.INFLUENCE)
-    tr_offs, tr_tgts = csr.out_adjacency(EColor.TRADING)
-    merged: list[tuple[tuple[int, bool], ...]] = []
-    for u in range(len(csr)):
-        pairs = [(v, False) for v in infl_tgts[infl_offs[u] : infl_offs[u + 1]]]
-        pairs += [(v, True) for v in tr_tgts[tr_offs[u] : tr_offs[u + 1]]]
-        pairs.sort()
-        merged.append(tuple(pairs))
-    return merged
-
-
-def _list_d_ids(csr: CSRGraph) -> list[int]:
-    """Algorithm 2's ``ListD`` ordering, in id space.
-
-    Increasing total indegree, decreasing total outdegree, then id —
-    ids were interned in ``str`` order, so this equals
-    :func:`~repro.mining.patterns.list_d_order` node for node.
-    """
-    keys = [
-        (csr.in_degree_id(u), -csr.out_degree_id(u), u) for u in range(len(csr))
-    ]
-    keys.sort()
-    return [u for _, _, u in keys]
-
-
-def _enumerate(
-    csr: CSRGraph,
-    *,
-    max_trails: int | None = None,
-    build_tree: bool = False,
-) -> tuple[list[PatternTrail], list[int], bool, list[PatternTreeNode]]:
-    """Algorithm 2's DFS over the frozen kernel.
-
-    Returns ``(trails, list_d, truncated, forest)`` where trails carry
-    **id-space** nodes; tree nodes (when built) are decoded so their
-    rendering matches the faithful forest.  The control flow mirrors
-    ``patterns.py::build_patterns_tree`` statement for statement — the
-    property suite holds the two to ordered equality.
-    """
-    list_d = _list_d_ids(csr)
-    in_offs, _ = csr.in_adjacency(EColor.INFLUENCE)
-    start_ids = [u for u in list_d if in_offs[u] == in_offs[u + 1]]
-    arcs_of = merged_out_arcs(csr)
-    decode = csr.decode_table
-
-    trails: list[PatternTrail] = []
-    forest: list[PatternTreeNode] = []
-    append_trail = trails.append
-
-    for start in start_ids:
-        root = PatternTreeNode(decode[start]) if build_tree else None
-        if root is not None:
-            forest.append(root)
-        path: list[int] = [start]
-        on_path: set[int] = {start}
-        emitted_any: list[bool] = [False]
-        # Stack frames: (node, tree_node, arc tuple, next arc index).
-        stack: list[tuple[int, PatternTreeNode | None, tuple[tuple[int, bool], ...]]] = [
-            (start, root, arcs_of[start])
-        ]
-        cursor: list[int] = [0]
-        while stack:
-            node, tree_node, arcs = stack[-1]
-            i = cursor[-1]
-            if i == len(arcs):
-                if not emitted_any[-1]:
-                    # Rule 1: pure influence walk.
-                    append_trail(PatternTrail(tuple(path)))
-                stack.pop()
-                cursor.pop()
-                emitted_any.pop()
-                on_path.discard(path.pop())
-                continue
-            cursor[-1] = i + 1
-            successor, is_trading = arcs[i]
-            if is_trading:
-                # Rule 2: first trading arc closes the walk.
-                append_trail(PatternTrail(tuple(path), trading_target=successor))
-                emitted_any[-1] = True
-                if tree_node is not None:
-                    tree_node.children.append(
-                        PatternTreeNode(decode[successor], via_trading=True)
-                    )
-                if max_trails is not None and len(trails) >= max_trails:
-                    return trails, list_d, True, forest
-                continue
-            if successor in on_path:
-                # Malformed (cyclic) input guard, as in the faithful DFS.
-                continue
-            child = PatternTreeNode(decode[successor]) if tree_node is not None else None
-            if tree_node is not None and child is not None:
-                tree_node.children.append(child)
-            path.append(successor)
-            on_path.add(successor)
-            emitted_any[-1] = True
-            emitted_any.append(False)
-            stack.append((successor, child, arcs_of[successor]))
-            cursor.append(0)
-            if max_trails is not None and len(trails) >= max_trails:
-                return trails, list_d, True, forest
-    return trails, list_d, False, forest
-
-
-def build_patterns_tree_csr(
-    source: DiGraph | CSRGraph,
-    *,
-    max_trails: int | None = None,
-    build_tree: bool = True,
-) -> PatternsTreeResult:
-    """CSR-backed :func:`~repro.mining.patterns.build_patterns_tree`.
-
-    Accepts a raw subTPIIN graph (frozen on entry) or an already-frozen
-    kernel; emits the same :class:`PatternsTreeResult` — same trails in
-    the same order, same forest rendering, same ``ListD``.
-    """
-    csr = source if isinstance(source, CSRGraph) else freeze_subtpiin(source)
-    id_trails, id_list_d, truncated, forest = _enumerate(
-        csr, max_trails=max_trails, build_tree=build_tree
-    )
-    decode = csr.decode_table
-    trails = [
-        PatternTrail(
-            tuple(decode[u] for u in t.nodes),
-            trading_target=(
-                None if t.trading_target is None else decode[t.trading_target]
-            ),
-        )
-        for t in id_trails
-    ]
-    return PatternsTreeResult(
-        roots=forest,
-        trails=trails,
-        list_d=[decode[u] for u in id_list_d],
-        truncated=truncated,
-    )
-
-
-def mine_frozen(
-    csr: CSRGraph, *, max_trails: int | None = None
-) -> tuple[int, bool, list[SuspiciousGroup]]:
-    """Mine one frozen subTPIIN: trails, matching, decoded groups.
-
-    The DFS and matcher are fused: every influence prefix is a path to a
-    DFS tree node, so the matcher's prefix index is registered *during*
-    the walk — each prefix materialized exactly once — instead of
-    re-slicing every trail's prefixes afterwards (the quadratic part of
-    :func:`~repro.mining.matching.match_component_patterns`).  Groups
-    are built decoded, straight off the incrementally-decoded prefixes.
-    The group *set* equals running the generic matcher on the faithful
-    trail list: trading trails are pairwise distinct (the DFS emits each
-    ``(path, target)`` once) and per-root prefixes are distinct paths,
-    so the generic matcher's pair-key dedup can never fire; circle
-    dedup, which can (two roots reaching one cycle), is kept.  Within
-    one trading trail the supports come out in deterministic
-    first-occurrence order, whereas the generic matcher iterates its
-    set-backed prefix index in (process-dependent) hash order — set
-    equality is the cross-engine contract, and what the property suite
-    asserts.
-    """
-    list_d = _list_d_ids(csr)
-    in_offs, _ = csr.in_adjacency(EColor.INFLUENCE)
-    start_ids = [u for u in list_d if in_offs[u] == in_offs[u + 1]]
-    arcs_of = merged_out_arcs(csr)
-    decode = csr.decode_table
-
-    groups: list[SuspiciousGroup] = []
-    seen_circles: set[tuple[int, ...]] = set()
-    trail_count = 0
-    truncated = False
-
-    for start in start_ids:
-        path: list[int] = [start]
-        on_path: set[int] = {start}
-        emitted_any: list[bool] = [False]
-        arc_stack: list[tuple[tuple[int, bool], ...]] = [arcs_of[start]]
-        cursor: list[int] = [0]
-        # Lazily-registered prefixes of the current path (ids + decoded),
-        # filled top-down at emission time so only prefixes of *emitted*
-        # trails enter the index — crucial under a max_trails cap.
-        pids: list[tuple[int, ...] | None] = [None]
-        pdec: list[tuple[Node, ...] | None] = [None]
-        # Per-root matcher index: last node id -> decoded prefixes.
-        index: dict[int, list[tuple[Node, ...]]] = {}
-        # FTAOP emissions, in trail order: (path ids, decoded, target).
-        emissions: list[tuple[tuple[int, ...], tuple[Node, ...], int]] = []
-
-        while arc_stack:
-            arcs = arc_stack[-1]
-            i = cursor[-1]
-            if i == len(arcs):
-                if not emitted_any[-1]:
-                    # Rule 1: pure influence walk — index its prefixes.
-                    depth = len(path) - 1
-                    while depth >= 0 and pids[depth] is None:
-                        depth -= 1
-                    for j in range(depth + 1, len(path)):
-                        node = path[j]
-                        if j:
-                            pids[j] = pids[j - 1] + (node,)  # type: ignore[operator]
-                            dec = pdec[j - 1] + (decode[node],)  # type: ignore[operator]
-                        else:
-                            pids[j] = (node,)
-                            dec = (decode[node],)
-                        pdec[j] = dec
-                        index.setdefault(node, []).append(dec)
-                    trail_count += 1
-                    if max_trails is not None and trail_count >= max_trails:
-                        truncated = True
-                        break
-                arc_stack.pop()
-                cursor.pop()
-                emitted_any.pop()
-                pids.pop()
-                pdec.pop()
-                on_path.discard(path.pop())
-                continue
-            cursor[-1] = i + 1
-            successor, is_trading = arcs[i]
-            if is_trading:
-                # Rule 2: first trading arc closes the walk — index the
-                # path's prefixes, then record the FTAOP emission.
-                depth = len(path) - 1
-                while depth >= 0 and pids[depth] is None:
-                    depth -= 1
-                for j in range(depth + 1, len(path)):
-                    node = path[j]
-                    if j:
-                        pids[j] = pids[j - 1] + (node,)  # type: ignore[operator]
-                        dec = pdec[j - 1] + (decode[node],)  # type: ignore[operator]
-                    else:
-                        pids[j] = (node,)
-                        dec = (decode[node],)
-                    pdec[j] = dec
-                    index.setdefault(node, []).append(dec)
-                path_ids = pids[-1]
-                path_dec = pdec[-1]
-                assert path_ids is not None and path_dec is not None
-                emissions.append((path_ids, path_dec, successor))
-                emitted_any[-1] = True
-                trail_count += 1
-                if max_trails is not None and trail_count >= max_trails:
-                    truncated = True
-                    break
-                continue
-            if successor in on_path:
-                # Malformed (cyclic) input guard, as in the faithful DFS.
-                continue
-            path.append(successor)
-            on_path.add(successor)
-            emitted_any[-1] = True
-            emitted_any.append(False)
-            arc_stack.append(arcs_of[successor])
-            cursor.append(0)
-            pids.append(None)
-            pdec.append(None)
-
-        # Match this root's FTAOP emissions against its prefix index.
-        for path_ids, path_dec, target in emissions:
-            if target in path_ids:
-                position = path_ids.index(target)
-                circle_ids = path_ids[position:] + (target,)
-                if circle_ids not in seen_circles:
-                    seen_circles.add(circle_ids)
-                    groups.append(
-                        SuspiciousGroup.trusted(
-                            path_dec[position:] + (decode[target],),
-                            (decode[target],),
-                            GroupKind.CIRCLE,
-                        )
-                    )
-                continue
-            supports = index.get(target)
-            if not supports:
-                continue
-            trading_trail = path_dec + (decode[target],)
-            for support in supports:
-                groups.append(_trusted(trading_trail, support, _MATCHED))
-        if truncated:
-            break
-
-    return trail_count, truncated, groups
 
 
 def _selected_roots(
@@ -475,8 +156,8 @@ def mine_stack_compact(
 ) -> CompactMine:
     """Guarded stack DFS recording the compact tree (any components).
 
-    The cyclic-safe twin of :func:`mine_frontier_compact`: the same
-    walk as :func:`mine_frozen` (``on_path`` guard included) but
+    The cyclic-safe twin of :func:`mine_frontier_compact`: Algorithm
+    2's DFS (``on_path`` guard included, as in the faithful walk)
     recording ``parent``/``node``/``root`` rows and raw emissions
     instead of building groups.  Trading arcs are emitted when a frame
     is *pushed* rather than interleaved with its influence arcs — the
@@ -586,106 +267,3 @@ def mine_components(
     if not bool(frontier_ok.all()):
         parts.append(mine_stack_compact(csr, plan, comps[~frontier_ok]))
     return CompactMine.merge(parts, plan.n_components)
-
-
-def csr_detect(
-    tpiin: TPIIN,
-    *,
-    max_trails_per_subtpiin: int | None = None,
-    skip_trivial_subtpiins: bool = True,
-    tracer: TracerLike = NULL_TRACER,
-) -> DetectionResult:
-    """Algorithm 1 over the CSR kernel; output equals the faithful run.
-
-    Segmentation is fused with the freeze: components are bucketed
-    straight out of the parent graph and handed to
-    :meth:`CSRGraph.freeze_parts`, never materializing the per-component
-    :class:`DiGraph` that :func:`~repro.mining.segmentation.segment`
-    builds (which the CSR path would immediately re-read and discard).
-    Component order, ``skip_trivial`` semantics, sub indices and the
-    cross-component trade count all match the faithful segmentation.
-    """
-    graph = tpiin.graph
-    with tracer.span("segment") as seg_span:
-        components = weakly_connected_components(graph, EColor.INFLUENCE)
-        component_of: dict[Node, int] = {}
-        for ci, component in enumerate(components):
-            for node in component:
-                component_of[node] = ci
-
-        influence_arcs: list[list[tuple[Node, Node, EColor]]] = [
-            [] for _ in components
-        ]
-        for tail, head, _color in graph.arcs(EColor.INFLUENCE):
-            influence_arcs[component_of[tail]].append((tail, head, EColor.INFLUENCE))
-        trading_arcs: list[list[tuple[Node, Node, EColor]]] = [[] for _ in components]
-        cross_count = 0
-        for tail, head, _color in graph.arcs(EColor.TRADING):
-            tail_component = component_of[tail]
-            if tail_component == component_of[head]:
-                trading_arcs[tail_component].append((tail, head, EColor.TRADING))
-            else:
-                cross_count += 1
-        if tracer.enabled:
-            seg_span.set(
-                components=len(components), cross_component_trades=cross_count
-            )
-
-    groups: list[SuspiciousGroup] = []
-    sub_results: list[SubTPIINResult] = []
-    trail_total = 0
-    truncated = False
-    for ci, component in enumerate(components):
-        if skip_trivial_subtpiins and not trading_arcs[ci]:
-            continue
-        with tracer.span(SUBTPIIN_SPAN) as sub_span:
-            with tracer.span("freeze"):
-                csr = CSRGraph.freeze_parts(
-                    ((node, graph.node_color(node)) for node in component),
-                    influence_arcs[ci] + trading_arcs[ci],
-                    colors=(EColor.INFLUENCE, EColor.TRADING),
-                )
-            with tracer.span("mine"):
-                trail_count, sub_truncated, sub_groups = mine_frozen(
-                    csr, max_trails=max_trails_per_subtpiin
-                )
-            if tracer.enabled:
-                sub_span.set(
-                    index=len(sub_results),
-                    nodes=len(csr),
-                    trading_arcs=len(trading_arcs[ci]),
-                    trails=trail_count,
-                    groups=len(sub_groups),
-                )
-        truncated = truncated or sub_truncated
-        trail_total += trail_count
-        groups.extend(sub_groups)
-        sub_results.append(
-            SubTPIINResult(
-                index=len(sub_results),
-                node_count=len(csr),
-                trading_arc_count=len(trading_arcs[ci]),
-                pattern_trail_count=trail_count,
-                groups=sub_groups,
-            )
-        )
-
-    with tracer.span("scs_groups") as scs_span:
-        scs_groups = scs_suspicious_groups(tpiin)
-        if tracer.enabled:
-            scs_span.set(groups=len(scs_groups))
-    groups.extend(scs_groups)
-
-    total_trading = tpiin.graph.number_of_arcs(EColor.TRADING) + len(
-        tpiin.intra_scs_trades
-    )
-    return DetectionResult(
-        groups=groups,
-        total_trading_arcs=total_trading,
-        cross_component_trades=cross_count,
-        subtpiin_count=len(components),
-        engine="csr",
-        pattern_trail_count=trail_total,
-        sub_results=sub_results,
-        truncated=truncated,
-    )

@@ -8,13 +8,15 @@
 3. match component patterns sharing an antecedent into suspicious
    groups, and add the intra-SCS trade groups.
 
-Two engines implement identical semantics:
+Three engines implement identical semantics:
 
 * ``"faithful"`` — the paper's algorithm literally: materializes the
-  pattern base and matches it (this module);
-* ``"fast"`` — an optimized equivalent using a packed root-ancestor
-  index and per-root path caches (:mod:`repro.mining.fast`), used for
-  the full-scale Table 1 sweep.
+  pattern base and matches it (this module); the reference oracle;
+* ``"parallel"`` — count-first compact kernels over one frozen CSR
+  graph, optionally fanned out over shared memory
+  (:mod:`repro.mining.parallel`);
+* ``"incremental"`` — the streaming per-arc detector
+  (:mod:`repro.mining.incremental`) replayed over the whole arc set.
 
 Their outputs are cross-validated by property tests.
 """
@@ -82,9 +84,9 @@ class SubTPIINResult:
 class DetectionResult:
     """Aggregated outcome of Algorithm 1 over a whole TPIIN.
 
-    The fast engine's count-only mode fills the ``*_override`` fields
-    instead of materializing every group object; the count properties
-    below fall back to them when ``groups`` is empty.
+    The incremental engine's count-only mode fills the ``*_override``
+    fields instead of materializing every group object; the count
+    properties below fall back to them when ``groups`` is empty.
     """
 
     # Eager engines fill a plain list; the parallel engine supplies a
@@ -146,7 +148,7 @@ class DetectionResult:
         """Total groups, without classifying them.
 
         Uses the count overrides when an engine supplied them (the
-        fast engine's count-only mode), else ``len(groups)`` — never a
+        incremental engine's count-only mode), else ``len(groups)`` — never a
         simple/complex classification pass, which costs two full
         interior-set scans and would materialize lazy group sequences.
         """
@@ -227,8 +229,8 @@ class DetectionResult:
         """Write the paper's ``susGroup(i)`` / ``susTrade(i)`` output files.
 
         One pair of files per subTPIIN that produced any group (faithful
-        engine), or a single aggregated pair (fast engine).  Returns the
-        written paths.
+        and parallel engines), or a single aggregated pair (incremental
+        engine).  Returns the written paths.
         """
         # io.results_io type-imports DetectionResult; stay function-local.
         from repro.io.results_io import write_sus_files  # reprolint: disable=R010
@@ -262,22 +264,23 @@ def detect(
         engine, untraced).
     engine:
         :class:`~repro.mining.options.Engine` or its string name.
-        ``"faithful"`` runs the paper's Algorithm 1/2 literally;
-        ``"fast"`` runs the optimized equivalent engine;
-        ``"csr"`` runs the faithful pipeline over the frozen
-        :class:`~repro.graph.csr.CSRGraph` kernel (same groups, much
-        faster; see docs/PERFORMANCE.md);
-        ``"parallel"`` fans the CSR kernel out across worker processes;
+        ``"faithful"`` (the default) runs the paper's Algorithm 1/2
+        literally and is the reference the others are tested against;
+        ``"parallel"`` runs the compact kernels over one frozen
+        :class:`~repro.graph.csr.CSRGraph` (same groups, much faster;
+        see docs/PERFORMANCE.md), fanning large jobs out across worker
+        processes;
         ``"incremental"`` streams the trading arcs through
         :class:`~repro.mining.incremental.IncrementalDetector` (useful
         to validate the streaming path against the batch engines).
     max_trails_per_subtpiin:
-        Faithful and csr engines only: optional cap on each pattern base
-        as a safety valve; a capped run sets ``DetectionResult.truncated``
+        Faithful engine only: optional cap on each pattern base as a
+        safety valve; a capped run sets ``DetectionResult.truncated``
         and its counts are *lower bounds* (the paper's experiments run
         uncapped, as do ours).
     skip_trivial_subtpiins:
-        Skip subTPIINs with no trading arc (pure optimization).
+        Faithful engine only: skip subTPIINs with no trading arc (pure
+        optimization).
     processes:
         Parallel engine only: worker-process count (defaults to the
         machine's CPU count).
@@ -286,8 +289,9 @@ def detect(
         before a worker pool is spawned; smaller jobs (or single-CPU
         machines) mine in-process on the same compact kernels.
     collect_groups:
-        Fast and incremental engines only: ``False`` keeps the Table-1
-        tallies without materializing every group object.
+        Incremental engine only: ``False`` keeps the Table-1 tallies
+        without materializing every group object (the parallel engine
+        materializes its groups lazily, on first read, regardless).
     trace:
         ``True`` collects a span tree onto ``DetectionResult.trace``;
         a caller-owned :class:`~repro.obs.Tracer` nests the run under
@@ -351,19 +355,6 @@ def _run_extra_detectors(tpiin: TPIIN, opts: DetectOptions) -> object | None:
 def _run_engine(tpiin: TPIIN, opts: DetectOptions, tracer: TracerLike) -> DetectionResult:
     # The engine modules import DetectionResult from this module, so
     # their imports must stay function-local to break the cycle.
-    if opts.engine is Engine.FAST:
-        from repro.mining.fast import _fast_detect  # reprolint: disable=R010
-
-        return _fast_detect(tpiin, collect_groups=opts.collect_groups, tracer=tracer)
-    if opts.engine is Engine.CSR:
-        from repro.mining.csr_engine import csr_detect  # reprolint: disable=R010
-
-        return csr_detect(
-            tpiin,
-            max_trails_per_subtpiin=opts.max_trails_per_subtpiin,
-            skip_trivial_subtpiins=opts.skip_trivial_subtpiins,
-            tracer=tracer,
-        )
     if opts.engine is Engine.PARALLEL:
         from repro.mining.parallel import parallel_detect  # reprolint: disable=R010
 

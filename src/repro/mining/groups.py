@@ -87,7 +87,7 @@ class SuspiciousGroup:
         """Construct without ``__post_init__`` validation.
 
         For miners that guarantee the trail invariants by construction
-        (the CSR engine's fused DFS/matcher emits millions of groups on
+        (the parallel engine's lazy group decoding emits millions on
         dense settings, where per-group re-validation is pure overhead).
         Everything else should go through the regular constructor.
         """

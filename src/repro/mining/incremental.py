@@ -14,25 +14,30 @@ network once — packed root-ancestor bitsets, a frozen
 :class:`~repro.graph.csr.CSRGraph` of the influence arcs (reused for
 every path walk across the detector's lifetime, which is what the
 serving daemon amortizes between requests), and lazy per-root path
-caches as in :mod:`repro.mining.fast` — and then processes trading-arc
-insertions and deletions in isolation.  After any sequence of updates
-its aggregate result equals a batch run over the same arc set — a
-property the hypothesis suite verifies.
+caches — and then processes trading-arc insertions and deletions in
+isolation.  After any sequence of updates its aggregate result equals a
+batch run over the same arc set — a property the hypothesis suite
+verifies.
+
+The groups behind one trading arc ``(c1, c2)`` are enumerated as
+``paths(r, c1) x paths(r, c2)`` over the endpoints' common influence
+roots ``r`` (matched groups) plus the influence paths ``c2 ~> c1``
+(circle groups).
 """
 
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.errors import MiningError
 from repro.fusion.tpiin import TPIIN
 from repro.graph.bitset import RootAncestorIndex
 from repro.graph.csr import CSRGraph
-from repro.graph.digraph import DiGraph, Node
+from repro.graph.digraph import Node
 from repro.graph.traversal import weakly_connected_components
 from repro.mining.detector import DetectionResult
-from repro.mining.fast import enumerate_arc_groups, enumerate_root_paths
 from repro.mining.groups import GroupKind, SuspiciousGroup
 from repro.mining.scs_groups import shortest_path_in
 from repro.model.colors import EColor, VColor
@@ -104,7 +109,7 @@ class IncrementalDetector:
         trades) are ingested as the initial stream.
     collect_groups:
         With ``False`` only counts are tracked, mirroring
-        ``fast_detect(collect_groups=False)``.
+        ``detect(..., collect_groups=False)``.
     max_cached_roots:
         Upper bound on the number of roots whose influence-path
         enumerations are kept in the LRU cache.  ``None`` disables the
@@ -365,7 +370,7 @@ class IncrementalDetector:
             return cached
         self._cache_misses += 1
         self._misses_counter.inc()
-        cached = enumerate_root_paths(self._csr, root, EColor.INFLUENCE)
+        cached = _enumerate_root_paths(self._csr, root)
         self._path_cache[root] = cached
         if (
             self._max_cached_roots is not None
@@ -400,7 +405,7 @@ class IncrementalDetector:
                 )
             ]
 
-        return enumerate_arc_groups(
+        return _enumerate_arc_groups(
             self._csr, self._index, self._paths_of, c1, c2
         )
 
@@ -411,3 +416,140 @@ class IncrementalDetector:
                 self._simple += sign
             else:
                 self._complex += sign
+
+
+# ----------------------------------------------------------------------
+# per-arc path enumeration over the frozen influence kernel
+# ----------------------------------------------------------------------
+def _enumerate_root_paths(
+    csr: CSRGraph, root: Node
+) -> dict[Node, list[tuple[Node, ...]]]:
+    """All influence paths from ``root``, grouped by their end node.
+
+    Includes the trivial path ``(root,)`` under ``root`` itself — a root
+    that is a company can support a group with itself as antecedent.
+    The DFS runs in id space over pre-sorted rows (so emission order
+    matches a ``str``-sorted walk); paths are decoded as they are
+    emitted.  The antecedent net is a DAG, so the on-path guard only
+    keeps malformed input from looping.
+    """
+    offsets, targets = csr.out_adjacency(EColor.INFLUENCE)
+    decode = csr.decode_table
+    r = csr.encode(root)
+    by_end: dict[Node, list[tuple[Node, ...]]] = {root: [(root,)]}
+    path = [r]
+    on_path = {r}
+    cursor = [offsets[r]]
+    ends = [offsets[r + 1]]
+    while cursor:
+        i = cursor[-1]
+        if i == ends[-1]:
+            cursor.pop()
+            ends.pop()
+            on_path.discard(path.pop())
+            continue
+        cursor[-1] = i + 1
+        nxt = targets[i]
+        if nxt in on_path:
+            continue
+        path.append(nxt)
+        on_path.add(nxt)
+        by_end.setdefault(decode[nxt], []).append(tuple(decode[u] for u in path))
+        cursor.append(offsets[nxt])
+        ends.append(offsets[nxt + 1])
+    return by_end
+
+
+def _paths_between(
+    csr: CSRGraph, source: Node, target: Node
+) -> list[tuple[Node, ...]]:
+    """All simple influence paths ``source ~> target``.
+
+    Prunes the search to nodes that can still reach ``target`` (one
+    reverse DFS), so dead branches cost nothing; used for circle-group
+    enumeration where such paths are rare and short.
+    """
+    s = csr.encode(source)
+    t = csr.encode(target)
+    in_offsets, in_targets = csr.in_adjacency(EColor.INFLUENCE)
+    can_reach = {t}
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        for i in range(in_offsets[u], in_offsets[u + 1]):
+            prev = in_targets[i]
+            if prev not in can_reach:
+                can_reach.add(prev)
+                stack.append(prev)
+    if s not in can_reach:
+        return []
+    if s == t:
+        return [(source,)]
+    offsets, targets = csr.out_adjacency(EColor.INFLUENCE)
+    decode = csr.decode_table
+    results: list[tuple[Node, ...]] = []
+    path = [s]
+    on_path = {s}
+    cursor = [offsets[s]]
+    ends = [offsets[s + 1]]
+    while cursor:
+        i = cursor[-1]
+        if i == ends[-1]:
+            cursor.pop()
+            ends.pop()
+            on_path.discard(path.pop())
+            continue
+        cursor[-1] = i + 1
+        nxt = targets[i]
+        if nxt not in can_reach or nxt in on_path:
+            continue
+        if nxt == t:
+            results.append(tuple(decode[u] for u in path) + (target,))
+            continue
+        path.append(nxt)
+        on_path.add(nxt)
+        cursor.append(offsets[nxt])
+        ends.append(offsets[nxt + 1])
+    return results
+
+
+def _enumerate_arc_groups(
+    csr: CSRGraph,
+    index: RootAncestorIndex,
+    paths_of: Callable[[Node], dict[Node, list[tuple[Node, ...]]]],
+    c1: Node,
+    c2: Node,
+) -> list[SuspiciousGroup]:
+    """All matched and circle groups behind the trading arc ``c1 -> c2``.
+
+    ``paths_of(root)`` must return the per-end-node influence path lists
+    of :func:`_enumerate_root_paths` (the detector's cached lookup).
+    """
+    groups: list[SuspiciousGroup] = []
+    for back_path in _paths_between(csr, c2, c1):
+        groups.append(
+            SuspiciousGroup(
+                trading_trail=back_path + (c2,),
+                support_trail=(c2,),
+                kind=GroupKind.CIRCLE,
+            )
+        )
+    if index.shares_root(c1, c2):
+        for root in sorted(index.common_roots(c1, c2), key=str):
+            by_end = paths_of(root)
+            lead_paths = by_end.get(c1, ())
+            support_paths = by_end.get(c2, ())
+            if not lead_paths or not support_paths:
+                continue
+            for lead in lead_paths:
+                if c2 in lead:
+                    continue  # would revisit the end node: not a simple trail
+                for support in support_paths:
+                    groups.append(
+                        SuspiciousGroup(
+                            trading_trail=lead + (c2,),
+                            support_trail=support,
+                            kind=GroupKind.MATCHED,
+                        )
+                    )
+    return groups

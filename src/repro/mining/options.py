@@ -29,12 +29,10 @@ class Engine(str, Enum):
     """The detection engines (all produce identical group sets).
 
     Subclasses ``str`` so every call site that compared against
-    ``"fast"`` (or stored the engine name in JSON) keeps working.
+    ``"parallel"`` (or stored the engine name in JSON) keeps working.
     """
 
     FAITHFUL = "faithful"
-    FAST = "fast"
-    CSR = "csr"
     PARALLEL = "parallel"
     INCREMENTAL = "incremental"
 

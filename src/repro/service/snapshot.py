@@ -8,7 +8,9 @@ the last compaction.
 
 Snapshots are written atomically (temp file + ``os.replace``) so a
 crash mid-write leaves the previous snapshot intact, and carry a format
-version so the layout can evolve.
+version so the layout can evolve.  Both the temp file and, after the
+rename, the parent directory are fsynced: callers truncate the WAL right
+after this returns, so the rename must be as durable as that truncation.
 """
 
 from __future__ import annotations
@@ -53,6 +55,11 @@ def write_snapshot(path: str | Path, snapshot: Snapshot) -> Path:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
     return path
 
 

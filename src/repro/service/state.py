@@ -17,7 +17,7 @@ Recovery (:meth:`DetectionService.open`) inverts the pipeline: start
 from the trading-free antecedent view, seed it with the snapshot's arcs
 (or, on first boot, the TPIIN's own trading arcs), then replay the WAL
 tail.  The crash-recovery property suite verifies the result is
-byte-identical (up to group ordering) to a batch ``fast_detect`` over
+byte-identical (up to group ordering) to a batch ``detect()`` over
 the surviving arc set.
 """
 

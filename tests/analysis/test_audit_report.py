@@ -29,7 +29,7 @@ class TestAuditReport:
         from repro.ite.transactions import simulate_transactions
         from repro.mining.detector import detect
 
-        result = detect(small_province_tpiin, engine="fast")
+        result = detect(small_province_tpiin, engine="parallel")
         industry_of = {
             c.company_id: c.industry
             for c in small_province.registry.companies.values()
@@ -54,7 +54,7 @@ class TestAuditReport:
     def test_count_only_result_skips_group_sections(self, fig8):
         from repro.mining.detector import detect
 
-        result = detect(fig8, engine="fast", collect_groups=False)
+        result = detect(fig8, engine="incremental", collect_groups=False)
         report = build_audit_report(fig8, result)
         assert "## Distributions" not in report
         assert "simple suspicious groups" in report

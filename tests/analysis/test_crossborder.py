@@ -60,7 +60,7 @@ class TestScreen:
         assert screen.cross_border_share == 0.0
 
     def test_small_province_screen(self, small_province, small_province_tpiin):
-        result = detect(small_province_tpiin, engine="fast")
+        result = detect(small_province_tpiin, engine="parallel")
         screen = screen_cross_border(result, small_province.registry)
         classified = (
             len(screen.cross_border_arcs)

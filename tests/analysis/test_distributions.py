@@ -57,7 +57,7 @@ class TestDistributionsEdge:
     def test_small_province_consistency(self, small_province_tpiin):
         from repro.mining.detector import detect
 
-        result = detect(small_province_tpiin, engine="fast")
+        result = detect(small_province_tpiin, engine="parallel")
         dist = compute_distributions(result)
         assert sum(dist.group_size_histogram.values()) == result.group_count
         assert dist.mean_groups_per_suspicious_arc == pytest.approx(

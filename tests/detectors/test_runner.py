@@ -96,19 +96,19 @@ class TestRunDetectors:
 
     def test_options_configure_the_iat_detector(self):
         report = run_detectors(
-            _portfolio_tpiin(), "iat-groups", options=DetectOptions(engine="fast")
+            _portfolio_tpiin(), "iat-groups", options=DetectOptions(engine="parallel")
         )
         run = report["iat-groups"]
-        assert run.attributes["engine"] == "fast"
-        assert run.detection is not None and run.detection.engine == "fast"
+        assert run.attributes["engine"] == "parallel"
+        assert run.detection is not None and run.detection.engine == "parallel"
         # An explicit config override wins over the options.
         report = run_detectors(
             _portfolio_tpiin(),
             "iat-groups",
-            configs={"iat-groups": {"engine": "csr"}},
-            options=DetectOptions(engine="fast"),
+            configs={"iat-groups": {"engine": "incremental"}},
+            options=DetectOptions(engine="parallel"),
         )
-        assert report["iat-groups"].attributes["engine"] == "csr"
+        assert report["iat-groups"].attributes["engine"] == "incremental"
 
     def test_run_payload_shape(self):
         payload = run_detectors(_portfolio_tpiin(), "all").to_dict()

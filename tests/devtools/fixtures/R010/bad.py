@@ -8,9 +8,9 @@ def load_detector():
 
 
 def run_detection(tpiin):
-    from repro.mining.fast import fast_detect
+    from repro.mining.parallel import parallel_detect
 
-    return fast_detect(tpiin)
+    return parallel_detect(tpiin)
 
 
 def outer():

@@ -2,13 +2,13 @@
 imports in function bodies are out of scope for R010; a genuine cycle
 breaker is suppressed with a citation."""
 
-from repro.mining.fast import fast_detect
+from repro.mining.parallel import parallel_detect
 
 __all__ = ["lazy_stdlib", "run", "suppressed_cycle_breaker"]
 
 
 def run(tpiin):
-    return fast_detect(tpiin)
+    return parallel_detect(tpiin)
 
 
 def lazy_stdlib():
@@ -19,7 +19,7 @@ def lazy_stdlib():
 
 
 def suppressed_cycle_breaker():
-    # detector <-> fast would cycle at module scope
-    from repro.mining.fast import fast_detect  # reprolint: disable=R010
+    # detector <-> parallel would cycle at module scope
+    from repro.mining.parallel import parallel_detect  # reprolint: disable=R010
 
-    return fast_detect
+    return parallel_detect

@@ -13,7 +13,6 @@ from repro.devtools.rules import (
     ForbiddenDependencyRule,
     FrozenMutationRule,
     NoBareExceptRule,
-    NoDeprecatedDetectRule,
     NoFunctionBodyImportRule,
     NoPrintRule,
     NoRecursiveTraversalRule,
@@ -32,7 +31,6 @@ PER_FILE = {
     "R008": RawColorLiteralRule,
     "R009": FrozenMutationRule,
     "R010": NoFunctionBodyImportRule,
-    "R011": NoDeprecatedDetectRule,
 }
 
 PROJECT = {

@@ -21,7 +21,6 @@ BAD_CASES = {
     "R008": ("R008/bad.py", [5, 7, 9, 9]),
     "R009": ("R009/bad.py", [11, 15]),
     "R010": ("R010/bad.py", [5, 11, 18, 26]),
-    "R011": ("R011/bad.py", [3, 9, 13]),
 }
 
 #: rule id -> fixtures that must stay perfectly silent under that rule
@@ -36,7 +35,6 @@ GOOD_CASES = {
     "R008": ["R008/good.py"],
     "R009": ["R009/good.py"],
     "R010": ["R010/good.py"],
-    "R011": ["R011/good.py"],
 }
 
 

@@ -36,7 +36,7 @@ class TestStructure:
         log = _log(LintReport(diagnostics=(), files_checked=0))
         ids = [entry["id"] for entry in log["runs"][0]["tool"]["driver"]["rules"]]
         assert ids == sorted(ids)
-        for rule_id in ("R000", "R001", "R011", "R012", "R013", "R014", "R015"):
+        for rule_id in ("R000", "R001", "R010", "R012", "R013", "R014", "R015"):
             assert rule_id in ids
         for entry in log["runs"][0]["tool"]["driver"]["rules"]:
             assert entry["shortDescription"]["text"]

@@ -20,7 +20,7 @@ from repro.weights.scoring import rank_trading_arcs
 @pytest.fixture(scope="module")
 def detection(request):
     tpiin = request.getfixturevalue("small_province_tpiin")
-    return detect(tpiin, engine="fast")
+    return detect(tpiin, engine="parallel")
 
 
 class TestFullPipeline:
@@ -68,7 +68,7 @@ class TestFullPipeline:
             small_province_tpiin, tmp_path / "arcs.csv", tmp_path / "nodes.csv"
         )
         loaded = read_tpiin_csv(tmp_path / "arcs.csv", tmp_path / "nodes.csv")
-        reloaded_result = detect(loaded, engine="fast")
+        reloaded_result = detect(loaded, engine="parallel")
         assert (
             reloaded_result.suspicious_trading_arcs
             == detection.suspicious_trading_arcs
@@ -101,5 +101,5 @@ class TestScsIntegration:
             scs_groups = [g for g in result.groups if g.kind is GroupKind.SCS]
             assert len(scs_groups) == len(set(tpiin.intra_scs_trades))
         assert result.suspicious_trading_arcs == suspicious_arc_oracle(tpiin)
-        fast = detect(tpiin, engine="fast")
-        assert {g.key() for g in fast.groups} == {g.key() for g in result.groups}
+        parallel = detect(tpiin, engine="parallel")
+        assert {g.key() for g in parallel.groups} == {g.key() for g in result.groups}

@@ -64,7 +64,7 @@ class TestProductionFlow:
         batch_tpiin = dataset.overlay_trading(
             dataset.antecedent_tpiin(), 0.03
         )
-        batch = detect(batch_tpiin, engine="fast")
+        batch = detect(batch_tpiin, engine="faithful")
         assert monitor.suspicious_arcs == batch.suspicious_trading_arcs
 
     def test_quarterly_reporting(self, office):
@@ -82,7 +82,7 @@ class TestProductionFlow:
         assert any(w.suspicious_arcs for w in windows)
 
         full = dataset.overlay_trading(dataset.antecedent_tpiin(), 0.03)
-        result = detect(full, engine="fast")
+        result = detect(full, engine="parallel")
         report = build_audit_report(full, result, title="Quarterly audit")
         assert "Quarterly audit" in report
         estimate = estimate_suspicious_share(full, sample_size=200, seed=3)

@@ -55,7 +55,7 @@ class TestRoundTrip:
         assert loaded.intra_scs_trades == [("a", "b")]
         assert set(loaded.scs_subgraphs) == set(scs_case.scs_subgraphs)
         # The SCS group is minable from the reloaded bundle.
-        result = detect(loaded, engine="fast")
+        result = detect(loaded, engine="faithful")
         assert ("a", "b") in result.suspicious_trading_arcs
 
     def test_explanations_survive(self, tmp_path):

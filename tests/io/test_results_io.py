@@ -65,7 +65,7 @@ class TestDetectionJson:
             read_detection_json(path)
 
     def test_count_only_result_serializes(self, fig8, tmp_path):
-        result = detect(fig8, engine="fast", collect_groups=False)
+        result = detect(fig8, engine="incremental", collect_groups=False)
         path = write_detection_json(result, tmp_path / "counts.json")
         payload = json.loads(path.read_text())
         assert payload["groups"] == []
@@ -79,8 +79,8 @@ class TestSusFiles:
         names = {p.name for p in paths}
         assert names == {"susGroup(0).txt", "susTrade(0).txt"}
 
-    def test_fast_writes_aggregate(self, fig8, tmp_path):
-        result = detect(fig8, engine="fast")
+    def test_incremental_writes_aggregate(self, fig8, tmp_path):
+        result = detect(fig8, engine="incremental")
         paths = result.write_files(tmp_path)
         names = {p.name for p in paths}
         assert names == {"susGroup(all).txt", "susTrade(all).txt"}

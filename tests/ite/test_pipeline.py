@@ -11,7 +11,7 @@ from repro.mining.detector import detect
 def setup(request):
     small_province = request.getfixturevalue("small_province")
     tpiin = request.getfixturevalue("small_province_tpiin")
-    result = detect(tpiin, engine="fast")
+    result = detect(tpiin, engine="parallel")
     industry_of = {
         c.company_id: c.industry for c in small_province.registry.companies.values()
     }
@@ -61,8 +61,8 @@ class TestTwoPhase:
 
     def test_runs_detection_when_not_supplied(self, setup):
         tpiin, _result, book = setup
-        two = run_two_phase(tpiin, book, engine="fast")
-        assert two.msg_result.engine == "fast"
+        two = run_two_phase(tpiin, book, engine="faithful")
+        assert two.msg_result.engine == "faithful"
         assert two.recall == 1.0
 
     def test_empty_book(self, setup):

@@ -157,10 +157,10 @@ class TestSubReport:
         assert "subTPIIN" in text
         assert "groups" in text
 
-    def test_fast_engine_has_no_sub_data(self, fig8):
+    def test_incremental_engine_has_no_sub_data(self, fig8):
         from repro.mining.detector import detect
 
-        text = detect(fig8, engine="fast").render_sub_report()
+        text = detect(fig8, engine="incremental").render_sub_report()
         assert "did not segment" in text
 
     def test_truncation(self, small_province_tpiin):

@@ -145,7 +145,7 @@ class TestMinimalGroups:
         from repro.mining.detector import detect
         from repro.mining.groups import minimal_groups
 
-        groups = detect(small_province_tpiin, engine="fast").groups
+        groups = detect(small_province_tpiin, engine="parallel").groups
         minimal = minimal_groups(groups)
         assert 0 < len(minimal) <= len(groups)
         arcs_before = {g.trading_arc for g in groups}

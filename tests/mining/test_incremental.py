@@ -4,9 +4,15 @@ import pytest
 
 from repro.errors import MiningError
 from repro.fusion.tpiin import TPIIN
+from repro.graph.csr import CSRGraph
 from repro.mining.detector import detect
 from repro.mining.groups import GroupKind
-from repro.mining.incremental import IncrementalDetector
+from repro.mining.incremental import (
+    IncrementalDetector,
+    _enumerate_root_paths,
+    _paths_between,
+)
+from repro.model.colors import EColor
 
 
 def antecedent_only_fig8(fig8) -> TPIIN:
@@ -14,10 +20,41 @@ def antecedent_only_fig8(fig8) -> TPIIN:
     return TPIIN(graph=fig8.antecedent_graph())
 
 
+def diamond_influence() -> CSRGraph:
+    """Two influence paths r->a->t and r->b->t, then t->u."""
+    tpiin = TPIIN.build(
+        persons=["r"],
+        companies=["a", "b", "t", "u"],
+        influence=[("r", "a"), ("r", "b"), ("a", "t"), ("b", "t"), ("t", "u")],
+        trading=[("a", "t"), ("u", "a")],
+    )
+    return CSRGraph.freeze(tpiin.graph, colors=(EColor.INFLUENCE,))
+
+
+class TestHelpers:
+    def test_enumerate_root_paths(self):
+        by_end = _enumerate_root_paths(diamond_influence(), "r")
+        assert by_end["r"] == [("r",)]
+        assert set(by_end["t"]) == {("r", "a", "t"), ("r", "b", "t")}
+        assert len(by_end["u"]) == 2
+
+    def test_paths_between(self):
+        csr = diamond_influence()
+        assert set(_paths_between(csr, "r", "t")) == {
+            ("r", "a", "t"),
+            ("r", "b", "t"),
+        }
+        assert _paths_between(csr, "t", "r") == []
+        assert _paths_between(csr, "t", "t") == [("t",)]
+
+    def test_paths_between_prunes_unreachable(self):
+        assert _paths_between(diamond_influence(), "u", "b") == []
+
+
 class TestStreaming:
     def test_initial_ingest_matches_batch(self, fig8):
         detector = IncrementalDetector(fig8)
-        batch = detect(fig8, engine="fast")
+        batch = detect(fig8, engine="faithful")
         assert detector.suspicious_arcs == batch.suspicious_trading_arcs
         assert {g.key() for g in detector.result().groups} == {
             g.key() for g in batch.groups
@@ -105,7 +142,7 @@ class TestPathCache:
 
     def test_capped_detector_still_matches_batch(self, fig8):
         capped = IncrementalDetector(fig8, max_cached_roots=1)
-        batch = detect(fig8, engine="fast")
+        batch = detect(fig8, engine="faithful")
         assert {g.key() for g in capped.result().groups} == {
             g.key() for g in batch.groups
         }
@@ -204,7 +241,7 @@ class TestSpecialShapes:
         assert update.groups[0].kind is GroupKind.SCS
 
     def test_small_province_stream_matches_batch(self, small_province_tpiin):
-        batch = detect(small_province_tpiin, engine="fast")
+        batch = detect(small_province_tpiin, engine="faithful")
         antecedent = TPIIN(
             graph=small_province_tpiin.antecedent_graph(),
             node_map=dict(small_province_tpiin.node_map),

@@ -9,19 +9,32 @@ from repro.obs.tracing import NULL_TRACER, Tracer
 
 class TestEngine:
     def test_is_a_string(self):
-        assert Engine.FAST == "fast"
-        assert str(Engine.CSR) == "csr"
+        assert Engine.PARALLEL == "parallel"
+        assert str(Engine.INCREMENTAL) == "incremental"
         assert f"{Engine.FAITHFUL}" == "faithful"
 
     def test_coerce_accepts_names_and_members(self):
         assert Engine.coerce("parallel") is Engine.PARALLEL
-        assert Engine.coerce(Engine.FAST) is Engine.FAST
+        assert Engine.coerce(Engine.INCREMENTAL) is Engine.INCREMENTAL
 
     def test_coerce_rejects_typos_with_choices(self):
         with pytest.raises(MiningError, match="unknown engine 'fastt'"):
             Engine.coerce("fastt")
-        with pytest.raises(MiningError, match="choices: faithful, fast"):
+        with pytest.raises(MiningError, match="choices: faithful, parallel"):
             Engine.coerce("nope")
+
+    @pytest.mark.parametrize("removed", ["fast", "csr"])
+    def test_removed_engines_are_rejected(self, removed):
+        assert [engine.value for engine in Engine] == [
+            "faithful",
+            "parallel",
+            "incremental",
+        ]
+        with pytest.raises(
+            MiningError,
+            match=rf"unknown engine '{removed}' \(choices: faithful, parallel, incremental\)",
+        ):
+            Engine.coerce(removed)
 
 
 class TestDetectOptions:
@@ -32,14 +45,14 @@ class TestDetectOptions:
         assert opts.trace is False
 
     def test_engine_coerced_on_construction(self):
-        assert DetectOptions(engine="csr").engine is Engine.CSR
+        assert DetectOptions(engine="parallel").engine is Engine.PARALLEL
         with pytest.raises(MiningError, match="unknown engine"):
             DetectOptions(engine="warp")
 
     def test_frozen(self):
         opts = DetectOptions()
         with pytest.raises(AttributeError):
-            opts.engine = Engine.FAST  # type: ignore[misc]
+            opts.engine = Engine.PARALLEL  # type: ignore[misc]
 
     def test_validates_bounds(self):
         with pytest.raises(MiningError, match="max_trails_per_subtpiin"):
@@ -48,13 +61,13 @@ class TestDetectOptions:
             DetectOptions(processes=0)
 
     def test_with_overrides_drops_nones(self):
-        base = DetectOptions(engine=Engine.FAST, processes=4)
+        base = DetectOptions(engine=Engine.PARALLEL, processes=4)
         same = base.with_overrides(engine=None, processes=None)
         assert same is base
-        changed = base.with_overrides(engine="csr", collect_groups=None)
-        assert changed.engine is Engine.CSR
+        changed = base.with_overrides(engine="incremental", collect_groups=None)
+        assert changed.engine is Engine.INCREMENTAL
         assert changed.processes == 4
-        assert base.engine is Engine.FAST  # original untouched
+        assert base.engine is Engine.PARALLEL  # original untouched
 
     def test_with_overrides_coerces_engine(self):
         with pytest.raises(MiningError, match="unknown engine"):

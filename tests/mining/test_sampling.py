@@ -11,15 +11,13 @@ from repro.mining.sampling import estimate_suspicious_share
 class TestEstimation:
     def test_full_population_is_exact(self, fig8):
         estimate = estimate_suspicious_share(fig8, sample_size=100)
-        exact = detect(fig8, engine="fast", collect_groups=False).suspicious_arc_share
+        exact = detect(fig8, engine="parallel").suspicious_arc_share
         assert estimate.point == pytest.approx(exact)
         assert estimate.sample_size == 5
         assert estimate.low <= estimate.point <= estimate.high
 
     def test_sampled_interval_covers_truth(self, small_province_tpiin):
-        exact = detect(
-            small_province_tpiin, engine="fast", collect_groups=False
-        ).suspicious_arc_share
+        exact = detect(small_province_tpiin, engine="parallel").suspicious_arc_share
         covered = 0
         for seed in range(10):
             estimate = estimate_suspicious_share(

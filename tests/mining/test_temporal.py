@@ -62,7 +62,7 @@ class TestSlidingWindows:
                 trades, window_result.window_start, window_result.window_end
             ):
                 expected_tpiin.graph.add_arc(*arc, EColor.TRADING)
-            batch = detect(expected_tpiin, engine="fast")
+            batch = detect(expected_tpiin, engine="faithful")
             assert (
                 window_result.suspicious_arcs == batch.suspicious_trading_arcs
             ), f"window {window_result.window_start}"

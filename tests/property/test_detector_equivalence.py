@@ -21,7 +21,7 @@ ENGINES = tuple(engine.value for engine in Engine)
 @settings(max_examples=40, deadline=None)
 @given(tpiin=tpiins())
 def test_plugin_path_equals_legacy_detect_on_every_engine(tpiin):
-    assert set(ENGINES) == {"faithful", "fast", "csr", "parallel", "incremental"}
+    assert set(ENGINES) == {"faithful", "parallel", "incremental"}
     for engine in ENGINES:
         legacy = detect(tpiin, engine=engine)
         outcome = IATGroupDetector(IATConfig(engine=engine)).run(

@@ -1,9 +1,10 @@
 """Property: every engine and both oracles agree on random TPIINs.
 
 This is the library's keystone invariant (DESIGN.md, item 3): the
-faithful Algorithm 1/2, the optimized engine, the naive Appendix-B
+faithful Algorithm 1/2, the streaming detector, the naive Appendix-B
 matcher and the paper's global-traversal baseline all produce the same
 group set, and the suspicious-arc set equals both reachability oracles.
+The parallel engine has its own suite (test_parallel_equivalence).
 """
 
 from hypothesis import given, settings
@@ -15,15 +16,6 @@ from repro.mining.oracle import suspicious_arc_oracle, suspicious_arc_oracle_clo
 from repro.mining.patterns import build_patterns_tree
 
 from .strategies import tpiins
-
-
-@settings(max_examples=120, deadline=None)
-@given(tpiin=tpiins())
-def test_faithful_equals_fast(tpiin):
-    faithful = detect(tpiin)
-    fast = detect(tpiin, engine="fast")
-    assert {g.key() for g in faithful.groups} == {g.key() for g in fast.groups}
-    assert faithful.suspicious_trading_arcs == fast.suspicious_trading_arcs
 
 
 @settings(max_examples=80, deadline=None)
@@ -82,7 +74,7 @@ def test_incremental_equals_batch_after_add_remove(tpiin):
     for arc in arcs[: len(arcs) // 2]:
         detector.add_trading_arc(*arc)
 
-    batch = detect(tpiin, engine="fast")
+    batch = detect(tpiin, engine="faithful")
     assert detector.suspicious_arcs == batch.suspicious_trading_arcs
     streamed = detector.result()
     assert {g.key() for g in streamed.groups} == {g.key() for g in batch.groups}
@@ -117,7 +109,7 @@ def test_sliding_windows_match_batch(tpiin, data):
             trades, window_result.window_start, window_result.window_end
         ):
             expected.graph.add_arc(*arc, EColor.TRADING)
-        batch = detect(expected, engine="fast", collect_groups=False)
+        batch = detect(expected, engine="faithful")
         assert window_result.suspicious_arcs == batch.suspicious_trading_arcs
         assert (
             window_result.result.group_count == batch.group_count

@@ -112,8 +112,8 @@ def test_bundle_roundtrip_preserves_detection(tmp_path_factory, tpiin):
     path = tmp_path_factory.mktemp("bundle") / "t.json"
     loaded = read_tpiin_bundle(write_tpiin_bundle(tpiin, path))
     assert set(loaded.graph.arcs()) == set(tpiin.graph.arcs())
-    assert {g.key() for g in detect(loaded, engine="fast").groups} == {
-        g.key() for g in detect(tpiin, engine="fast").groups
+    assert {g.key() for g in detect(loaded, engine="faithful").groups} == {
+        g.key() for g in detect(tpiin, engine="faithful").groups
     }
 
 

@@ -3,6 +3,7 @@
 import networkx as nx
 from hypothesis import given, settings
 
+from repro.graph.csr import CSRGraph
 from repro.graph.dag import count_paths_from_roots, enumerate_paths_from, roots
 from repro.graph.edgelist import EdgeList
 from repro.graph.tarjan import strongly_connected_components
@@ -70,3 +71,19 @@ def test_edge_list_layout_invariant(tpiin):
     m = edge_list.first_trading_row
     assert all(code == 1 for code in edge_list.array[:m, 2])
     assert all(code == 0 for code in edge_list.array[m:, 2])
+
+
+@settings(max_examples=120, deadline=None)
+@given(tpiin=tpiins())
+def test_freeze_thaw_round_trip(tpiin):
+    """freeze/thaw is the identity on nodes, colors and colored arcs."""
+    graph = tpiin.graph
+    csr = CSRGraph.freeze(graph)
+    thawed = csr.to_digraph()
+    assert set(thawed.nodes()) == set(graph.nodes())
+    assert set(thawed.arcs()) == set(graph.arcs())
+    for node in graph.nodes():
+        assert thawed.node_color(node) == graph.node_color(node)
+        for color in csr.arc_color_domain:
+            assert csr.out_degree(node, color) == graph.out_degree(node, color)
+            assert csr.in_degree(node, color) == graph.in_degree(node, color)

@@ -14,10 +14,10 @@ from repro.obs.tracing import Tracer
 
 from .strategies import tpiins
 
-#: The parallel engine is exercised separately (process pool spin-up is
-#: far too slow for a per-example property); its trace transparency is
-#: covered by tests/mining/test_parallel.py and the integration suite.
-_ENGINES = (Engine.FAITHFUL, Engine.FAST, Engine.CSR, Engine.INCREMENTAL)
+#: Every engine; tiny examples stay far below the parallel engine's
+#: pool threshold, so it mines in-process here (the pooled path's trace
+#: is covered by tests/mining/test_parallel.py).
+_ENGINES = tuple(Engine)
 
 
 def _key_set(result):
@@ -45,9 +45,9 @@ def test_traced_equals_untraced_for_every_engine(tpiin):
 def test_caller_owned_tracer_nests_the_run(tpiin):
     tracer = Tracer()
     with tracer.span("audit"):
-        result = detect(tpiin, engine=Engine.FAST, trace=tracer)
+        result = detect(tpiin, engine=Engine.INCREMENTAL, trace=tracer)
     root = tracer.root
     assert root.name == "audit"
     assert [child.name for child in root.children] == ["detect"]
     assert result.trace is root.children[0]
-    assert _key_set(result) == _key_set(detect(tpiin, engine=Engine.FAST))
+    assert _key_set(result) == _key_set(detect(tpiin, engine=Engine.INCREMENTAL))

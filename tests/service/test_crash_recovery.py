@@ -3,7 +3,7 @@
 For any interleaving of adds/removes, any compaction cadence, and any
 amount of bytes torn off the WAL tail by the crash, recovery must yield
 a DetectionResult identical (up to group ordering) to a batch
-batch ``detect(engine="fast")`` over the surviving arc set — where "surviving" is
+``detect(engine="faithful")`` over the surviving arc set — where "surviving" is
 defined by the durability contract: snapshot arcs (or the TPIIN
 baseline) plus the WAL records that remain intact after the tear.
 """
@@ -40,11 +40,11 @@ ops_strategy = st.lists(
 
 
 def batch_over(arcs):
-    """Batch fast-engine detect over Fig. 8's antecedent network + ``arcs``."""
+    """Batch faithful-engine detect over Fig. 8's antecedent network + ``arcs``."""
     graph = FIG8.antecedent_graph()
     for seller, buyer in arcs:
         graph.add_arc(seller, buyer, EColor.TRADING)
-    return detect(TPIIN(graph=graph), engine="fast")
+    return detect(TPIIN(graph=graph), engine="faithful")
 
 
 def surviving_arcs(config):

@@ -42,7 +42,7 @@ class TestQueries:
 
     def test_result_matches_batch(self, served_fig8, fig8):
         client, _ = served_fig8
-        batch = detect(fig8, engine=Engine.FAST)
+        batch = detect(fig8, engine=Engine.FAITHFUL)
         result = client.result()
         assert result["engine"] == "incremental"
         assert len(result["groups"]) == len(batch.groups)

@@ -10,7 +10,7 @@ snapshot arcs plus intact WAL records above the shard's snapshot
 floor, applied in global-sequence order, with cross-shard migration
 duplicates collapsing in the union.
 
-That target is itself checked against a batch ``detect(engine="fast")``
+That target is itself checked against a batch ``detect(engine="faithful")``
 over the surviving arc union, so the property pins both layers: the
 recovery plumbing and the detection result it feeds.
 
@@ -68,11 +68,11 @@ ops_strategy = st.lists(
 
 
 def batch_over(arcs):
-    """Batch fast-engine detect over the forest's antecedents + ``arcs``."""
+    """Batch faithful-engine detect over the forest's antecedents + ``arcs``."""
     graph = FOREST.antecedent_graph()
     for seller, buyer in arcs:
         graph.add_arc(seller, buyer, EColor.TRADING)
-    return detect(TPIIN(graph=graph), engine="fast")
+    return detect(TPIIN(graph=graph), engine="faithful")
 
 
 def surviving_arcs(config):

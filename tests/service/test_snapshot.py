@@ -1,6 +1,8 @@
-"""Snapshot atomicity and validation."""
+"""Snapshot atomicity, durability and validation."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -31,6 +33,27 @@ class TestRoundtrip:
         write_snapshot(path, Snapshot(last_seq=2, arcs=(("c", "d"),)))
         assert read_snapshot(path).last_seq == 2
         assert not path.with_suffix(".json.tmp").exists()
+
+    def test_directory_synced_after_replace(self, tmp_path, monkeypatch):
+        # Callers truncate the WAL once write_snapshot returns, so the
+        # rename itself must be durable: the parent directory has to be
+        # fsynced after os.replace, not only the temp file before it.
+        path = tmp_path / "snapshot.json"
+        write_snapshot(path, Snapshot(last_seq=1, arcs=(("a", "b"),)))
+        real_fsync = os.fsync
+        synced: list[tuple[bool, int | None]] = []
+
+        def recording_fsync(fd):
+            is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+            seq = read_snapshot(path).last_seq if is_dir else None
+            synced.append((is_dir, seq))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        write_snapshot(path, Snapshot(last_seq=2, arcs=(("c", "d"),)))
+        assert synced[0] == (False, None)  # the temp file, before the rename
+        # The directory sync sees the renamed (new) snapshot in place.
+        assert (True, 2) in synced[1:]
 
 
 class TestValidation:

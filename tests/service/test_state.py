@@ -23,7 +23,7 @@ def group_keys(result):
 class TestFirstBoot:
     def test_boot_matches_batch(self, fig8, tmp_path):
         with DetectionService.open(fig8, config_for(tmp_path)) as service:
-            batch = detect(fig8, engine="fast")
+            batch = detect(fig8, engine="faithful")
             result = service.result()
             assert group_keys(result) == group_keys(batch)
             assert result.suspicious_trading_arcs == batch.suspicious_trading_arcs

@@ -32,6 +32,18 @@ class TestParser:
             assert args.engine == "incremental"
             assert args.processes is None
 
+    def test_engine_defaults_to_parallel(self):
+        parser = build_parser()
+        assert parser.parse_args(["mine", "a.csv", "n.csv"]).engine == "parallel"
+        assert parser.parse_args(["ingest", "a.csv"]).engine == "parallel"
+
+    @pytest.mark.parametrize("removed", ["fast", "csr"])
+    def test_removed_engines_exit_with_usage_error(self, removed, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["mine", "a.csv", "n.csv", "--engine", removed])
+        assert excinfo.value.code == 2
+        assert "faithful, parallel, incremental" in capsys.readouterr().err.replace("'", "")
+
     def test_mine_accepts_processes(self):
         args = build_parser().parse_args(
             ["mine", "a.csv", "n.csv", "--engine", "parallel", "--processes", "2"]
@@ -86,15 +98,13 @@ class TestCommands:
                 "mine",
                 str(arcs),
                 str(nodes),
-                "--engine",
-                "fast",
                 "--out-dir",
                 str(tmp_path / "out"),
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "engine=fast" in out
+        assert "engine=parallel" in out
         assert (tmp_path / "out" / "detection.json").exists()
 
         code = main(
@@ -197,6 +207,8 @@ class TestCommands:
                 "mine",
                 str(tmp_path / "net.arcs.csv"),
                 str(tmp_path / "net.nodes.csv"),
+                "--engine",
+                "faithful",  # the engine that times each subTPIIN
                 "--profile",
                 "--out-dir",
                 str(tmp_path / "out"),
@@ -258,7 +270,7 @@ class TestNewCommands:
                 "ingest",
                 str(tmp_path / "registry"),
                 "--engine",
-                "fast",
+                "faithful",
                 "--out-dir",
                 str(tmp_path / "out"),
             ]

@@ -1,19 +1,22 @@
 """Service ingest load benchmark: single-arc vs batch vs sharded.
 
 Measures requests (or arc-lines) per second and exact client-side
-p50/p99 latency against a live in-process daemon, for five configs:
+p50/p99 latency against a live in-process daemon, for five configs.
+Every config runs the one daemon implementation,
+:class:`~repro.service.sharding.ShardedDetectionService`; the config
+names are kept so committed result files still compare.
 
 ``seed_single_shard``
-    The daemon as the previous revision shipped it: one shard,
-    per-request durable commit, and the transport *without*
-    ``TCP_NODELAY`` — Nagle plus the peer's delayed ACK stalls every
-    keep-alive response ~40 ms, which is what this revision fixed.
+    The daemon at ``shards=1`` over the transport an earlier revision
+    shipped: *without* ``TCP_NODELAY``, Nagle plus the peer's delayed
+    ACK stalls every keep-alive response ~40 ms.
 ``single_arc``
-    The same single-shard daemon over the fixed transport; one durable
-    commit (WAL append + fsync) per request.
+    The daemon at ``shards=1`` (the ``serve`` default) over the fixed
+    transport; concurrent keep-alive clients, one mutation per request,
+    queued group-commit pipeline.
 ``batch``
-    NDJSON bulk ingest (``POST /v1/arcs:batch``) against the
-    single-shard daemon; one fsync per commit group.
+    NDJSON bulk ingest (``POST /v1/arcs:batch``) against the daemon at
+    ``shards=1``; one fsync per commit group.
 ``sharded``
     ``--shards 4`` router/worker daemon, concurrent keep-alive
     clients, queued group-commit pipeline.
@@ -32,7 +35,7 @@ Honesty notes (recorded in the output): this host has one CPU core, so
 configs that differ only in concurrency (``sharded`` vs ``single_arc``)
 converge on the same GIL/transport ceiling, and the local fsync
 (~0.2 ms) is too cheap for group-commit amortization to dominate; the
-headline sharded gain is measured against the seed daemon as shipped.
+headline sharded gain is measured against the seed-transport config.
 On multi-core hosts or slow-fsync storage the same-transport gap opens
 up; the JSON reports both ratios, labelled.
 
@@ -62,9 +65,8 @@ from repro.mining.detector import detect
 from repro.model.colors import EColor
 from repro.service.client import ServiceClient
 from repro.service.config import ServiceConfig
-from repro.service.server import DetectionHTTPServer, ServiceLike
+from repro.service.server import DetectionHTTPServer
 from repro.service.sharding import ShardedDetectionService
-from repro.service.state import DetectionService
 
 
 @dataclass
@@ -152,14 +154,10 @@ class _Daemon:
         config = ServiceConfig(
             state_dir=state_dir, port=0, fsync=True, shards=shards
         )
-        self.service: ServiceLike
-        if shards > 1:
-            self.service = ShardedDetectionService.open(tpiin, config)
-        else:
-            self.service = DetectionService.open(tpiin, config)
+        self.service = ShardedDetectionService.open(tpiin, config)
         self.server = DetectionHTTPServer((config.host, config.port), self.service)
         if seed_transport:
-            # Reproduce the previous revision's transport: Nagle left
+            # Reproduce the earlier revision's transport: Nagle left
             # on, so headers+body in separate sends stall on the
             # peer's delayed ACK.
             handler = self.server.RequestHandlerClass
@@ -243,7 +241,7 @@ def drive_batch(
     return LoadResult(ops=len(ops), elapsed_seconds=elapsed, latencies_ms=latencies)
 
 
-def result_signature(service: ServiceLike) -> tuple[frozenset, int]:
+def result_signature(service: ShardedDetectionService) -> tuple[frozenset, int]:
     result = service.result()
     return frozenset(g.key() for g in result.groups), service.arc_count()
 
@@ -424,10 +422,11 @@ def main(argv: list[str] | None = None) -> int:
         "ratios": ratios,
         "agreement": "all configs matched batch parallel-engine detect",
         "notes": (
-            "seed_single_shard is the previous revision's daemon as "
-            "shipped (single shard, per-request fsync, no TCP_NODELAY; "
-            "Nagle + delayed ACK stalls every response ~40 ms) — the "
-            "headline sharded ratio is measured against it.  This host "
+            "seed_single_shard is the daemon at shards=1 over an earlier "
+            "revision's transport (no TCP_NODELAY; Nagle + delayed ACK "
+            "stalls every response ~40 ms) — the headline sharded ratio "
+            "is measured against it.  single_arc and batch run the same "
+            "daemon at shards=1 over the fixed transport.  This host "
             "has ONE CPU core and a ~0.2 ms fsync, so same-transport "
             "sharded vs single_arc converges on the GIL/transport "
             "ceiling (ratio near 1); the split is reported separately "

@@ -36,6 +36,7 @@ from repro.datagen.config import PAPER_TRADING_PROBABILITIES, ProvinceConfig
 from repro.datagen.province import generate_province
 from repro.detectors.registry import ALL_DETECTORS
 from repro.detectors.runner import run_detectors
+from repro.errors import ServiceError
 from repro.fusion.tpiin import TPIIN
 from repro.io.edge_list_io import read_tpiin_csv, write_tpiin_csv
 from repro.io.registry_io import load_registry_csvs
@@ -46,9 +47,8 @@ from repro.mining.detector import IAT_DETECTOR_NAME, detect
 from repro.mining.options import DetectOptions, Engine
 from repro.obs.profile import render_profile
 from repro.service.config import ServiceConfig
-from repro.service.server import DetectionHTTPServer, ServiceLike, serve
+from repro.service.server import DetectionHTTPServer, serve
 from repro.service.sharding import ShardedDetectionService
-from repro.service.state import DetectionService
 
 __all__ = ["main", "build_parser"]
 
@@ -172,7 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=1,
-        help="shard worker count; >1 partitions components across workers",
+        help=(
+            "shard worker count, fixed for a state directory once it holds "
+            "state; >1 partitions components across workers"
+        ),
     )
     srv.add_argument(
         "--queue-limit",
@@ -335,11 +338,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ingest_queue_limit=args.queue_limit,
         group_commit_max=args.group_commit_max,
     )
-    service: ServiceLike
-    if config.shards > 1:
+    try:
         service = ShardedDetectionService.open(tpiin, config)
-    else:
-        service = DetectionService.open(tpiin, config)
+    except ServiceError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
     server = DetectionHTTPServer((config.host, config.port), service)
     host, port = server.server_address[:2]
     print(

@@ -14,9 +14,8 @@ from repro.service.locks import ReadWriteLock
 from repro.service.metrics import ServiceMetrics
 from repro.service.server import DetectionHTTPServer, serve
 from repro.service.shard import ShardWorker
-from repro.service.sharding import ShardedDetectionService
+from repro.service.sharding import ArcStatus, ShardedDetectionService
 from repro.service.snapshot import Snapshot, read_snapshot, write_snapshot
-from repro.service.state import ArcStatus, DetectionService
 from repro.service.wal import (
     OP_ADD,
     OP_REMOVE,
@@ -31,7 +30,6 @@ __all__ = [
     "OP_REMOVE",
     "ArcStatus",
     "DetectionHTTPServer",
-    "DetectionService",
     "ReadWriteLock",
     "ReplayResult",
     "ServiceClient",

@@ -1,10 +1,10 @@
 """Configuration for the long-lived detection daemon.
 
 One frozen record holds everything the daemon needs to run: where to
-listen, where the durable state lives (write-ahead log + snapshot), how
-often to compact, and the streaming detector's cache bound.  The CLI
-``serve`` subcommand builds one of these from flags; tests build them
-directly.
+listen, where the durable state lives (per-shard write-ahead logs +
+snapshots), how often to compact, and the streaming detector's cache
+bound.  The CLI ``serve`` subcommand builds one of these from flags;
+tests build them directly.
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ from repro.errors import ServiceError
 
 __all__ = ["ServiceConfig"]
 
-#: On-disk file names inside ``state_dir``.
-_WAL_FILENAME = "wal.jsonl"
-_SNAPSHOT_FILENAME = "snapshot.json"
-
 
 @dataclass(frozen=True, slots=True)
 class ServiceConfig:
@@ -28,9 +24,9 @@ class ServiceConfig:
     Parameters
     ----------
     state_dir:
-        Directory holding the write-ahead log and the latest snapshot.
-        Created on demand; point two daemons at the same directory and
-        the second one inherits the first one's state.
+        Directory holding each shard's write-ahead log and latest
+        snapshot.  Created on demand; point two daemons at the same
+        directory and the second one inherits the first one's state.
     host / port:
         Listen address.  Port ``0`` asks the OS for an ephemeral port
         (useful in tests; the bound port is reported once the socket
@@ -52,11 +48,11 @@ class ServiceConfig:
         How many recent mutation span trees to keep for
         ``GET /v1/trace/{subtpiin}``; ``0`` disables mutation tracing.
     shards:
-        How many component-sharded workers the sharded service runs.
-        Each shard owns the state, WAL and incremental detector of a
-        disjoint set of weakly connected antecedent components; ``1``
-        keeps one worker but still uses the queued group-commit ingest
-        pipeline.  Ignored by the single-lock :class:`DetectionService`.
+        How many component-sharded workers the daemon runs.  Each shard
+        owns the state, WAL and incremental detector of a disjoint set
+        of weakly connected antecedent components; ``1`` (the default)
+        runs one worker behind the same queued group-commit pipeline.
+        Fixed for a state directory once it holds state.
     ingest_queue_limit:
         Bound on each shard's pending single-arc ingest queue.  A full
         queue sheds the request with HTTP ``429`` + ``Retry-After``
@@ -108,14 +104,6 @@ class ServiceConfig:
                 f"retry_after_seconds must be > 0, got {self.retry_after_seconds}"
             )
         object.__setattr__(self, "state_dir", Path(self.state_dir))
-
-    @property
-    def wal_path(self) -> Path:
-        return self.state_dir / _WAL_FILENAME
-
-    @property
-    def snapshot_path(self) -> Path:
-        return self.state_dir / _SNAPSHOT_FILENAME
 
     def shard_wal_path(self, shard: int) -> Path:
         """WAL of one shard worker (``wal-0003.jsonl`` for shard 3)."""

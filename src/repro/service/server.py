@@ -1,4 +1,4 @@
-"""Stdlib-only JSON transport for :class:`DetectionService`.
+"""Stdlib-only JSON transport for :class:`ShardedDetectionService`.
 
 One :class:`~http.server.ThreadingHTTPServer` per daemon.  The API is
 versioned under ``/v1``; bare legacy paths answer with a ``308
@@ -13,13 +13,13 @@ Permanent Redirect`` to their ``/v1`` twin so old clients keep working
 ``GET  /v1/result?detector={name}``        one portfolio detector's findings
 ``GET  /v1/detectors``                     registered detector listing
 ``GET  /v1/investigate/{company}``         drill-down briefing for a company
-``GET  /v1/healthz``                       liveness + recovery summary
+``GET  /v1/healthz``                       liveness + recovery summary (503 if not ok)
 ``GET  /v1/metrics``                       counters, latency histograms, caches
 ``GET  /v1/metrics?format=prometheus``     Prometheus text exposition
 ``GET  /v1/trace/{subtpiin}``              recent mutation span trees
 =========================================  =====================================
 
-Concurrency is bounded by the service's single-writer/multi-reader lock:
+Concurrency is bounded by the service's per-shard queues and locks:
 HTTP worker threads carry requests concurrently, but mutations serialize
 at the state layer, never in the transport.  The server keeps
 ``daemon_threads = False`` so ``server_close()`` joins in-flight workers
@@ -42,13 +42,9 @@ from repro.io.registry_io import parse_arc_ndjson
 from repro.io.results_io import detection_to_dict, group_to_dict
 from repro.mining.incremental import ArcUpdate
 from repro.service.sharding import ShardedDetectionService
-from repro.service.state import DetectionService
 from repro.service.wal import OP_ADD, OP_REMOVE
 
-__all__ = ["DetectionHTTPServer", "ServiceLike", "serve"]
-
-#: Either service flavor; the transport only uses their shared surface.
-ServiceLike = DetectionService | ShardedDetectionService
+__all__ = ["DetectionHTTPServer", "serve"]
 
 _logger = logging.getLogger("repro.service")
 
@@ -75,7 +71,7 @@ def _update_to_dict(update: ArcUpdate) -> dict[str, Any]:
 
 
 class DetectionHTTPServer(ThreadingHTTPServer):
-    """Threaded HTTP server that owns a :class:`DetectionService`."""
+    """Threaded HTTP server that owns a :class:`ShardedDetectionService`."""
 
     # Track and join worker threads on server_close(): a drained
     # shutdown must finish in-flight responses, not abandon them.
@@ -83,7 +79,9 @@ class DetectionHTTPServer(ThreadingHTTPServer):
     block_on_close = True
     allow_reuse_address = True
 
-    def __init__(self, address: tuple[str, int], service: ServiceLike) -> None:
+    def __init__(
+        self, address: tuple[str, int], service: ShardedDetectionService
+    ) -> None:
         super().__init__(address, _DetectionRequestHandler)
         self.service = service
 
@@ -104,7 +102,7 @@ class _DetectionRequestHandler(BaseHTTPRequestHandler):
     timeout = 1.0
 
     @property
-    def service(self) -> ServiceLike:
+    def service(self) -> ShardedDetectionService:
         return cast(DetectionHTTPServer, self.server).service
 
     # ------------------------------------------------------------------
@@ -194,7 +192,9 @@ class _DetectionRequestHandler(BaseHTTPRequestHandler):
             )
         if parts == ["healthz"]:
             self._endpoint_hint = "healthz"
-            return "healthz", 200, dict(self.service.health()), None, None
+            health = dict(self.service.health())
+            status = 200 if health["status"] == "ok" else 503
+            return "healthz", status, health, None, None
         if parts == ["metrics"]:
             self._endpoint_hint = "metrics"
             formats = parse_qs(query).get("format", [])

@@ -208,6 +208,11 @@ class ShardWorker:
         with self._q_cond:
             return len(self._queue)
 
+    def failure(self) -> BaseException | None:
+        """The fault that poisoned this shard, or ``None`` while healthy."""
+        with self._q_cond:
+            return self._failed
+
     # ------------------------------------------------------------------
     # worker loop (one thread per shard)
     # ------------------------------------------------------------------
@@ -267,8 +272,11 @@ class ShardWorker:
         return taken
 
     def _commit_group(self, group: list[PendingMutation]) -> None:
+        ops = [(pending.op, pending.seller, pending.buyer) for pending in group]
         with self._lock.write():
-            outcomes, traces = self._apply_group_locked(group)
+            outcomes, traces = self._apply_group_locked(
+                ops, trace=self._trace_mutations
+            )
         for payload in traces:
             if self._on_trace is not None:
                 self._on_trace(payload[0], payload[1])
@@ -286,57 +294,66 @@ class ShardWorker:
                 pending.resolve(outcome)
 
     def _apply_group_locked(
-        self, group: Sequence[PendingMutation]
+        self, ops: Sequence[tuple[str, str, str]], *, trace: bool
     ) -> tuple[
         "list[ArcUpdate | BaseException | None]",
         list[tuple[tuple[int, ...], dict[str, object]]],
     ]:
-        """Apply a group under the write lock with one fsync at the end.
+        """Apply ``(op, seller, buyer)`` tuples with one fsync at the end.
 
         ``None`` outcomes mark entries to forward to their owning shard.
         The WAL sync is the group-commit barrier: no caller observes a
-        verdict before every record of the group is durable.
+        verdict before every record of the group is durable.  A poisoned
+        shard refuses the group; a commit that fails (an fsync error,
+        say) poisons it, since the group is applied in memory but not
+        durable and nothing may be acknowledged on top of it.
         """
+        failed = self.failure()
+        if failed is not None:
+            raise ServiceError(f"shard {self.index} worker failed: {failed}")
+        try:
+            return self._commit_locked(ops, trace=trace)
+        except Exception as exc:
+            self._fail_remaining(exc)
+            raise ServiceError(f"shard {self.index} commit failed: {exc}") from exc
+
+    def _commit_locked(
+        self, ops: Sequence[tuple[str, str, str]], *, trace: bool
+    ) -> tuple[
+        "list[ArcUpdate | BaseException | None]",
+        list[tuple[tuple[int, ...], dict[str, object]]],
+    ]:
         outcomes: list[ArcUpdate | BaseException | None] = []
         traces: list[tuple[tuple[int, ...], dict[str, object]]] = []
         appended = False
-        for pending in group:
-            key = (pending.seller, pending.buyer)
-            owner = self._owner_of(key)
+        for op, seller, buyer in ops:
+            owner = self._owner_of((seller, buyer))
             if owner is not None and owner != self.index:
                 outcomes.append(None)
                 continue
-            tracer: TracerLike = Tracer() if self._trace_mutations else NULL_TRACER
+            tracer: TracerLike = Tracer() if trace else NULL_TRACER
             try:
                 with tracer.span("mutation") as span:
                     with tracer.span("apply"):
-                        if pending.op == OP_ADD:
-                            update = self._detector.add_trading_arc(
-                                pending.seller, pending.buyer
-                            )
+                        if op == OP_ADD:
+                            update = self._detector.add_trading_arc(seller, buyer)
                         else:
-                            update = self._detector.remove_trading_arc(
-                                pending.seller, pending.buyer
-                            )
+                            update = self._detector.remove_trading_arc(seller, buyer)
                     if update.applied:
                         with tracer.span("wal_append"):
                             self._wal.append(  # reprolint: disable=R014
-                                pending.op,
-                                pending.seller,
-                                pending.buyer,
-                                seq=self._next_seq(),
-                                sync=False,
+                                op, seller, buyer, seq=self._next_seq(), sync=False
                             )
                         appended = True
                         self._ops_since_snapshot += 1
-                        self._on_applied(pending.op, pending.seller, pending.buyer)
+                        self._on_applied(op, seller, buyer)
                         self._metrics.count_wal_append()
-                        self._metrics.count_arc_applied(pending.op)
+                        self._metrics.count_arc_applied(op)
                     if tracer.enabled:
                         span.set(
-                            op=pending.op,
-                            seller=pending.seller,
-                            buyer=pending.buyer,
+                            op=op,
+                            seller=seller,
+                            buyer=buyer,
                             shard=self.index,
                             applied=update.applied,
                             suspicious=update.suspicious,
@@ -347,16 +364,14 @@ class ShardWorker:
                 continue
             outcomes.append(update)
             if record is not None:
-                components = self._components_of_locked(
-                    pending.seller, pending.buyer
-                )
+                components = self._components_of_locked(seller, buyer)
                 traces.append(
                     (
                         components,
                         {
                             "subtpiins": list(components),
-                            "op": pending.op,
-                            "arc": [pending.seller, pending.buyer],
+                            "op": op,
+                            "arc": [seller, buyer],
                             "shard": self.index,
                             "trace": record.to_dict(),
                         },
@@ -382,7 +397,8 @@ class ShardWorker:
     def _fail_remaining(self, error: BaseException) -> None:
         """Poison the shard after an unrecoverable worker fault."""
         with self._q_cond:
-            self._failed = error
+            if self._failed is None:
+                self._failed = error
             drained = list(self._queue)
             self._queue.clear()
             self._q_cond.notify_all()
@@ -401,14 +417,13 @@ class ShardWorker:
         body *is* the batch) but shares the same group-commit critical
         section, so batch and queued traffic serialize per shard and
         interleave freely across shards.  ``None`` outcomes mark ops
-        owned by another shard; the router re-dispatches those.
+        owned by another shard; the router re-dispatches those.  Batch
+        lines are not traced: one batch would evict every single-arc
+        trace from the ``/v1/trace`` ring.  Raises :class:`ServiceError`
+        on a poisoned shard or a failed commit.
         """
-        group = [PendingMutation(op, seller, buyer) for op, seller, buyer in ops]
         with self._lock.write():
-            outcomes, traces = self._apply_group_locked(group)
-        for payload in traces:
-            if self._on_trace is not None:
-                self._on_trace(payload[0], payload[1])
+            outcomes, _ = self._apply_group_locked(ops, trace=False)
         return outcomes
 
     # ------------------------------------------------------------------

@@ -27,10 +27,16 @@ Placement is a locality policy, never a correctness invariant:
 
 Every WAL record carries a globally allocated sequence number, so
 recovery merges the N shard logs into one deterministic replay order.
+The shard count is therefore fixed for a state directory: ``open``
+refuses a directory written at another count, and upgrades the
+single-file layout of earlier releases (``wal.jsonl`` +
+``snapshot.json``) into shard 0 of a one-shard service.
 """
 
 from __future__ import annotations
 
+import os
+import re
 import threading
 from collections import Counter, deque
 from collections.abc import Callable, Iterator, Sequence
@@ -43,6 +49,7 @@ from repro.errors import MiningError, ServiceError
 from repro.fusion.tpiin import TPIIN
 from repro.io.registry_io import ArcLine
 from repro.mining.detector import DetectionResult
+from repro.mining.groups import SuspiciousGroup
 from repro.mining.incremental import ArcUpdate, IncrementalDetector
 from repro.model.colors import EColor
 from repro.obs.tracing import Tracer
@@ -51,16 +58,23 @@ from repro.service.locks import ReadWriteLock
 from repro.service.metrics import ServiceMetrics
 from repro.service.shard import PendingMutation, ShardWorker
 from repro.service.snapshot import Snapshot, read_snapshot
-from repro.service.state import ArcStatus
 from repro.service.wal import OP_ADD, OP_REMOVE, ReplayResult, WALRecord, WriteAheadLog
 
-__all__ = ["ShardedDetectionService"]
+__all__ = ["ArcStatus", "ShardedDetectionService"]
 
 #: Knuth's multiplicative hash constant; spreads small consecutive
 #: component indices across shards far better than a plain modulo.
 _HOME_MULTIPLIER = 2654435761
 
 _T = TypeVar("_T")
+
+#: File names of the single-file layout earlier releases wrote; a
+#: one-shard open renames them to shard 0's files.
+_LEGACY_WAL = "wal.jsonl"
+_LEGACY_SNAPSHOT = "snapshot.json"
+
+#: A per-shard WAL or snapshot file name; group 1 or 2 is the index.
+_SHARD_FILE = re.compile(r"wal-(\d+)\.jsonl|snapshot-(\d+)\.json")
 
 
 def _home_of(min_component: int, shards: int) -> int:
@@ -76,6 +90,78 @@ def _home_of(min_component: int, shards: int) -> int:
 def _chunks(items: Sequence[_T], size: int) -> Iterator[Sequence[_T]]:
     for start in range(0, len(items), size):
         yield items[start : start + size]
+
+
+def _prepare_state_dir(config: ServiceConfig) -> None:
+    """Pin the state directory to ``config.shards`` before recovery reads it.
+
+    Refuses a directory that holds state for another shard count: shard
+    files past the new count would go unread, and a baseline re-seeded
+    by hash home would undo acknowledged removes.  Legacy single-file
+    state counts as one shard and is renamed into shard 0 (snapshot
+    first, then WAL; a crash in between is finished at the next open).
+    Every shard WAL is then created, highest index first, so the count
+    stays readable from the directory even after a crash mid-creation.
+    """
+    state_dir = config.ensure_state_dir()
+    n = config.shards
+    legacy = [
+        name for name in (_LEGACY_SNAPSHOT, _LEGACY_WAL) if (state_dir / name).exists()
+    ]
+    indexes = {
+        int(match.group(1) or match.group(2))
+        for match in map(_SHARD_FILE.fullmatch, os.listdir(state_dir))
+        if match is not None
+    }
+    if legacy:
+        indexes.add(0)
+    held = max(indexes) + 1 if indexes else n
+    if held != n:
+        raise ServiceError(
+            f"state directory {state_dir} holds state for {held} shard(s); "
+            f"restart with --shards {held} (a state directory's shard count "
+            "is fixed)"
+        )
+    changed = False
+    for name, target in (
+        (_LEGACY_SNAPSHOT, config.shard_snapshot_path(0)),
+        (_LEGACY_WAL, config.shard_wal_path(0)),
+    ):
+        if name in legacy:
+            os.rename(state_dir / name, target)
+            changed = True
+    for index in reversed(range(n)):
+        path = config.shard_wal_path(index)
+        if not path.exists():
+            path.touch()
+            changed = True
+    if changed:
+        dir_fd = os.open(state_dir, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+
+
+class ArcStatus:
+    """Read-only view of one trading arc (the ``GET /arcs`` payload)."""
+
+    __slots__ = ("seller", "buyer", "present", "suspicious", "groups")
+
+    def __init__(
+        self,
+        seller: str,
+        buyer: str,
+        *,
+        present: bool,
+        suspicious: bool,
+        groups: Sequence[SuspiciousGroup],
+    ) -> None:
+        self.seller = seller
+        self.buyer = buyer
+        self.present = present
+        self.suspicious = suspicious
+        self.groups = tuple(groups)
 
 
 class _UnionFind:
@@ -138,9 +224,9 @@ class _Plan:
 class ShardedDetectionService:
     """N shard workers behind a consistent-hashing router.
 
-    API-compatible with :class:`~repro.service.state.DetectionService`
-    (the HTTP server and CLI accept either), plus :meth:`apply_batch`
-    for NDJSON bulk ingest.  Construct via :meth:`open`.
+    The daemon's one state machine at every shard count, including the
+    default ``shards=1``: the HTTP server and the ``serve`` CLI run it.
+    Construct via :meth:`open`.
     """
 
     #: Router state guarded by the routing lock (R014): the ownership
@@ -195,6 +281,10 @@ class ShardedDetectionService:
         )
         self._trace_mutations = config.recent_traces > 0
         on_trace = self._record_trace if self._trace_mutations else None
+        # One shard owns every arc: the ownership map and union-find would
+        # have no reader, so routing and its per-mutation bookkeeping are
+        # skipped (``_plan`` answers shard 0).
+        self._routed = config.shards > 1
         self._shards = [
             ShardWorker(
                 index,
@@ -203,8 +293,8 @@ class ShardedDetectionService:
                 config,
                 self.metrics,
                 next_seq=self._allocate_seq,
-                owner_of=self._owner_lookup,
-                on_applied=self._applied_callback(index),
+                owner_of=self._owner_lookup if self._routed else _unowned,
+                on_applied=self._applied_callback(index) if self._routed else _unrouted,
                 forward=self._forward,
                 on_trace=on_trace,
                 start=start_workers,
@@ -236,8 +326,12 @@ class ShardedDetectionService:
         two shards; the final dedupe pass keeps the home copy (else the
         lowest shard index) and logs a durable remove against the
         loser's WAL so the duplicate cannot resurface later.
+
+        A directory written at another shard count is refused with
+        :class:`ServiceError`; legacy single-file state is upgraded into
+        shard 0 first (see :func:`_prepare_state_dir`).
         """
-        config.ensure_state_dir()
+        _prepare_state_dir(config)
         n = config.shards
         tracer = Tracer()
         with tracer.span("recovery") as recovery_span:
@@ -280,7 +374,9 @@ class ShardedDetectionService:
             replayed, seeded = cls._recover_state(
                 tpiin, base, detectors, snapshots, replays, union, n, tracer
             )
-            ownership, drops = cls._rebuild_ownership(base, detectors, union, n)
+            ownership, drops = (
+                cls._rebuild_ownership(base, detectors, union, n) if n > 1 else ({}, [])
+            )
             floors = [s.last_seq if s is not None else 0 for s in snapshots]
             next_seq = max([w.last_seq for w in wals] + floors) + 1
             if drops:
@@ -523,6 +619,8 @@ class ShardedDetectionService:
         return _home_of(self._union.min_of(root), self._config.shards)
 
     def _home_shard_for(self, node: str) -> int:
+        if not self._routed:
+            return 0
         try:
             component = self._detectors[0].component_of(node)
         except MiningError:
@@ -555,19 +653,20 @@ class ShardedDetectionService:
 
     def _plan(self, op: str, key: tuple[str, str]) -> _Plan:
         """Route one mutation: to its owner, its home, or into a merge."""
+        if not self._routed:
+            return _Plan("enqueue", shard=0)
         seller, buyer = key
-        with self._route_lock.read():
-            owner = self._ownership.get(key)
-        if owner is not None:
-            return _Plan("enqueue", shard=owner)
         try:
             c1 = self._detectors[0].component_of(seller)
             c2 = self._detectors[0].component_of(buyer)
         except MiningError:
-            # Unknown endpoint: let shard 0's detector produce the
-            # error verdict (mirrors the unsharded service's 400).
+            # Unknown endpoint: no shard can own the arc; let shard 0's
+            # detector produce the error verdict (a 400).
             return _Plan("enqueue", shard=0)
         with self._route_lock.read():
+            owner = self._ownership.get(key)
+            if owner is not None:
+                return _Plan("enqueue", shard=owner)
             r1, r2 = self._union.find(c1), self._union.find(c2)
             h1, h2 = self._home_rlocked(r1), self._home_rlocked(r2)
             if op != OP_ADD or r1 == r2 or h1 == h2:
@@ -812,12 +911,23 @@ class ShardedDetectionService:
         return sum(self._consistent_view(lambda shard: shard.arc_count_rlocked()))
 
     def health(self) -> dict[str, object]:
+        """Liveness summary; ``status`` is ``"ok"`` only when serving.
+
+        A shard poisoned by a commit failure turns the status to
+        ``"failed"`` and is listed with its error.
+        """
         with self._route_lock.read():
             closed = self._closed
         seqs = self._consistent_view(lambda shard: shard.wal_last_seq_rlocked())
         arcs = self._consistent_view(lambda shard: shard.arc_count_rlocked())
+        failed = [
+            {"shard": shard.index, "error": str(error)}
+            for shard in self._shards
+            if (error := shard.failure()) is not None
+        ]
         return {
-            "status": "ok" if not closed else "closed",
+            "status": "closed" if closed else "failed" if failed else "ok",
+            "failed_shards": failed,
             "arcs": sum(arcs),
             "wal_seq": max(seqs) if seqs else 0,
             "shards": len(self._shards),
@@ -934,6 +1044,14 @@ class ShardedDetectionService:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def _unowned(key: tuple[str, str]) -> None:
+    return None
+
+
+def _unrouted(op: str, seller: str, buyer: str) -> None:
+    return None
 
 
 def _line_report(op: str, update: ArcUpdate) -> dict[str, object]:

@@ -19,8 +19,8 @@ from repro.fusion.tpiin import TPIIN
 from repro.mining.detector import detect
 from repro.model.colors import EColor, VColor
 from repro.service.config import ServiceConfig
+from repro.service.sharding import ShardedDetectionService
 from repro.service.snapshot import read_snapshot
-from repro.service.state import DetectionService
 from repro.service.wal import OP_ADD, read_wal
 
 FIG8 = fig8_tpiin()
@@ -49,14 +49,14 @@ def batch_over(arcs):
 
 def surviving_arcs(config):
     """The arc set the durability contract promises after the crash."""
-    snapshot = read_snapshot(config.snapshot_path)
+    snapshot = read_snapshot(config.shard_snapshot_path(0))
     if snapshot is not None:
         arcs = set(snapshot.arcs)
         floor = snapshot.last_seq
     else:
         arcs = set(FIG8.trading_arcs()) | set(FIG8.intra_scs_trades)
         floor = 0
-    for record in read_wal(config.wal_path).records:
+    for record in read_wal(config.shard_wal_path(0)).records:
         if record.seq <= floor:
             continue
         if record.op == OP_ADD:
@@ -81,7 +81,7 @@ def test_crash_replay_equals_batch(ops, snapshot_every, chop):
             snapshot_every=snapshot_every,
             fsync=False,  # tmpfs durability is irrelevant to the property
         )
-        service = DetectionService.open(FIG8, config)
+        service = ShardedDetectionService.open(FIG8, config)
         for op, index in ops:
             seller, buyer = PAIRS[index]
             if op == OP_ADD:
@@ -91,12 +91,13 @@ def test_crash_replay_equals_batch(ops, snapshot_every, chop):
         # Crash: release the file handle without any orderly shutdown
         # work, then tear bytes off the WAL tail.
         service.close()
-        if chop and config.wal_path.exists():
-            raw = config.wal_path.read_bytes()
-            config.wal_path.write_bytes(raw[: max(0, len(raw) - chop)])
+        wal_path = config.shard_wal_path(0)
+        if chop and wal_path.exists():
+            raw = wal_path.read_bytes()
+            wal_path.write_bytes(raw[: max(0, len(raw) - chop)])
 
         expected_arcs = surviving_arcs(config)
-        recovered = DetectionService.open(FIG8, config)
+        recovered = ShardedDetectionService.open(FIG8, config)
         try:
             result = recovered.result()
             batch = batch_over(sorted(expected_arcs))
@@ -119,7 +120,7 @@ def test_double_restart_is_stable(ops, snapshot_every):
         config = ServiceConfig(
             state_dir=Path(tmp), snapshot_every=snapshot_every, fsync=False
         )
-        service = DetectionService.open(FIG8, config)
+        service = ShardedDetectionService.open(FIG8, config)
         for op, index in ops:
             seller, buyer = PAIRS[index]
             if op == OP_ADD:
@@ -129,7 +130,7 @@ def test_double_restart_is_stable(ops, snapshot_every):
         first = service.result()
         service.close()
         for _ in range(2):
-            recovered = DetectionService.open(FIG8, config)
+            recovered = ShardedDetectionService.open(FIG8, config)
             try:
                 again = recovered.result()
                 assert {g.key() for g in again.groups} == {

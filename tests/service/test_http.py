@@ -1,5 +1,7 @@
 """In-process HTTP round-trips: server routing + client error mapping."""
 
+import errno
+import json
 import threading
 import urllib.error
 import urllib.request
@@ -11,14 +13,14 @@ from repro.errors import ServiceClientError
 from repro.service.client import ServiceClient
 from repro.service.config import ServiceConfig
 from repro.service.server import DetectionHTTPServer
-from repro.service.state import DetectionService
+from repro.service.sharding import ShardedDetectionService
 
 
 @pytest.fixture()
 def served_fig8(fig8, tmp_path):
     """A live daemon over Fig. 8 on an ephemeral port, plus its client."""
     config = ServiceConfig(state_dir=tmp_path / "state", port=0)
-    service = DetectionService.open(fig8, config)
+    service = ShardedDetectionService.open(fig8, config)
     server = DetectionHTTPServer((config.host, config.port), service)
     thread = threading.Thread(target=server.serve_forever, name="test-daemon")
     thread.start()
@@ -102,7 +104,7 @@ class TestMutations:
 
         client, service = served_fig8
         client.add_arc("C8", "C3")
-        records = read_wal(service._wal.path).records
+        records = read_wal(service._config.shard_wal_path(0)).records
         assert [(r.op, r.seller, r.buyer) for r in records] == [("add", "C8", "C3")]
 
 
@@ -242,6 +244,14 @@ class TestVersionedAPI:
         children = [child["name"] for child in trace["children"]]
         assert children == ["apply", "wal_append"]
 
+    def test_single_arc_trace_survives_a_batch(self, served_fig8):
+        client, _ = served_fig8
+        client.remove_arc("C3", "C5")
+        # 100 lines on the same subTPIIN: more than the 64-entry ring.
+        client.batch_arcs([("add", "C1", "C6"), ("remove", "C1", "C6")] * 50)
+        traces = client.trace(0)["traces"]
+        assert [(t["op"], t["arc"]) for t in traces] == [("remove", ["C3", "C5"])]
+
     def test_trace_endpoint_rejects_out_of_range(self, served_fig8):
         client, _ = served_fig8
         with pytest.raises(ServiceClientError) as err:
@@ -250,3 +260,59 @@ class TestVersionedAPI:
         with pytest.raises(ServiceClientError) as err:
             client._request("GET", "/v1/trace/zero")
         assert err.value.status == 400
+
+
+def fail_next_wal_sync(monkeypatch, service):
+    """Make shard 0's next WAL fsync fail with EIO (later ones succeed)."""
+    wal = service._shards[0]._wal
+    real_sync = wal.sync
+    calls = []
+
+    def sync():
+        calls.append(None)
+        if len(calls) == 1:
+            raise OSError(errno.EIO, "injected fsync failure")
+        real_sync()
+
+    monkeypatch.setattr(wal, "sync", sync)
+
+
+def raw_healthz(client):
+    try:
+        with urllib.request.urlopen(client._base + "/v1/healthz", timeout=5.0) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+
+
+class TestCommitFailure:
+    """A failed WAL fsync poisons the shard: nothing is acknowledged after
+    it, every write gets a typed error, and health reports the shard."""
+
+    def test_batch_fsync_failure_is_per_line_and_poisons(self, served_fig8, monkeypatch):
+        client, service = served_fig8
+        fail_next_wal_sync(monkeypatch, service)
+        report = client.batch_arcs([("add", "C1", "C6")])
+        assert report["rejected"] == 1
+        assert "commit failed" in report["results"][0]["error"]
+        again = client.batch_arcs([("add", "C2", "C6")])
+        assert again["accepted"] == 0 and again["rejected"] == 1
+        with pytest.raises(ServiceClientError) as err:
+            client.add_arc("C8", "C3")
+        assert err.value.status == 503
+        assert not client.arc("C2", "C6")["present"]
+        assert not client.arc("C8", "C3")["present"]
+
+    def test_healthz_reports_a_poisoned_shard(self, served_fig8, monkeypatch):
+        client, service = served_fig8
+        assert raw_healthz(client)[0] == 200
+        fail_next_wal_sync(monkeypatch, service)
+        with pytest.raises(ServiceClientError) as err:
+            client.add_arc("C8", "C3")
+        assert err.value.status == 503
+        status, health = raw_healthz(client)
+        assert status == 503
+        assert health["status"] == "failed"
+        [failed] = health["failed_shards"]
+        assert failed["shard"] == 0
+        assert "injected fsync failure" in failed["error"]

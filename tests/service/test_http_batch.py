@@ -223,6 +223,10 @@ class TestStatusClassMetrics:
         client.healthz()
         with pytest.raises(ServiceClientError):
             client.add_arc("NOPE", "C6")  # 400
+        # The server records a request after sending its response; the
+        # next request on the same keep-alive connection is handled only
+        # once that recording is done.
+        client.healthz()
         series = service.metrics._own.series_for(
             "repro_http_request_duration_by_status_ms"
         )

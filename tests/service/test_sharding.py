@@ -1,4 +1,4 @@
-"""Sharded service: parity with the legacy engine, routing, backpressure.
+"""Sharded service: parity with the references, routing, backpressure.
 
 The sharding design leans on arc-decomposability (Definition 2): every
 suspicious group is determined by its one trading arc plus the static
@@ -17,11 +17,12 @@ import pytest
 from repro.datagen.cases import fig8_tpiin
 from repro.errors import BackpressureError, MiningError
 from repro.fusion.tpiin import TPIIN
-from repro.model.colors import VColor
 from repro.io.registry_io import ArcLine, parse_arc_ndjson
+from repro.mining.detector import detect
+from repro.mining.incremental import IncrementalDetector
+from repro.model.colors import EColor, VColor
 from repro.service.config import ServiceConfig
 from repro.service.sharding import ShardedDetectionService
-from repro.service.state import DetectionService
 
 FIG8 = fig8_tpiin()
 COMPANIES = sorted(
@@ -64,6 +65,25 @@ OPS = [
 ]
 
 
+def final_arcs(tpiin, ops):
+    """The baseline trading arcs with ``ops`` applied in order."""
+    arcs = set(tpiin.trading_arcs()) | set(tpiin.intra_scs_trades)
+    for op, seller, buyer in ops:
+        if op == "add":
+            arcs.add((seller, buyer))
+        else:
+            arcs.discard((seller, buyer))
+    return arcs
+
+
+def faithful_over(tpiin, arcs):
+    """Batch faithful-engine detect over ``tpiin``'s antecedents + ``arcs``."""
+    graph = tpiin.antecedent_graph()
+    for seller, buyer in sorted(arcs):
+        graph.add_arc(seller, buyer, EColor.TRADING)
+    return detect(TPIIN(graph=graph), engine="faithful")
+
+
 def run_ops(service, ops=OPS):
     updates = []
     for op, seller, buyer in ops:
@@ -82,33 +102,34 @@ def result_key(result):
 
 
 class TestParity:
+    """Per-update verdicts match a bare streaming detector; final results
+    match the faithful batch engine (the oracle) over the final arc set."""
+
+    @staticmethod
+    def check(service, tpiin, ops):
+        reference = IncrementalDetector(tpiin)
+        for op, seller, buyer, got in run_ops(service, ops):
+            apply = (
+                reference.add_trading_arc
+                if op == "add"
+                else reference.remove_trading_arc
+            )
+            want = apply(seller, buyer)
+            assert got.applied == want.applied, (op, seller, buyer)
+            assert got.suspicious == want.suspicious, (op, seller, buyer)
+            assert {g.key() for g in got.groups} == {
+                g.key() for g in want.groups
+            }, (op, seller, buyer)
+        arcs = final_arcs(tpiin, ops)
+        assert service.arc_count() == len(arcs)
+        assert result_key(service.result()) == result_key(faithful_over(tpiin, arcs))
+
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_matches_legacy_service(self, tmp_path, shards):
-        legacy = DetectionService.open(
-            FIG8, ServiceConfig(state_dir=tmp_path / "legacy", fsync=False)
-        )
-        sharded = ShardedDetectionService.open(
-            FIG8,
-            ServiceConfig(
-                state_dir=tmp_path / "sharded", shards=shards, fsync=False
-            ),
-        )
-        try:
-            legacy_updates = run_ops(legacy)
-            sharded_updates = run_ops(sharded)
-            for (op, s, b, lhs), (_, _, _, rhs) in zip(
-                legacy_updates, sharded_updates
-            ):
-                assert lhs.applied == rhs.applied, (op, s, b)
-                assert lhs.suspicious == rhs.suspicious, (op, s, b)
-                assert {g.key() for g in lhs.groups} == {
-                    g.key() for g in rhs.groups
-                }, (op, s, b)
-            assert sharded.arc_count() == legacy.arc_count()
-            assert result_key(sharded.result()) == result_key(legacy.result())
-        finally:
-            legacy.close()
-            sharded.close()
+    def test_matches_references(self, tmp_path, shards):
+        with ShardedDetectionService.open(
+            FIG8, ServiceConfig(state_dir=tmp_path, shards=shards, fsync=False)
+        ) as service:
+            self.check(service, FIG8, OPS)
 
     def test_arc_status_routes_to_owner(self, tmp_path):
         with ShardedDetectionService.open(
@@ -122,10 +143,9 @@ class TestParity:
             absent = service.arc_status("C6", "C2")
             assert not absent.present
 
-    @pytest.mark.parametrize("shards", [2, 4])
+    @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_cross_component_parity(self, tmp_path, shards):
-        """Merging workloads agree with the legacy service too."""
-        tpiin = multi_component_tpiin()
+        """Merging workloads agree with both references too."""
         ops = [
             ("add", "B0", "D0"),  # suspicious inside copy 0
             ("add", "B1", "D1"),
@@ -135,23 +155,11 @@ class TestParity:
             ("remove", "B1", "D1"),
             ("add", "B4", "D5"),  # chains 3-4 onto 5
         ]
-        legacy = DetectionService.open(
-            tpiin, ServiceConfig(state_dir=tmp_path / "legacy", fsync=False)
-        )
-        sharded = ShardedDetectionService.open(
-            tpiin,
-            ServiceConfig(
-                state_dir=tmp_path / "sharded", shards=shards, fsync=False
-            ),
-        )
-        try:
-            run_ops(legacy, ops)
-            run_ops(sharded, ops)
-            assert sharded.arc_count() == legacy.arc_count()
-            assert result_key(sharded.result()) == result_key(legacy.result())
-        finally:
-            legacy.close()
-            sharded.close()
+        tpiin = multi_component_tpiin()
+        with ShardedDetectionService.open(
+            tpiin, ServiceConfig(state_dir=tmp_path, shards=shards, fsync=False)
+        ) as service:
+            self.check(service, tpiin, ops)
 
 
 class TestMerges:

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import SerializationError
+from repro.graph.gcpause import gc_paused
 from repro.mining.groups import GroupKind, SuspiciousGroup
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -32,7 +33,11 @@ __all__ = [
 
 
 def write_sus_files(result: "DetectionResult", directory: Path) -> list[Path]:
-    """Write ``susGroup(i)`` / ``susTrade(i)`` files; returns the paths."""
+    """Write ``susGroup(i)`` / ``susTrade(i)`` files; returns the paths.
+
+    Runs with the cyclic collector paused: the rendered lines and arc
+    sets are acyclic and garbage once each file is written.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -50,17 +55,18 @@ def write_sus_files(result: "DetectionResult", directory: Path) -> list[Path]:
                 handle.write(f"{tail} -> {head}\n")
         written.extend([group_path, trade_path])
 
-    if result.sub_results:
-        for sub in result.sub_results:
-            if sub.groups:
-                dump(str(sub.index), sub.groups)
-        extras = [
-            g for g in result.groups if g.kind in (GroupKind.SCS,)
-        ]
-        if extras:
-            dump("scs", extras)
-    else:
-        dump("all", result.groups)
+    with gc_paused():
+        if result.sub_results:
+            for sub in result.sub_results:
+                if sub.groups:
+                    dump(str(sub.index), sub.groups)
+            extras = [
+                g for g in result.groups if g.kind in (GroupKind.SCS,)
+            ]
+            if extras:
+                dump("scs", extras)
+        else:
+            dump("all", result.groups)
     return written
 
 
@@ -94,24 +100,26 @@ def detection_to_dict(result: "DetectionResult") -> dict[str, Any]:
 
     Shared by :func:`write_detection_json` and the serving daemon's
     ``GET /result`` endpoint so the on-disk and over-the-wire formats
-    cannot drift.
+    cannot drift.  Builds with the cyclic collector paused: one dict
+    and two lists per group, all acyclic and garbage once serialized.
     """
-    return {
-        "detector": result.detector,
-        "detector_version": result.detector_version,
-        "engine": result.engine,
-        "truncated": result.truncated,
-        "subtpiin_count": result.subtpiin_count,
-        "total_trading_arcs": result.total_trading_arcs,
-        "cross_component_trades": result.cross_component_trades,
-        "pattern_trail_count": result.pattern_trail_count,
-        "simple_group_count": result.simple_group_count,
-        "complex_group_count": result.complex_group_count,
-        "suspicious_trading_arcs": sorted(
-            [str(a), str(b)] for a, b in result.suspicious_trading_arcs
-        ),
-        "groups": [group_to_dict(g) for g in result.groups],
-    }
+    with gc_paused():
+        return {
+            "detector": result.detector,
+            "detector_version": result.detector_version,
+            "engine": result.engine,
+            "truncated": result.truncated,
+            "subtpiin_count": result.subtpiin_count,
+            "total_trading_arcs": result.total_trading_arcs,
+            "cross_component_trades": result.cross_component_trades,
+            "pattern_trail_count": result.pattern_trail_count,
+            "simple_group_count": result.simple_group_count,
+            "complex_group_count": result.complex_group_count,
+            "suspicious_trading_arcs": sorted(
+                [str(a), str(b)] for a, b in result.suspicious_trading_arcs
+            ),
+            "groups": [group_to_dict(g) for g in result.groups],
+        }
 
 
 def write_detection_json(result: "DetectionResult", path: str | Path) -> Path:

@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph, IntBuffer
 from repro.graph.digraph import Node
+from repro.graph.gcpause import gc_paused
 from repro.mining.groups import GroupKind, SuspiciousGroup
 from repro.model.colors import EColor
 
@@ -491,16 +492,20 @@ class _GroupStore:
         self._by_comp: dict[int, list[SuspiciousGroup]] | None = None
 
     def groups_for(self, comp: int | None) -> list[SuspiciousGroup]:
-        if self._by_comp is None:
-            self._by_comp = _materialize(
-                self._mine, self._decode, self._comp_id, self._n_nodes
-            )
-        if comp is not None:
-            return self._by_comp.get(comp, [])
-        merged: list[SuspiciousGroup] = []
-        for ordinal in sorted(self._by_comp):
-            merged.extend(self._by_comp[ordinal])
-        return merged
+        # The decode builds hundreds of thousands of acyclic groups and
+        # trail tuples: full collections during their growth would
+        # rescan the whole heap for cycles that cannot exist.
+        with gc_paused():
+            if self._by_comp is None:
+                self._by_comp = _materialize(
+                    self._mine, self._decode, self._comp_id, self._n_nodes
+                )
+            if comp is not None:
+                return self._by_comp.get(comp, [])
+            merged: list[SuspiciousGroup] = []
+            for ordinal in sorted(self._by_comp):
+                merged.extend(self._by_comp[ordinal])
+            return merged
 
 
 def make_group_store(

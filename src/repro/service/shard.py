@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 
 from repro.errors import BackpressureError, MiningError, ServiceError
 from repro.mining.detector import DetectionResult
@@ -213,6 +214,26 @@ class ShardWorker:
         with self._q_cond:
             return self._failed
 
+    def ensure_healthy(self) -> None:
+        """Refuse work on a poisoned shard with a typed error (a 503)."""
+        failed = self.failure()
+        if failed is not None:
+            raise ServiceError(f"shard {self.index} worker failed: {failed}")
+
+    @contextmanager
+    def _poison_on_failure(self) -> Iterator[None]:
+        """Poison the shard if the body's append, sync or compaction fails.
+
+        The failed step leaves the in-memory state ahead of the durable
+        log, so nothing may be acknowledged on top of it: the shard
+        fails its queue, refuses later writes and shows in health.
+        """
+        try:
+            yield
+        except Exception as exc:
+            self._fail_remaining(exc)
+            raise ServiceError(f"shard {self.index} commit failed: {exc}") from exc
+
     # ------------------------------------------------------------------
     # worker loop (one thread per shard)
     # ------------------------------------------------------------------
@@ -308,14 +329,9 @@ class ShardWorker:
         say) poisons it, since the group is applied in memory but not
         durable and nothing may be acknowledged on top of it.
         """
-        failed = self.failure()
-        if failed is not None:
-            raise ServiceError(f"shard {self.index} worker failed: {failed}")
-        try:
+        self.ensure_healthy()
+        with self._poison_on_failure():
             return self._commit_locked(ops, trace=trace)
-        except Exception as exc:
-            self._fail_remaining(exc)
-            raise ServiceError(f"shard {self.index} commit failed: {exc}") from exc
 
     def _commit_locked(
         self, ops: Sequence[tuple[str, str, str]], *, trace: bool
@@ -428,6 +444,11 @@ class ShardWorker:
 
     # ------------------------------------------------------------------
     # coordinator helpers (caller holds this shard's WRITE lock)
+    #
+    # A failed WAL append, sync or compaction here poisons this shard
+    # and raises ServiceError.  The coordinator syncs one shard's
+    # appends before it touches the next shard, so the shard that
+    # failed is the only one holding unsynced records.
     # ------------------------------------------------------------------
     @property
     def lock(self) -> ReadWriteLock:
@@ -438,37 +459,37 @@ class ShardWorker:
         """Apply + log one add; the caller syncs before acknowledging."""
         update = self._detector.add_trading_arc(seller, buyer)
         if update.applied:
-            self._wal.append(  # reprolint: disable=R014
-                OP_ADD, seller, buyer, seq=self._next_seq(), sync=False
-            )
-            self._ops_since_snapshot += 1
-            self._on_applied(OP_ADD, seller, buyer)
-            self._metrics.count_wal_append()
-            self._metrics.count_arc_applied(OP_ADD)
+            self._log_locked(OP_ADD, seller, buyer)
         return update
 
     def remove_arc_locked(self, seller: str, buyer: str) -> ArcUpdate:
         update = self._detector.remove_trading_arc(seller, buyer)
         if update.applied:
-            self._wal.append(  # reprolint: disable=R014
-                OP_REMOVE, seller, buyer, seq=self._next_seq(), sync=False
-            )
-            self._ops_since_snapshot += 1
-            self._on_applied(OP_REMOVE, seller, buyer)
-            self._metrics.count_wal_append()
-            self._metrics.count_arc_applied(OP_REMOVE)
+            self._log_locked(OP_REMOVE, seller, buyer)
         return update
+
+    def _log_locked(self, op: str, seller: str, buyer: str) -> None:
+        with self._poison_on_failure():
+            self._wal.append(  # reprolint: disable=R014
+                op, seller, buyer, seq=self._next_seq(), sync=False
+            )
+        self._ops_since_snapshot += 1
+        self._on_applied(op, seller, buyer)
+        self._metrics.count_wal_append()
+        self._metrics.count_arc_applied(op)
 
     def sync_wal_locked(self) -> None:
         """Group-commit barrier for ``*_arc_locked`` appends."""
-        self._wal.sync()  # reprolint: disable=R014
+        with self._poison_on_failure():
+            self._wal.sync()  # reprolint: disable=R014
 
     def trading_arcs_locked(self) -> list[tuple[str, str]]:
         return [(str(s), str(b)) for s, b in self._detector.trading_arcs()]
 
     def maybe_compact_locked(self) -> None:
         if self._ops_since_snapshot >= self._config.snapshot_every:
-            self._compact_locked()
+            with self._poison_on_failure():
+                self._compact_locked()
 
     def _compact_locked(self) -> Snapshot:
         snapshot = Snapshot(

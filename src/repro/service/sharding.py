@@ -705,6 +705,7 @@ class ShardedDetectionService:
         """Directly apply one add under a single shard's write lock."""
         shard = self._shards[shard_index]
         with shard.lock.write():
+            shard.ensure_healthy()
             update = shard.add_arc_locked(seller, buyer)
             if update.applied:
                 shard.sync_wal_locked()
@@ -719,9 +720,13 @@ class ShardedDetectionService:
         Caller holds both shards' write locks (acquired in index order)
         and the merge mutex.  Durability order: destination adds sync
         before source removes — a crash in between duplicates arcs
-        (recovery dedupes), it never loses an acknowledged one.
+        (recovery dedupes), it never loses an acknowledged one.  A
+        poisoned shard on either side refuses the merge; a failed
+        append or sync poisons the shard it hit (ServiceError, a 503).
         """
         src, dst = self._shards[src_i], self._shards[dst_i]
+        src.ensure_healthy()
+        dst.ensure_healthy()
         with self._route_lock.read():
             moving = [
                 arc

@@ -10,12 +10,13 @@ deterministic 429 shedding, and a drain-on-close that never drops an
 acknowledged write.
 """
 
+import errno
 import time
 
 import pytest
 
 from repro.datagen.cases import fig8_tpiin
-from repro.errors import BackpressureError, MiningError
+from repro.errors import BackpressureError, MiningError, ServiceError
 from repro.fusion.tpiin import TPIIN
 from repro.io.registry_io import ArcLine, parse_arc_ndjson
 from repro.mining.detector import detect
@@ -207,6 +208,86 @@ class TestMerges:
             # The merged cluster's arcs are co-homed so future updates
             # take one shard lock.
             assert len(set(owners.values())) == 1
+
+
+class TestMergeCommitFailure:
+    """A WAL fault on the cross-shard merge path poisons the shard it hit,
+    exactly like a failed group commit: a typed ServiceError (a 503), a
+    failed health status, and no later write acknowledged on top."""
+
+    @staticmethod
+    def _bridge(service, copies=6):
+        """A bridging add between differently homed copies, with its plan."""
+        i, j = TestMerges()._differently_homed_copies(service, copies)
+        service.add_arc(f"B{i}", f"D{i}")
+        service.add_arc(f"B{j}", f"D{j}")
+        key = (f"B{i}", f"D{j}")
+        plan = service._plan("add", key)
+        assert plan.kind == "merge"
+        return key, plan
+
+    @staticmethod
+    def _fail_next_sync(monkeypatch, shard):
+        wal = shard._wal
+        real_sync = wal.sync
+        calls = []
+
+        def sync():
+            calls.append(None)
+            if len(calls) == 1:
+                raise OSError(errno.EIO, "injected fsync failure")
+            real_sync()
+
+        monkeypatch.setattr(wal, "sync", sync)
+
+    def test_merge_fsync_failure_poisons_the_merged_home(self, tmp_path, monkeypatch):
+        tpiin = multi_component_tpiin()
+        with ShardedDetectionService.open(
+            tpiin, ServiceConfig(state_dir=tmp_path, shards=4, fsync=True)
+        ) as service:
+            key, plan = self._bridge(service)
+            home = service._shards[plan.dst]
+            self._fail_next_sync(monkeypatch, home)
+            with pytest.raises(ServiceError, match="commit failed"):
+                service.add_arc(*key)
+            health = service.health()
+            assert health["status"] == "failed"
+            assert [row["shard"] for row in health["failed_shards"]] == [plan.dst]
+            assert "injected fsync failure" in health["failed_shards"][0]["error"]
+            # The home refuses every later write instead of acking it.
+            homed = next(
+                i for i in range(6) if service._home_shard_for(f"B{i}") == plan.dst
+            )
+            with pytest.raises(ServiceError):
+                service.add_arc(f"D{homed}", f"A{homed}")
+            # The batch path reports the refusal per line, never a 500.
+            [line] = service.apply_batch(
+                [ArcLine(index=0, op="add", seller=f"D{homed}", buyer=f"B{homed}")]
+            )
+            assert "error" in line
+
+    def test_merge_into_a_poisoned_home_is_refused(self, tmp_path, monkeypatch):
+        tpiin = multi_component_tpiin()
+        with ShardedDetectionService.open(
+            tpiin, ServiceConfig(state_dir=tmp_path, shards=4, fsync=True)
+        ) as service:
+            key, plan = self._bridge(service)
+            home = service._shards[plan.dst]
+            # Poison the merged home through an ordinary queued add.
+            homed = next(
+                i for i in range(6) if service._home_shard_for(f"B{i}") == plan.dst
+            )
+            self._fail_next_sync(monkeypatch, home)
+            with pytest.raises(ServiceError):
+                service.add_arc(f"D{homed}", f"A{homed}")
+            source = service._shards[plan.src]
+            before = source.arc_count()
+            with pytest.raises(ServiceError, match=f"shard {plan.dst}"):
+                service.add_arc(*key)
+            # Nothing migrated, and the healthy source stays healthy.
+            assert source.arc_count() == before
+            assert source.failure() is None
+            assert not service.arc_status(*key).present
 
 
 class TestBatch:

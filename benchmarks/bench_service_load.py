@@ -1,28 +1,21 @@
-"""Service ingest load benchmark: single-arc vs batch vs sharded.
+"""Service ingest load benchmark: single-arc vs batch vs seed transport.
 
 Measures requests (or arc-lines) per second and exact client-side
-p50/p99 latency against a live in-process daemon, for five configs.
+p50/p99 latency against a live in-process daemon, for three configs.
 Every config runs the one daemon implementation,
 :class:`~repro.service.sharding.ShardedDetectionService`; the config
 names are kept so committed result files still compare.
 
 ``seed_single_shard``
-    The daemon at ``shards=1`` over the transport an earlier revision
-    shipped: *without* ``TCP_NODELAY``, Nagle plus the peer's delayed
-    ACK stalls every keep-alive response ~40 ms.
+    The daemon over the transport an earlier revision shipped:
+    *without* ``TCP_NODELAY``, Nagle plus the peer's delayed ACK stalls
+    every keep-alive response ~40 ms.
 ``single_arc``
-    The daemon at ``shards=1`` (the ``serve`` default) over the fixed
-    transport; concurrent keep-alive clients, one mutation per request,
-    queued group-commit pipeline.
+    The daemon over the fixed transport; concurrent keep-alive clients,
+    one mutation per request, queued group-commit pipeline.
 ``batch``
-    NDJSON bulk ingest (``POST /v1/arcs:batch``) against the daemon at
-    ``shards=1``; one fsync per commit group.
-``sharded``
-    ``--shards 4`` router/worker daemon, concurrent keep-alive
-    clients, queued group-commit pipeline.
-``sharded_batch``
-    NDJSON bulk ingest against the sharded daemon (per-shard flush
-    threads overlap their WAL syncs).
+    NDJSON bulk ingest (``POST /v1/arcs:batch``); one fsync per commit
+    group.
 
 Protocol: interleaved best-of-``--repeats`` — config order rotates
 inside each repeat so drift hits all configs evenly, and ``gc.collect()``
@@ -31,18 +24,15 @@ op sequence, and the run ends with an agreement check: every service's
 incremental result must equal a batch ``detect(engine="parallel")`` over
 the final arc set.
 
-Honesty notes (recorded in the output): this host has one CPU core, so
-configs that differ only in concurrency (``sharded`` vs ``single_arc``)
-converge on the same GIL/transport ceiling, and the local fsync
-(~0.2 ms) is too cheap for group-commit amortization to dominate; the
-headline sharded gain is measured against the seed-transport config.
-On multi-core hosts or slow-fsync storage the same-transport gap opens
-up; the JSON reports both ratios, labelled.
+``--compare`` gates three things: batch at least 5x single-arc
+throughput, single-arc at least 2x the seed transport (the same daemon,
+so this guards the transport fix), and single-arc above a floor
+fraction of the committed file's figure.
 
 Usage::
 
     python benchmarks/bench_service_load.py [--smoke] [-o OUT.json]
-        [--compare BENCH_PR9.json] [--repeats N] [--shards N]
+        [--compare BENCH_PR9.json] [--repeats N]
 """
 
 from __future__ import annotations
@@ -147,13 +137,10 @@ class _Daemon:
         self,
         tpiin: TPIIN,
         *,
-        shards: int,
         state_dir: Path,
         seed_transport: bool = False,
     ) -> None:
-        config = ServiceConfig(
-            state_dir=state_dir, port=0, fsync=True, shards=shards
-        )
+        config = ServiceConfig(state_dir=state_dir, port=0, fsync=True)
         self.service = ShardedDetectionService.open(tpiin, config)
         self.server = DetectionHTTPServer((config.host, config.port), self.service)
         if seed_transport:
@@ -246,13 +233,7 @@ def result_signature(service: ShardedDetectionService) -> tuple[frozenset, int]:
     return frozenset(g.key() for g in result.groups), service.arc_count()
 
 
-CONFIG_NAMES = [
-    "seed_single_shard",
-    "single_arc",
-    "batch",
-    "sharded",
-    "sharded_batch",
-]
+CONFIG_NAMES = ["seed_single_shard", "single_arc", "batch"]
 
 
 def run_config(
@@ -261,7 +242,6 @@ def run_config(
     ops: list[tuple[str, str, str]],
     seed_ops: list[tuple[str, str, str]],
     *,
-    shards: int,
     clients: int,
     batch_size: int,
 ) -> tuple[LoadResult, tuple[frozenset, int] | None]:
@@ -269,9 +249,7 @@ def run_config(
     configs) the service's post-ingest result signature."""
     with tempfile.TemporaryDirectory() as tmp:
         if name == "seed_single_shard":
-            daemon = _Daemon(
-                tpiin, shards=1, state_dir=Path(tmp), seed_transport=True
-            )
+            daemon = _Daemon(tpiin, state_dir=Path(tmp), seed_transport=True)
             try:
                 # The seed transport is ~40 ms/request; a truncated op
                 # stream keeps the window short.  Throughput is rate,
@@ -279,12 +257,9 @@ def run_config(
                 return drive_single_arc(daemon, seed_ops, clients), None
             finally:
                 daemon.stop()
-        if name in ("single_arc", "batch"):
-            daemon = _Daemon(tpiin, shards=1, state_dir=Path(tmp))
-        else:
-            daemon = _Daemon(tpiin, shards=shards, state_dir=Path(tmp))
+        daemon = _Daemon(tpiin, state_dir=Path(tmp))
         try:
-            if name.endswith("batch"):
+            if name == "batch":
                 load = drive_batch(daemon, ops, batch_size)
             else:
                 load = drive_single_arc(daemon, ops, clients)
@@ -297,7 +272,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="tiny CI tier")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--clients", type=int, default=4)
     parser.add_argument("--batch-size", type=int, default=256)
     parser.add_argument("-o", "--out", type=Path, default=None)
@@ -340,7 +314,6 @@ def main(argv: list[str] | None = None) -> int:
                 tpiin,
                 ops,
                 seed_ops,
-                shards=args.shards,
                 clients=args.clients,
                 batch_size=args.batch_size,
             )
@@ -378,19 +351,10 @@ def main(argv: list[str] | None = None) -> int:
 
     single = best["single_arc"].ops_per_second
     seed = best["seed_single_shard"].ops_per_second
-    sharded = best["sharded"].ops_per_second
     batch = best["batch"].ops_per_second
     ratios = {
         "batch_vs_single_arc": round(batch / single, 2) if single else 0.0,
-        "sharded_vs_seed_single_shard": round(sharded / seed, 2) if seed else 0.0,
-        "sharded_vs_single_arc_same_transport": (
-            round(sharded / single, 2) if single else 0.0
-        ),
-        "sharded_batch_vs_single_arc": (
-            round(best["sharded_batch"].ops_per_second / single, 2)
-            if single
-            else 0.0
-        ),
+        "single_arc_vs_seed_single_shard": round(single / seed, 2) if seed else 0.0,
     }
     payload = {
         "benchmark": "pr9-service-load",
@@ -408,7 +372,6 @@ def main(argv: list[str] | None = None) -> int:
             "seed_config_ops": seed_op_count,
         },
         "clients": args.clients,
-        "shards": args.shards,
         "batch_size": args.batch_size,
         "configs": {
             name: {
@@ -422,15 +385,10 @@ def main(argv: list[str] | None = None) -> int:
         "ratios": ratios,
         "agreement": "all configs matched batch parallel-engine detect",
         "notes": (
-            "seed_single_shard is the daemon at shards=1 over an earlier "
-            "revision's transport (no TCP_NODELAY; Nagle + delayed ACK "
-            "stalls every response ~40 ms) — the headline sharded ratio "
-            "is measured against it.  single_arc and batch run the same "
-            "daemon at shards=1 over the fixed transport.  This host "
-            "has ONE CPU core and a ~0.2 ms fsync, so same-transport "
-            "sharded vs single_arc converges on the GIL/transport "
-            "ceiling (ratio near 1); the split is reported separately "
-            "rather than folded into the headline."
+            "seed_single_shard is the daemon over an earlier revision's "
+            "transport (no TCP_NODELAY; Nagle + delayed ACK stalls every "
+            "response ~40 ms).  single_arc and batch run the same daemon "
+            "over the fixed transport."
         ),
     }
 
@@ -446,10 +404,10 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 f"batch_vs_single_arc {ratios['batch_vs_single_arc']} < 5.0"
             )
-        if ratios["sharded_vs_seed_single_shard"] < 2.0:
+        if ratios["single_arc_vs_seed_single_shard"] < 2.0:
             failures.append(
-                "sharded_vs_seed_single_shard "
-                f"{ratios['sharded_vs_seed_single_shard']} < 2.0"
+                "single_arc_vs_seed_single_shard "
+                f"{ratios['single_arc_vs_seed_single_shard']} < 2.0"
             )
         committed_single = committed["configs"]["single_arc"]["ops_per_second"]
         floor = args.floor_fraction * committed_single

@@ -172,16 +172,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=1,
+        choices=(1,),
         help=(
-            "shard worker count, fixed for a state directory once it holds "
-            "state; >1 partitions components across workers"
+            "accepted for compatibility, and only as 1: the daemon runs one "
+            "writer (threads sharing one interpreter lock made more shards "
+            "no faster); a state directory written with --shards N>1 is "
+            "folded into one shard at startup"
         ),
     )
     srv.add_argument(
         "--queue-limit",
         type=int,
         default=1024,
-        help="per-shard ingest queue bound before requests are shed with 429",
+        help="ingest queue bound before requests are shed with 429",
     )
     srv.add_argument(
         "--group-commit-max",
@@ -334,7 +337,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         snapshot_every=args.snapshot_every,
         fsync=not args.no_fsync,
         max_cached_roots=args.max_cached_roots or None,
-        shards=max(1, args.shards),
         ingest_queue_limit=args.queue_limit,
         group_commit_max=args.group_commit_max,
     )

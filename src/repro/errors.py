@@ -101,7 +101,7 @@ class ServiceError(ReproError):
 class BackpressureError(ServiceError):
     """An ingest queue is saturated; the caller should retry later.
 
-    Raised by the sharded service's admission control instead of
+    Raised by the daemon's admission control instead of
     blocking (blocking every HTTP worker on a full queue would deadlock
     the drain path).  The server maps it to ``429 Too Many Requests``
     with a ``Retry-After`` header of ``retry_after`` seconds.

@@ -123,17 +123,9 @@ class IncrementalDetector:
     ingest_baseline:
         With ``False`` the TPIIN's own trading arcs (and recorded
         intra-SCS trades) are *not* ingested at construction — the
-        caller owns the initial stream.  The sharded service uses this:
-        each shard detector starts empty and receives only the arcs its
-        component partition owns.
-    share_antecedent_from:
-        An existing detector over the *same* TPIIN whose immutable
-        antecedent indexes (root-ancestor bitsets, frozen influence
-        CSR, component map, SCS membership) this one reuses instead of
-        rebuilding.  Mutable state — the live arc set, the per-root
-        path cache and its counters — stays per-instance, so N shard
-        detectors share one index build and memory footprint for the
-        antecedent side while streaming independently.
+        caller owns the initial stream.  The serving daemon uses this:
+        it seeds the detector from its snapshot, or from the baseline
+        arcs on first boot, and then replays its write-ahead log.
     """
 
     def __init__(
@@ -144,7 +136,6 @@ class IncrementalDetector:
         max_cached_roots: int | None = 4096,
         tracer: TracerLike = NULL_TRACER,
         ingest_baseline: bool = True,
-        share_antecedent_from: "IncrementalDetector | None" = None,
     ) -> None:
         if max_cached_roots is not None and max_cached_roots < 1:
             raise MiningError(
@@ -152,28 +143,16 @@ class IncrementalDetector:
             )
         self._tpiin = tpiin
         self._collect = collect_groups
-        if share_antecedent_from is not None:
-            donor = share_antecedent_from
-            if donor._tpiin is not tpiin:
-                raise MiningError(
-                    "share_antecedent_from requires a detector over the same TPIIN"
-                )
-            # Antecedent indexes are immutable for the detector lifetime,
-            # so sharing references (not copies) is safe across threads.
-            self._graph = donor._graph
-            self._index = donor._index
-            self._csr = donor._csr
-        else:
-            self._graph = tpiin.antecedent_graph()
-            with tracer.span("index_antecedent") as index_span:
-                self._index = RootAncestorIndex(self._graph, EColor.INFLUENCE)
-                # The antecedent side is immutable for the detector's
-                # lifetime: freeze it once and let every per-arc path walk
-                # (across all requests of a serving daemon) run over the
-                # CSR kernel.
-                self._csr = CSRGraph.freeze(self._graph, colors=(EColor.INFLUENCE,))
-                if tracer.enabled:
-                    index_span.set(nodes=len(self._csr))
+        self._graph = tpiin.antecedent_graph()
+        with tracer.span("index_antecedent") as index_span:
+            self._index = RootAncestorIndex(self._graph, EColor.INFLUENCE)
+            # The antecedent side is immutable for the detector's
+            # lifetime: freeze it once and let every per-arc path walk
+            # (across all requests of a serving daemon) run over the
+            # CSR kernel.
+            self._csr = CSRGraph.freeze(self._graph, colors=(EColor.INFLUENCE,))
+            if tracer.enabled:
+                index_span.set(nodes=len(self._csr))
         self._max_cached_roots = max_cached_roots
         self._path_cache: OrderedDict[
             Node, dict[Node, list[tuple[Node, ...]]]
@@ -197,21 +176,17 @@ class IncrementalDetector:
             "repro_path_cache_evictions_total",
             help="Per-root influence-path cache LRU evictions.",
         )
-        if share_antecedent_from is not None:
-            self._member_to_scs = share_antecedent_from._member_to_scs
-            self._component_of = share_antecedent_from._component_of
-        else:
-            self._member_to_scs = {}
-            for scs_id, subgraph in tpiin.scs_subgraphs.items():
-                for member in subgraph.nodes():
-                    self._member_to_scs[member] = scs_id
+        self._member_to_scs = {}
+        for scs_id, subgraph in tpiin.scs_subgraphs.items():
+            for member in subgraph.nodes():
+                self._member_to_scs[member] = scs_id
 
-            self._component_of = {}
-            for i, component in enumerate(
-                weakly_connected_components(self._graph, EColor.INFLUENCE)
-            ):
-                for node in component:
-                    self._component_of[node] = i
+        self._component_of = {}
+        for i, component in enumerate(
+            weakly_connected_components(self._graph, EColor.INFLUENCE)
+        ):
+            for node in component:
+                self._component_of[node] = i
 
         self._arcs: dict[tuple[Node, Node], _ArcState] = {}
         self._simple = 0

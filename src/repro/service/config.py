@@ -1,8 +1,8 @@
 """Configuration for the long-lived detection daemon.
 
 One frozen record holds everything the daemon needs to run: where to
-listen, where the durable state lives (per-shard write-ahead logs +
-snapshots), how often to compact, and the streaming detector's cache
+listen, where the durable state lives (the write-ahead log + snapshot),
+how often to compact, and the streaming detector's cache
 bound.  The CLI ``serve`` subcommand builds one of these from flags;
 tests build them directly.
 """
@@ -24,8 +24,7 @@ class ServiceConfig:
     Parameters
     ----------
     state_dir:
-        Directory holding each shard's write-ahead log and latest
-        snapshot.  Created on demand; point two daemons at the same
+        Directory holding the write-ahead log and latest snapshot.  Created on demand; point two daemons at the same
         directory and the second one inherits the first one's state.
     host / port:
         Listen address.  Port ``0`` asks the OS for an ephemeral port
@@ -47,19 +46,13 @@ class ServiceConfig:
     recent_traces:
         How many recent mutation span trees to keep for
         ``GET /v1/trace/{subtpiin}``; ``0`` disables mutation tracing.
-    shards:
-        How many component-sharded workers the daemon runs.  Each shard
-        owns the state, WAL and incremental detector of a disjoint set
-        of weakly connected antecedent components; ``1`` (the default)
-        runs one worker behind the same queued group-commit pipeline.
-        Fixed for a state directory once it holds state.
     ingest_queue_limit:
-        Bound on each shard's pending single-arc ingest queue.  A full
+        Bound on the pending single-arc ingest queue.  A full
         queue sheds the request with HTTP ``429`` + ``Retry-After``
         instead of blocking — admission control never deadlocks.
     group_commit_max:
-        Upper bound on how many queued mutations one shard worker
-        applies per WAL fsync (group commit).  Larger groups amortize
+        Upper bound on how many queued mutations the writer applies
+        per WAL fsync (group commit).  Larger groups amortize
         the fsync further at the cost of per-request latency.
     retry_after_seconds:
         The ``Retry-After`` hint (in seconds) sent with 429 responses.
@@ -73,7 +66,6 @@ class ServiceConfig:
     max_cached_roots: int | None = 4096
     collect_groups: bool = True
     recent_traces: int = 64
-    shards: int = 1
     ingest_queue_limit: int = 1024
     group_commit_max: int = 128
     retry_after_seconds: float = 0.05
@@ -89,8 +81,6 @@ class ServiceConfig:
             )
         if not 0 <= self.port <= 65535:
             raise ServiceError(f"port must be in [0, 65535], got {self.port}")
-        if self.shards < 1:
-            raise ServiceError(f"shards must be >= 1, got {self.shards}")
         if self.ingest_queue_limit < 1:
             raise ServiceError(
                 f"ingest_queue_limit must be >= 1, got {self.ingest_queue_limit}"
@@ -106,7 +96,12 @@ class ServiceConfig:
         object.__setattr__(self, "state_dir", Path(self.state_dir))
 
     def shard_wal_path(self, shard: int) -> Path:
-        """WAL of one shard worker (``wal-0003.jsonl`` for shard 3)."""
+        """WAL of one shard (``wal-0003.jsonl`` for shard 3).
+
+        The daemon writes shard 0's files; other indexes only name the
+        files of a directory the N-shard daemon of earlier releases
+        wrote, which ``open`` folds into shard 0.
+        """
         return self.state_dir / f"wal-{shard:04d}.jsonl"
 
     def shard_snapshot_path(self, shard: int) -> Path:

@@ -91,40 +91,25 @@ class ServiceMetrics:
                 help="Batch-ingest wall time in milliseconds.",
             ).observe(elapsed_ms)
 
-    def set_queue_depth(self, shard: int, depth: int, capacity: int) -> None:
-        """Current occupancy of one shard's bounded ingest queue."""
+    def set_queue_depth(self, depth: int, capacity: int) -> None:
+        """Current occupancy of the bounded ingest queue."""
         for registry in (self._own, self._shared):
             registry.gauge(
                 "repro_ingest_queue_depth",
-                help="Pending mutations in the shard's ingest queue.",
-                shard=str(shard),
+                help="Pending mutations in the ingest queue.",
             ).set(depth)
             registry.gauge(
                 "repro_ingest_queue_capacity",
-                help="Bound of the shard's ingest queue.",
-                shard=str(shard),
+                help="Bound of the ingest queue.",
             ).set(capacity)
 
-    def count_shed(self, shard: int) -> None:
-        """One request shed (429) because the shard's queue was full."""
+    def count_shed(self) -> None:
+        """One request shed (429) because the ingest queue was full."""
         for registry in (self._own, self._shared):
             registry.counter(
                 "repro_ingest_shed_total",
                 help="Mutations rejected with 429 by admission control.",
-                shard=str(shard),
             ).inc()
-
-    def count_migration(self, arcs: int) -> None:
-        """One cross-shard component merge rehomed ``arcs`` trading arcs."""
-        for registry in (self._own, self._shared):
-            registry.counter(
-                "repro_component_migrations_total",
-                help="Cross-shard component merges performed.",
-            ).inc()
-            registry.counter(
-                "repro_migrated_arcs_total",
-                help="Trading arcs rehomed by cross-shard merges.",
-            ).inc(arcs)
 
     def count_arc_applied(self, op: str) -> None:
         for registry in (self._own, self._shared):

@@ -19,9 +19,9 @@ Permanent Redirect`` to their ``/v1`` twin so old clients keep working
 ``GET  /v1/trace/{subtpiin}``              recent mutation span trees
 =========================================  =====================================
 
-Concurrency is bounded by the service's per-shard queues and locks:
-HTTP worker threads carry requests concurrently, but mutations serialize
-at the state layer, never in the transport.  The server keeps
+Concurrency is bounded by the service's ingest queue and lock: HTTP
+worker threads carry requests concurrently, but mutations serialize at
+the state layer, never in the transport.  The server keeps
 ``daemon_threads = False`` so ``server_close()`` joins in-flight workers
 — a SIGTERM drains cleanly instead of tearing mid-response.
 """
@@ -294,8 +294,7 @@ class _DetectionRequestHandler(BaseHTTPRequestHandler):
         0-based index so clients can retry precisely.
         """
         started = time.perf_counter()
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+        raw = self._read_body()
         if not raw:
             raise MiningError("request body is empty; expected NDJSON arc lines")
         try:
@@ -319,9 +318,28 @@ class _DetectionRequestHandler(BaseHTTPRequestHandler):
             "results": report,
         }
 
+    def _read_body(self) -> bytes:
+        """The request body, as long as its ``Content-Length`` says.
+
+        A missing header reads as an empty body; a value that is not a
+        non-negative integer is a 400 (``rfile.read(-1)`` would block
+        until the socket timeout), and closes the connection, since
+        where the body ends is unknown.
+        """
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise MiningError(
+                f"Content-Length must be a non-negative integer, got {header!r}"
+            )
+        return self.rfile.read(length) if length else b""
+
     def _read_json_body(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+        raw = self._read_body()
         if not raw:
             raise MiningError("request body is empty; expected a JSON object")
         try:

@@ -149,11 +149,16 @@ class WriteAheadLog:
 
     # ------------------------------------------------------------------
     @classmethod
-    def open(cls, path: str | Path, *, fsync: bool = True) -> tuple["WriteAheadLog", ReplayResult]:
+    def open(
+        cls, path: str | Path, *, fsync: bool = True, floor: int = 0
+    ) -> tuple["WriteAheadLog", ReplayResult]:
         """Read the log back, heal a torn tail, and position for appends.
 
         Returns the writer plus the replay result the caller must apply
-        to its in-memory state before serving traffic.
+        to its in-memory state before serving traffic.  Appends continue
+        past both the last record and ``floor`` (the ``last_seq`` of the
+        snapshot the log follows): a truncated log is empty, but its
+        sequence numbers must stay above what the snapshot covers.
         """
         replay = read_wal(path)
         if replay.torn_tail:
@@ -165,7 +170,7 @@ class WriteAheadLog:
                     handle.write(record.to_json() + "\n")
                 handle.flush()
                 os.fsync(handle.fileno())
-        wal = cls(path, fsync=fsync, next_seq=replay.last_seq + 1)
+        wal = cls(path, fsync=fsync, next_seq=max(replay.last_seq, floor) + 1)
         return wal, replay
 
     # ------------------------------------------------------------------
@@ -192,9 +197,8 @@ class WriteAheadLog:
     ) -> WALRecord:
         """Durably record one applied update; returns the record.
 
-        ``seq`` overrides the internal counter — shard WALs share one
-        global sequence, so their owner assigns it — and must stay
-        strictly increasing within this file.  ``sync=False`` buffers
+        ``seq`` overrides the internal counter and must stay strictly
+        increasing within this file.  ``sync=False`` buffers
         the record without flushing; the caller then amortizes one
         :meth:`sync` over a whole group of appends (group commit) and
         must not acknowledge any of them before that sync returns.

@@ -2,7 +2,9 @@
 
 import errno
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -40,6 +42,7 @@ class TestQueries:
         client, _ = served_fig8
         health = client.wait_until_healthy()
         assert health["status"] == "ok"
+        assert health["error"] is None
         assert health["arcs"] == 5
 
     def test_result_matches_batch(self, served_fig8, fig8):
@@ -75,6 +78,7 @@ class TestQueries:
         assert metrics["requests"]["result"] >= 1
         assert metrics["latency_ms"]["result"]["count"] >= 1
         assert metrics["arcs_tracked"] == 5
+        assert metrics["queue_depth"] == 0
 
     def test_metrics_reports_cache_hits_on_rework(self, served_fig8):
         client, _ = served_fig8
@@ -183,6 +187,28 @@ class TestErrorMapping:
             client._request("POST", "/v1/arcs", body={"op": "add", "seller": 3, "buyer": "b"})
         assert err.value.status == 400
 
+    @pytest.mark.parametrize("route", ["/v1/arcs", "/v1/arcs:batch"])
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_400(self, served_fig8, route, length):
+        client, _ = served_fig8
+        host, port = client._base.removeprefix("http://").split(":")
+        request = (
+            f"POST {route} HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode()
+        with socket.create_connection((host, int(port)), timeout=5.0) as sock:
+            started = time.monotonic()
+            sock.sendall(request)
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        # Answered at once, not after the server's 1 s idle timeout, and
+        # the connection closed: where the body ends is unknown.
+        assert time.monotonic() - started < 0.9
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert "Content-Length" in json.loads(body)["error"]
+
     def test_unreachable_daemon_has_status_zero(self, tmp_path):
         client = ServiceClient("http://127.0.0.1:9", timeout=0.2)
         with pytest.raises(ServiceClientError) as err:
@@ -263,8 +289,8 @@ class TestVersionedAPI:
 
 
 def fail_next_wal_sync(monkeypatch, service):
-    """Make shard 0's next WAL fsync fail with EIO (later ones succeed)."""
-    wal = service._shards[0]._wal
+    """Make the next WAL fsync fail with EIO (later ones succeed)."""
+    wal = service._writer._wal
     real_sync = wal.sync
     calls = []
 
@@ -313,6 +339,4 @@ class TestCommitFailure:
         status, health = raw_healthz(client)
         assert status == 503
         assert health["status"] == "failed"
-        [failed] = health["failed_shards"]
-        assert failed["shard"] == 0
-        assert "injected fsync failure" in failed["error"]
+        assert "injected fsync failure" in health["error"]

@@ -1,5 +1,5 @@
-"""HTTP behaviors added by the sharded service: batch ingest, 429
-admission control, the keep-alive client, and status-class metrics."""
+"""HTTP behaviors of the queued daemon: batch ingest, 429 admission
+control, the keep-alive client, and status-class metrics."""
 
 import threading
 import time
@@ -39,7 +39,7 @@ def stop_daemon(server, thread, service):
 
 @pytest.fixture()
 def served(tmp_path):
-    config, service, server, thread, client = start_daemon(tmp_path, shards=2)
+    config, service, server, thread, client = start_daemon(tmp_path)
     try:
         yield client, service, config
     finally:
@@ -106,11 +106,10 @@ class TestBatchEndpoint:
 class TestAdmissionControl:
     def test_flood_sheds_429_with_retry_after_and_loses_nothing(self, tmp_path):
         config, service, server, thread, _ = start_daemon(
-            tmp_path, shards=2, ingest_queue_limit=2
+            tmp_path, ingest_queue_limit=2
         )
         try:
-            target = service._home_shard_for("C1")
-            worker = service._shards[target]
+            worker = service._writer
             statuses = []
             lock = threading.Lock()
 
@@ -128,7 +127,7 @@ class TestAdmissionControl:
                 finally:
                     client.close()
 
-            with worker.lock.write():
+            with worker._lock.write():
                 # Park the worker, then flood well past the queue bound.
                 threads = [
                     threading.Thread(target=post_one) for _ in range(8)
@@ -182,9 +181,8 @@ class TestKeepAliveClient:
 
     def test_429_maps_to_client_error_with_retry_after(self, served):
         client, service, config = served
-        target = service._home_shard_for("C1")
-        worker = service._shards[target]
-        with worker.lock.write():
+        worker = service._writer
+        with worker._lock.write():
             done = threading.Event()
             failure = []
 

@@ -1,22 +1,19 @@
-"""Sharded service: parity with the references, routing, backpressure.
+"""The queued daemon: parity with the references, batches, backpressure.
 
-The sharding design leans on arc-decomposability (Definition 2): every
-suspicious group is determined by its one trading arc plus the static
-antecedent network, so partitioning dynamic arcs by weakly-connected
-component can never change what is detected — only where the work runs.
-These tests pin that equivalence plus the operational behaviors the
-router adds on top: cross-shard merges, per-line batch verdicts,
-deterministic 429 shedding, and a drain-on-close that never drops an
-acknowledged write.
+Every update's verdict must match a bare streaming detector, and the
+final result the faithful batch engine over the final arc set — also
+when the state directory was first written by the N-shard daemon of
+earlier releases and folded into one at open.  On top: per-line batch
+verdicts, deterministic 429 shedding, and a drain-on-close that never
+drops an acknowledged write.
 """
 
-import errno
 import time
 
 import pytest
 
 from repro.datagen.cases import fig8_tpiin
-from repro.errors import BackpressureError, MiningError, ServiceError
+from repro.errors import BackpressureError, MiningError
 from repro.fusion.tpiin import TPIIN
 from repro.io.registry_io import ArcLine, parse_arc_ndjson
 from repro.mining.detector import detect
@@ -39,7 +36,7 @@ def multi_component_tpiin(copies: int = 6) -> TPIIN:
     Copy ``i`` holds person ``P{i}`` influencing ``A{i}`` and ``D{i}``,
     with ``A{i}`` investing in ``B{i}``; a trading arc ``B{i} -> D{i}``
     is suspicious within the copy.  Fig. 8 itself is a single weak
-    component, so cross-shard routing needs this fixture.
+    component, so cross-component adds need this fixture.
     """
     persons, companies, influence = [], [], []
     for i in range(copies):
@@ -50,8 +47,7 @@ def multi_component_tpiin(copies: int = 6) -> TPIIN:
         persons=persons, companies=companies, influence=influence, trading=[]
     )
 
-# A workload that exercises every routing path on Fig. 8: same-shard
-# adds, cross-component adds (merges), duplicate adds, and removals.
+# A workload over Fig. 8: adds, duplicate adds, removals and re-adds.
 OPS = [
     ("add", "C1", "C6"),
     ("add", "C6", "C2"),
@@ -83,6 +79,19 @@ def faithful_over(tpiin, arcs):
     for seller, buyer in sorted(arcs):
         graph.add_arc(seller, buyer, EColor.TRADING)
     return detect(TPIIN(graph=graph), engine="faithful")
+
+
+def open_fresh(tpiin, path, shards):
+    """Open a daemon on a state directory as a ``shards``-shard daemon's
+    first boot left it: one empty WAL per shard, folded at open."""
+    path.mkdir(parents=True, exist_ok=True)
+    for index in range(shards):
+        (path / f"wal-{index:04d}.jsonl").touch()
+    service = ShardedDetectionService.open(
+        tpiin, ServiceConfig(state_dir=path, fsync=False)
+    )
+    assert {p.name for p in path.iterdir()} <= {"wal-0000.jsonl", "snapshot-0000.json"}
+    return service
 
 
 def run_ops(service, ops=OPS):
@@ -127,22 +136,8 @@ class TestParity:
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_matches_references(self, tmp_path, shards):
-        with ShardedDetectionService.open(
-            FIG8, ServiceConfig(state_dir=tmp_path, shards=shards, fsync=False)
-        ) as service:
+        with open_fresh(FIG8, tmp_path, shards) as service:
             self.check(service, FIG8, OPS)
-
-    def test_arc_status_routes_to_owner(self, tmp_path):
-        with ShardedDetectionService.open(
-            FIG8, ServiceConfig(state_dir=tmp_path, shards=4, fsync=False)
-        ) as service:
-            run_ops(service)
-            baseline = service.arc_status("C3", "C5")
-            assert baseline.present and baseline.suspicious
-            added = service.arc_status("C1", "C6")
-            assert added.present
-            absent = service.arc_status("C6", "C2")
-            assert not absent.present
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_cross_component_parity(self, tmp_path, shards):
@@ -157,137 +152,8 @@ class TestParity:
             ("add", "B4", "D5"),  # chains 3-4 onto 5
         ]
         tpiin = multi_component_tpiin()
-        with ShardedDetectionService.open(
-            tpiin, ServiceConfig(state_dir=tmp_path, shards=shards, fsync=False)
-        ) as service:
+        with open_fresh(tpiin, tmp_path, shards) as service:
             self.check(service, tpiin, ops)
-
-
-class TestMerges:
-    def _differently_homed_copies(self, service, copies=6):
-        """Two copy indexes whose components home on different shards."""
-        homes = {i: service._home_shard_for(f"B{i}") for i in range(copies)}
-        for i in range(copies):
-            for j in range(i + 1, copies):
-                if homes[i] != homes[j]:
-                    return i, j
-        raise AssertionError("all copies homed identically")
-
-    def test_cross_component_add_migrates_to_one_home(self, tmp_path):
-        tpiin = multi_component_tpiin()
-        with ShardedDetectionService.open(
-            tpiin, ServiceConfig(state_dir=tmp_path, shards=4, fsync=False)
-        ) as service:
-            i, j = self._differently_homed_copies(service)
-            service.add_arc(f"B{i}", f"D{i}")
-            service.add_arc(f"B{j}", f"D{j}")
-            before = service.metrics._own.counter(
-                "repro_component_migrations_total"
-            ).value
-            service.add_arc(f"B{i}", f"D{j}")  # spans two homes
-            after = service.metrics._own.counter(
-                "repro_component_migrations_total"
-            ).value
-            assert after == before + 1
-            # Every arc now lives on exactly one shard: the per-shard
-            # arc lists partition the global arc set.
-            shard_rows = service.metrics_payload()["shards"]
-            assert sum(row["arcs"] for row in shard_rows) == service.arc_count()
-
-    def test_merged_component_has_single_owner(self, tmp_path):
-        tpiin = multi_component_tpiin()
-        with ShardedDetectionService.open(
-            tpiin, ServiceConfig(state_dir=tmp_path, shards=4, fsync=False)
-        ) as service:
-            i, j = self._differently_homed_copies(service)
-            keys = [(f"B{i}", f"D{i}"), (f"B{j}", f"D{j}"), (f"B{i}", f"D{j}")]
-            for seller, buyer in keys:
-                service.add_arc(seller, buyer)
-            owners = {key: service._owner_lookup(key) for key in keys}
-            assert all(owner is not None for owner in owners.values())
-            # The merged cluster's arcs are co-homed so future updates
-            # take one shard lock.
-            assert len(set(owners.values())) == 1
-
-
-class TestMergeCommitFailure:
-    """A WAL fault on the cross-shard merge path poisons the shard it hit,
-    exactly like a failed group commit: a typed ServiceError (a 503), a
-    failed health status, and no later write acknowledged on top."""
-
-    @staticmethod
-    def _bridge(service, copies=6):
-        """A bridging add between differently homed copies, with its plan."""
-        i, j = TestMerges()._differently_homed_copies(service, copies)
-        service.add_arc(f"B{i}", f"D{i}")
-        service.add_arc(f"B{j}", f"D{j}")
-        key = (f"B{i}", f"D{j}")
-        plan = service._plan("add", key)
-        assert plan.kind == "merge"
-        return key, plan
-
-    @staticmethod
-    def _fail_next_sync(monkeypatch, shard):
-        wal = shard._wal
-        real_sync = wal.sync
-        calls = []
-
-        def sync():
-            calls.append(None)
-            if len(calls) == 1:
-                raise OSError(errno.EIO, "injected fsync failure")
-            real_sync()
-
-        monkeypatch.setattr(wal, "sync", sync)
-
-    def test_merge_fsync_failure_poisons_the_merged_home(self, tmp_path, monkeypatch):
-        tpiin = multi_component_tpiin()
-        with ShardedDetectionService.open(
-            tpiin, ServiceConfig(state_dir=tmp_path, shards=4, fsync=True)
-        ) as service:
-            key, plan = self._bridge(service)
-            home = service._shards[plan.dst]
-            self._fail_next_sync(monkeypatch, home)
-            with pytest.raises(ServiceError, match="commit failed"):
-                service.add_arc(*key)
-            health = service.health()
-            assert health["status"] == "failed"
-            assert [row["shard"] for row in health["failed_shards"]] == [plan.dst]
-            assert "injected fsync failure" in health["failed_shards"][0]["error"]
-            # The home refuses every later write instead of acking it.
-            homed = next(
-                i for i in range(6) if service._home_shard_for(f"B{i}") == plan.dst
-            )
-            with pytest.raises(ServiceError):
-                service.add_arc(f"D{homed}", f"A{homed}")
-            # The batch path reports the refusal per line, never a 500.
-            [line] = service.apply_batch(
-                [ArcLine(index=0, op="add", seller=f"D{homed}", buyer=f"B{homed}")]
-            )
-            assert "error" in line
-
-    def test_merge_into_a_poisoned_home_is_refused(self, tmp_path, monkeypatch):
-        tpiin = multi_component_tpiin()
-        with ShardedDetectionService.open(
-            tpiin, ServiceConfig(state_dir=tmp_path, shards=4, fsync=True)
-        ) as service:
-            key, plan = self._bridge(service)
-            home = service._shards[plan.dst]
-            # Poison the merged home through an ordinary queued add.
-            homed = next(
-                i for i in range(6) if service._home_shard_for(f"B{i}") == plan.dst
-            )
-            self._fail_next_sync(monkeypatch, home)
-            with pytest.raises(ServiceError):
-                service.add_arc(f"D{homed}", f"A{homed}")
-            source = service._shards[plan.src]
-            before = source.arc_count()
-            with pytest.raises(ServiceError, match=f"shard {plan.dst}"):
-                service.add_arc(*key)
-            # Nothing migrated, and the healthy source stays healthy.
-            assert source.arc_count() == before
-            assert source.failure() is None
-            assert not service.arc_status(*key).present
 
 
 class TestBatch:
@@ -304,7 +170,7 @@ class TestBatch:
         lines, rejects = parse_arc_ndjson(text)
         assert [reject.index for reject in rejects] == [1]
         with ShardedDetectionService.open(
-            FIG8, ServiceConfig(state_dir=tmp_path, shards=2, fsync=False)
+            FIG8, ServiceConfig(state_dir=tmp_path, fsync=False)
         ) as service:
             report = service.apply_batch(lines)
             by_line = {entry["line"]: entry for entry in report}
@@ -322,11 +188,11 @@ class TestBatch:
             for i, (op, s, b) in enumerate(OPS)
         ]
         with ShardedDetectionService.open(
-            FIG8, ServiceConfig(state_dir=tmp_path / "a", shards=4, fsync=False)
+            FIG8, ServiceConfig(state_dir=tmp_path / "a", fsync=False)
         ) as batched:
             batched.apply_batch(lines)
             with ShardedDetectionService.open(
-                FIG8, ServiceConfig(state_dir=tmp_path / "b", shards=4, fsync=False)
+                FIG8, ServiceConfig(state_dir=tmp_path / "b", fsync=False)
             ) as sequential:
                 run_ops(sequential)
                 assert result_key(batched.result()) == result_key(
@@ -336,14 +202,11 @@ class TestBatch:
 
 class TestBackpressure:
     def test_saturated_queue_sheds_with_retry_after(self, tmp_path):
-        config = ServiceConfig(
-            state_dir=tmp_path, shards=2, fsync=False, ingest_queue_limit=3
-        )
+        config = ServiceConfig(state_dir=tmp_path, fsync=False, ingest_queue_limit=3)
         with ShardedDetectionService.open(FIG8, config) as service:
-            target = service._home_shard_for("C1")
-            worker = service._shards[target]
+            worker = service._writer
             pending = []
-            with worker.lock.write():
+            with worker._lock.write():
                 # Park the worker thread on the write lock: submit one
                 # entry and wait for the worker to take it (it then
                 # blocks in its commit path until we release).
@@ -358,9 +221,7 @@ class TestBackpressure:
                 with pytest.raises(BackpressureError) as excinfo:
                     worker.submit("add", "C1", "C6")
                 assert excinfo.value.retry_after == config.retry_after_seconds
-                shed = service.metrics._own.counter(
-                    "repro_ingest_shed_total", shard=str(target)
-                ).value
+                shed = service.metrics._own.counter("repro_ingest_shed_total").value
                 assert shed == 1
             # Released: everything acknowledged eventually lands.
             updates = [entry.wait() for entry in pending]
@@ -369,7 +230,7 @@ class TestBackpressure:
 
     def test_unknown_company_still_maps_to_400_class_error(self, tmp_path):
         with ShardedDetectionService.open(
-            FIG8, ServiceConfig(state_dir=tmp_path, shards=2, fsync=False)
+            FIG8, ServiceConfig(state_dir=tmp_path, fsync=False)
         ) as service:
             with pytest.raises(MiningError):
                 service.add_arc("NOPE", "C6")
@@ -377,11 +238,10 @@ class TestBackpressure:
 
 class TestDrain:
     def test_close_flushes_queued_writes(self, tmp_path):
-        config = ServiceConfig(state_dir=tmp_path, shards=2, fsync=False)
+        config = ServiceConfig(state_dir=tmp_path, fsync=False)
         service = ShardedDetectionService.open(FIG8, config)
-        target = service._home_shard_for("C1")
-        worker = service._shards[target]
-        with worker.lock.write():
+        worker = service._writer
+        with worker._lock.write():
             pending = [
                 worker.submit("add", "C1", "C6"),
                 worker.submit("add", "C2", "C6"),
@@ -398,7 +258,7 @@ class TestDrain:
             recovered.close()
 
     def test_context_manager_closes(self, tmp_path):
-        config = ServiceConfig(state_dir=tmp_path, shards=2, fsync=False)
+        config = ServiceConfig(state_dir=tmp_path, fsync=False)
         with ShardedDetectionService.open(FIG8, config) as service:
             service.add_arc("C1", "C6")
         with pytest.raises(Exception):

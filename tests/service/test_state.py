@@ -1,5 +1,5 @@
-"""The daemon at its default single shard: recovery, durability
-ordering, compaction, metrics."""
+"""The daemon's one writer: recovery, durability ordering, compaction,
+metrics."""
 
 import pytest
 
@@ -126,7 +126,7 @@ class TestCompaction:
         config = config_for(tmp_path)
         with ShardedDetectionService.open(fig8, config) as service:
             service.remove_arc("C3", "C5")
-            [snapshot] = service.compact()
+            snapshot = service.compact()
             assert snapshot.last_seq == 1
             assert ("C3", "C5") not in [tuple(a) for a in snapshot.arcs]
             assert service.metrics.to_dict()["snapshots_written"] == 1
@@ -137,7 +137,7 @@ class TestCompaction:
         config = config_for(tmp_path)
         with ShardedDetectionService.open(fig8, config) as service:
             service.remove_arc("C3", "C5")
-            [snapshot] = service.compact()
+            snapshot = service.compact()
             before = service.result()
         stale = config.shard_wal_path(0)
         from repro.service.wal import WALRecord
@@ -147,6 +147,21 @@ class TestCompaction:
         with ShardedDetectionService.open(fig8, config) as service:
             assert service.recovered_records == 0  # stale record skipped
             assert group_keys(service.result()) == group_keys(before)
+
+
+    def test_writes_after_reopening_a_truncated_log_survive(self, fig8, tmp_path):
+        # The WAL is empty after compaction; sequence numbers must still
+        # continue above the snapshot's floor, or the next restart would
+        # skip the new records as stale.
+        config = config_for(tmp_path)
+        with ShardedDetectionService.open(fig8, config) as service:
+            service.remove_arc("C3", "C5")
+            service.compact()
+        with ShardedDetectionService.open(fig8, config) as service:
+            service.add_arc("C8", "C3")
+        with ShardedDetectionService.open(fig8, config) as service:
+            assert service.recovered_records == 1
+            assert service.arc_status("C8", "C3").present
 
 
 class TestMetricsAndQueries:

@@ -1,27 +1,33 @@
-"""State-directory layout: the legacy upgrade and the fixed shard count.
+"""State-directory layout: legacy upgrade and the N-shard fold-in.
 
-Earlier releases ran a single-file daemon at the default shard count; its
-``wal.jsonl`` + ``snapshot.json`` become shard 0's files on the first
-one-shard open.  A directory holding state for N shards refuses to open at
-any other count: shard files past the new count would go unread, and a
-baseline re-seeded by hash home would undo acknowledged removes.
+Earlier releases ran a single-file daemon; its ``wal.jsonl`` +
+``snapshot.json`` become shard 0's files at open.  Releases after that
+could run ``--shards N`` workers, each with its own WAL and snapshot; the
+one-writer daemon folds such a directory into shard 0's files at open.
+The N-shard directories under ``fixtures/`` were written by that daemon
+(``fixtures/make_shard_fixtures.py``), and ``fixtures/served.json``
+records the arc set it served from each.
 """
 
-import itertools
+import json
 import os
+import pathlib
+import shutil
 
 import pytest
 
-from repro.errors import ServiceError
 from repro.fusion.tpiin import TPIIN
 from repro.mining.detector import detect
 from repro.model.colors import EColor
+from repro.service import sharding
 from repro.service.config import ServiceConfig
 from repro.service.sharding import ShardedDetectionService
 from repro.service.snapshot import Snapshot, write_snapshot
 from repro.service.wal import OP_ADD, OP_REMOVE, WriteAheadLog
 
 COPIES = 6
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+SERVED = json.loads((FIXTURES / "served.json").read_text())
 
 
 def forest() -> TPIIN:
@@ -58,39 +64,96 @@ def assert_serves(service, arcs):
     assert result.suspicious_trading_arcs == batch.suspicious_trading_arcs
 
 
-def config_for(path, shards):
-    return ServiceConfig(state_dir=path, shards=shards, fsync=False)
+def config_for(path):
+    return ServiceConfig(state_dir=path, fsync=False)
 
 
-class TestShardCountIsFixed:
-    @pytest.mark.parametrize(
-        "before,after", list(itertools.permutations([1, 2, 4], 2))
-    )
-    def test_other_count_refused_and_nothing_lost(self, tmp_path, before, after):
-        adds = [(f"A{i}", f"D{(i + 1) % COPIES}") for i in range(COPIES)]
-        removed = ("B2", "D2")
-        with ShardedDetectionService.open(FOREST, config_for(tmp_path, before)) as service:
-            for seller, buyer in adds:
-                assert service.add_arc(seller, buyer).applied
-            assert service.remove_arc(*removed).applied
-        with pytest.raises(ServiceError, match=f"--shards {before}"):
-            ShardedDetectionService.open(FOREST, config_for(tmp_path, after)).close()
-        with ShardedDetectionService.open(FOREST, config_for(tmp_path, before)) as service:
-            assert_serves(service, (BASELINE | set(adds)) - {removed})
+def served_arcs(name):
+    return {(seller, buyer) for seller, buyer in SERVED[name]["arcs"]}
 
-    def test_first_boot_pins_the_count(self, tmp_path):
-        # No writes at all: the count is still recorded by the WAL files.
-        with ShardedDetectionService.open(FOREST, config_for(tmp_path, 4)):
-            pass
-        with pytest.raises(ServiceError, match="--shards 4"):
-            ShardedDetectionService.open(FOREST, config_for(tmp_path, 1)).close()
 
-    def test_legacy_state_counts_as_one_shard(self, tmp_path):
-        wal, _ = WriteAheadLog.open(tmp_path / "wal.jsonl", fsync=False)
-        wal.append(OP_ADD, "A0", "D1")
-        wal.close()
-        with pytest.raises(ServiceError, match="--shards 1"):
-            ShardedDetectionService.open(FOREST, config_for(tmp_path, 2)).close()
+def copy_fixture(name, tmp_path):
+    state_dir = tmp_path / name
+    shutil.copytree(FIXTURES / name, state_dir)
+    return state_dir
+
+
+class _Crash(Exception):
+    """Stands in for the process dying at one step of the fold."""
+
+
+def fold_steps(monkeypatch, crash_at=None):
+    """Count the fold's durable steps (snapshot writes and unlinks),
+    raising :class:`_Crash` instead of running step ``crash_at``."""
+    steps = []
+    real_write, real_unlink = sharding.write_snapshot, pathlib.Path.unlink
+
+    def step(run):
+        def wrapped(*args, **kwargs):
+            if len(steps) == crash_at:
+                raise _Crash
+            steps.append(args[0])
+            return run(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(sharding, "write_snapshot", step(real_write))
+    monkeypatch.setattr(pathlib.Path, "unlink", step(real_unlink))
+    return steps
+
+
+FOLDED = ["snapshot-0000.json", "wal-0000.jsonl"]
+
+
+@pytest.mark.parametrize("name", sorted(SERVED))
+class TestFoldIn:
+    def test_serves_the_recorded_set(self, tmp_path, name):
+        state_dir = copy_fixture(name, tmp_path)
+        with ShardedDetectionService.open(FOREST, config_for(state_dir)) as service:
+            assert_serves(service, served_arcs(name))
+            assert {tuple(arc) for arc in service._writer.trading_arcs()} == (
+                served_arcs(name)
+            )
+        assert sorted(os.listdir(state_dir)) == FOLDED
+
+    def test_crash_before_each_step_refolds_the_same(self, tmp_path, name, monkeypatch):
+        shards = SERVED[name]["shards"]
+        with monkeypatch.context() as patch:
+            steps = fold_steps(patch)
+            ShardedDetectionService.open(
+                FOREST, config_for(copy_fixture(name, tmp_path / "dry"))
+            ).close()
+        # The union snapshot, an empty snapshot per other shard, then
+        # each other shard's WAL and snapshot.
+        assert len(steps) == 1 + 3 * (shards - 1)
+        for crash_at in range(len(steps)):
+            state_dir = copy_fixture(name, tmp_path / str(crash_at))
+            with monkeypatch.context() as patch:
+                fold_steps(patch, crash_at)
+                with pytest.raises(_Crash):
+                    ShardedDetectionService.open(FOREST, config_for(state_dir))
+            with ShardedDetectionService.open(FOREST, config_for(state_dir)) as service:
+                assert_serves(service, served_arcs(name))
+            assert sorted(os.listdir(state_dir)) == FOLDED
+
+    def test_second_open_is_a_no_op(self, tmp_path, name):
+        state_dir = copy_fixture(name, tmp_path)
+        ShardedDetectionService.open(FOREST, config_for(state_dir)).close()
+        before = {p: (state_dir / p).read_bytes() for p in os.listdir(state_dir)}
+        with ShardedDetectionService.open(FOREST, config_for(state_dir)) as service:
+            assert service.recovered_records == 0
+            assert_serves(service, served_arcs(name))
+        assert {p: (state_dir / p).read_bytes() for p in os.listdir(state_dir)} == before
+
+    def test_writes_after_the_fold_survive_a_restart(self, tmp_path, name):
+        state_dir = copy_fixture(name, tmp_path)
+        expected = served_arcs(name) ^ {("D2", "B2"), ("B4", "D4")}
+        with ShardedDetectionService.open(FOREST, config_for(state_dir)) as service:
+            assert service.add_arc("D2", "B2").applied
+            assert service.remove_arc("B4", "D4").applied
+        with ShardedDetectionService.open(FOREST, config_for(state_dir)) as service:
+            assert service.recovered_records == 2
+            assert_serves(service, expected)
 
 
 class TestLegacyUpgrade:
@@ -113,7 +176,7 @@ class TestLegacyUpgrade:
 
     def test_upgrade_into_shard_zero(self, tmp_path):
         self.write_legacy(tmp_path)
-        config = config_for(tmp_path, 1)
+        config = config_for(tmp_path)
         with ShardedDetectionService.open(FOREST, config) as service:
             assert service.recovered_from_snapshot
             assert service.recovered_records == 2
@@ -128,6 +191,6 @@ class TestLegacyUpgrade:
         self.write_legacy(tmp_path)
         # The snapshot is renamed first; the WAL rename never happened.
         os.rename(tmp_path / "snapshot.json", tmp_path / "snapshot-0000.json")
-        with ShardedDetectionService.open(FOREST, config_for(tmp_path, 1)) as service:
+        with ShardedDetectionService.open(FOREST, config_for(tmp_path)) as service:
             assert_serves(service, self.EXPECTED)
         assert sorted(os.listdir(tmp_path)) == ["snapshot-0000.json", "wal-0000.jsonl"]

@@ -68,6 +68,14 @@ class TestParser:
         assert args.snapshot_every == 500
         assert args.no_fsync
         assert args.max_cached_roots == 4096
+        assert args.shards == 1
+
+    def test_serve_accepts_only_one_shard(self, capsys):
+        assert build_parser().parse_args(["serve", "a", "n", "--shards", "1"]).shards == 1
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "a.csv", "n.csv", "--shards", "4"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 4" in capsys.readouterr().err
 
 
 class TestCommands:

@@ -14,8 +14,7 @@ Usage::
     python benchmarks/run_bench.py -o out.json --engines faithful parallel
 
 Exit status is non-zero when any engine disagrees with the faithful
-group set, or when a parallel run leaves a shared-memory segment
-behind, so CI can gate on both.
+group set, so CI can gate on it.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import resource
 import subprocess
 import sys
@@ -37,7 +35,6 @@ from repro.datagen.config import ProvinceConfig  # noqa: E402
 from repro.datagen.province import generate_province  # noqa: E402
 from repro.detectors import ALL_DETECTORS, run_detectors  # noqa: E402
 from repro.fusion.tpiin import TPIIN  # noqa: E402
-from repro.graph.shm import SHM_NAME_PREFIX  # noqa: E402
 from repro.mining.detector import DetectionResult, detect  # noqa: E402
 from repro.mining.options import DetectOptions  # noqa: E402
 from repro.model.colors import EColor, VColor  # noqa: E402
@@ -81,17 +78,6 @@ def repeats_for(companies: int, smoke: bool) -> int:
     if smoke:
         return 1
     return 2 if companies >= SCALE_COMPANIES else REPEATS
-
-
-def shm_leftovers() -> list[str]:
-    """``repro_shm_*`` names currently present in ``/dev/shm``."""
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-        return []
-    return sorted(
-        name
-        for name in os.listdir("/dev/shm")
-        if name.startswith(SHM_NAME_PREFIX)
-    )
 
 
 def relabel_realistic(tpiin: TPIIN) -> TPIIN:
@@ -324,7 +310,6 @@ def bench_setting(
         "arcs": tpiin.graph.number_of_arcs(),
         "engines": cells,
         "engines_agree": agree,
-        "shm_leftovers": shm_leftovers(),
     }
     if "faithful" in cells and "parallel" in cells:
         faithful_wall = cells["faithful"]["wall_seconds"]
@@ -380,34 +365,6 @@ def compare_reports(
     return regressions
 
 
-def pooled_parallel_cell(
-    settings: tuple[tuple[str, int, float], ...]
-) -> dict[str, Any]:
-    """Force a real worker pool through the shared segment (CI smoke).
-
-    On single-CPU runners the parallel engine's gate keeps everything
-    in-process, so the pooled path — fork, attach, bucket merge — would
-    go unexercised; this runs it explicitly on the last (largest)
-    setting and cross-checks the group set against the faithful engine.
-    """
-    label, companies, probability = settings[-1]
-    tpiin = build_tpiin(companies, probability)
-    started = time.perf_counter()
-    pooled = detect(
-        tpiin, engine="parallel", processes=2, min_pool_work=0
-    )
-    wall = time.perf_counter() - started
-    faithful = detect(tpiin)
-    agree = {g.key() for g in pooled.groups} == {g.key() for g in faithful.groups}
-    return {
-        "setting": label,
-        "wall_seconds": round(wall, 4),
-        "groups": len(pooled.groups),
-        "agrees_with_faithful": agree,
-        "shm_leftovers": shm_leftovers(),
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -434,12 +391,6 @@ def main(argv: list[str] | None = None) -> int:
         help="run only the detector-portfolio cell (full portfolio vs "
         "IAT-only on the densest-720 tier; smoke tier with --smoke) and "
         "write it as a pr8 report (default output: BENCH_PR8.json)",
-    )
-    parser.add_argument(
-        "--pooled-parallel",
-        action="store_true",
-        help="additionally force a 2-worker pooled parallel run on the "
-        "largest setting and verify it against the faithful engine",
     )
     parser.add_argument(
         "--no-rss-probe",
@@ -542,8 +493,6 @@ def main(argv: list[str] | None = None) -> int:
             )
         if not setting["engines_agree"]:
             print(f"  !! engines disagree on {label}", flush=True)
-        if setting["shm_leftovers"]:
-            print(f"  !! leaked shm segments: {setting['shm_leftovers']}", flush=True)
         if "parallel_speedup_vs_faithful" in setting:
             speedup = setting["parallel_speedup_vs_faithful"]
             print(f"  parallel speedup vs faithful: {speedup}x", flush=True)
@@ -567,35 +516,14 @@ def main(argv: list[str] | None = None) -> int:
         ),
         "settings": results,
     }
-    if args.pooled_parallel and "parallel" in engines:
-        report["pooled_parallel"] = pooled_parallel_cell(settings)
-        cell = report["pooled_parallel"]
-        print(
-            f"[pooled-parallel] {cell['setting']}: {cell['wall_seconds']:.3f}s "
-            f"agree={cell['agrees_with_faithful']} "
-            f"leftovers={cell['shm_leftovers']}",
-            flush=True,
-        )
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.output}")
 
     if args.trace_out is not None:
         write_trace_jsonl(settings, engines[0], args.trace_out)
 
-    failed = False
     if not all(s["engines_agree"] for s in results):
         print("FAIL: engine group sets disagree", file=sys.stderr)
-        failed = True
-    if any(s["shm_leftovers"] for s in results):
-        print("FAIL: leaked shared-memory segments", file=sys.stderr)
-        failed = True
-    pooled_cell = report.get("pooled_parallel")
-    if pooled_cell is not None and not (
-        pooled_cell["agrees_with_faithful"] and not pooled_cell["shm_leftovers"]
-    ):
-        print("FAIL: pooled parallel run disagreed or leaked", file=sys.stderr)
-        failed = True
-    if failed:
         return 1
 
     if args.compare is not None:

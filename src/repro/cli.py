@@ -36,7 +36,7 @@ from repro.datagen.config import PAPER_TRADING_PROBABILITIES, ProvinceConfig
 from repro.datagen.province import generate_province
 from repro.detectors.registry import ALL_DETECTORS
 from repro.detectors.runner import run_detectors
-from repro.errors import ServiceError
+from repro.errors import ReproError
 from repro.fusion.tpiin import TPIIN
 from repro.io.edge_list_io import read_tpiin_csv, write_tpiin_csv
 from repro.io.registry_io import load_registry_csvs
@@ -75,12 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("arcs", type=Path, help="arc CSV (start,end,color)")
     mine.add_argument("nodes", type=Path, help="node CSV (node,color)")
     mine.add_argument("--engine", default="parallel", choices=_ENGINE_CHOICES)
-    mine.add_argument(
-        "--processes",
-        type=int,
-        default=None,
-        help="worker count for --engine parallel (default: cpu count)",
-    )
     mine.add_argument("--out-dir", type=Path, default=Path("mining-out"))
     mine.add_argument(
         "--profile",
@@ -130,12 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ingest.add_argument("directory", type=Path)
     ingest.add_argument("--engine", default="parallel", choices=_ENGINE_CHOICES)
-    ingest.add_argument(
-        "--processes",
-        type=int,
-        default=None,
-        help="worker count for --engine parallel (default: cpu count)",
-    )
     ingest.add_argument("--out-dir", type=Path, default=Path("mining-out"))
 
     srv = sub.add_parser(
@@ -223,9 +211,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     tpiin.validate()
     if args.detector:
         return _mine_portfolio(tpiin, args)
-    result = detect(
-        tpiin, engine=args.engine, processes=args.processes, trace=args.profile
-    )
+    result = detect(tpiin, engine=args.engine, trace=args.profile)
     print(result.summary())
     if args.profile and result.trace is not None:
         print()
@@ -241,7 +227,7 @@ def _mine_portfolio(tpiin: TPIIN, args: argparse.Namespace) -> int:
     selection: "str | list[str]" = (
         ALL_DETECTORS if ALL_DETECTORS in args.detector else list(args.detector)
     )
-    options = DetectOptions(engine=args.engine, processes=args.processes)
+    options = DetectOptions(engine=args.engine)
     report = run_detectors(tpiin, selection, options=options, trace=args.profile)
     print(report.summary())
     if args.profile and report.trace is not None:
@@ -316,7 +302,7 @@ def _cmd_twophase(args: argparse.Namespace) -> int:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     bundle = load_registry_csvs(args.directory)
     tpiin = bundle.fuse().tpiin
-    result = detect(tpiin, engine=args.engine, processes=args.processes)
+    result = detect(tpiin, engine=args.engine)
     print(result.summary())
     paths = result.write_files(args.out_dir)
     json_path = write_detection_json(result, args.out_dir / "detection.json")
@@ -340,11 +326,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ingest_queue_limit=args.queue_limit,
         group_commit_max=args.group_commit_max,
     )
-    try:
-        service = ShardedDetectionService.open(tpiin, config)
-    except ServiceError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
+    service = ShardedDetectionService.open(tpiin, config)
     server = DetectionHTTPServer((config.host, config.port), service)
     host, port = server.server_address[:2]
     print(
@@ -369,8 +351,15 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; a library or OS error exits 2 with one line."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ReproError, OSError) as exc:
+        # KeyError-derived errors would print their message repr-quoted.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"repro-tpiin {args.command}: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

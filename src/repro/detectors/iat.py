@@ -32,17 +32,15 @@ class IATConfig:
     """Tuning of the wrapped :func:`repro.mining.detect` run.
 
     Mirrors the engine-facing fields of
-    :class:`~repro.mining.options.DetectOptions` (tracing is supplied
-    by the portfolio runner, and ``detectors`` recursion is forbidden
-    by construction).
+    :class:`~repro.mining.options.DetectOptions`: the engine, the
+    faithful engine's trail cap and the incremental engine's
+    ``collect_groups``.  Tracing is supplied by the portfolio runner,
+    and ``detectors`` recursion is forbidden by construction.
     """
 
     engine: str = "faithful"
     max_trails_per_subtpiin: int | None = None
-    skip_trivial_subtpiins: bool = True
-    processes: int | None = None
     collect_groups: bool = True
-    min_pool_work: int | None = None
 
     @classmethod
     def from_options(cls, options: DetectOptions) -> "IATConfig":
@@ -50,20 +48,14 @@ class IATConfig:
         return cls(
             engine=options.engine.value,
             max_trails_per_subtpiin=options.max_trails_per_subtpiin,
-            skip_trivial_subtpiins=options.skip_trivial_subtpiins,
-            processes=options.processes,
             collect_groups=options.collect_groups,
-            min_pool_work=options.min_pool_work,
         )
 
     def to_options(self) -> DetectOptions:
         return DetectOptions(
             engine=self.engine,
             max_trails_per_subtpiin=self.max_trails_per_subtpiin,
-            skip_trivial_subtpiins=self.skip_trivial_subtpiins,
-            processes=self.processes,
             collect_groups=self.collect_groups,
-            min_pool_work=self.min_pool_work,
         )
 
 

@@ -4,8 +4,7 @@ The hash-based :class:`~repro.graph.digraph.DiGraph` is the right
 structure while a network is being *built* — arcs arrive in any order,
 colors accumulate per endpoint pair — but it is the wrong structure to
 *mine*: Algorithm 2's DFS re-reads each node's successor dictionary on
-every visit, pays a string-keyed sort per step, and pickles as a deep
-dict-of-dict-of-set when shipped to worker processes.
+every visit and pays a string-keyed sort per step.
 
 :class:`CSRGraph` freezes a finished graph into compressed sparse rows:
 
@@ -17,26 +16,23 @@ dict-of-dict-of-set when shipped to worker processes.
   once at freeze time, so a DFS step is an index range scan with no
   hashing, no sorting and no per-visit allocation;
 * the ``decode`` table maps ids back to the original node objects, and
-  the buffers are plain :mod:`array` arrays, which pickle as compact
-  byte blobs (the parallel engine's IPC payload).
+  the buffers are plain :mod:`array` arrays that numpy views without a
+  copy.
 
 A frozen graph is immutable; re-freeze after mutating the source.
 """
 
 from __future__ import annotations
 
-import pickle
-import struct
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
-from typing import Any, Union
+from typing import Any, TypeAlias
 
 import numpy as np
 
 from repro.errors import NodeNotFoundError
 from repro.graph.digraph import DiGraph, Node
-from repro.graph.shm import SharedSegment
 
 __all__ = ["CSRGraph", "IntBuffer"]
 
@@ -44,15 +40,8 @@ __all__ = ["CSRGraph", "IntBuffer"]
 # room to spare, and 'q' slices exchange cleanly with plain ints.
 _TYPECODE = "q"
 
-#: A CSR buffer: an owned ``array('q')`` after :meth:`CSRGraph.freeze`, or
-#: a zero-copy ``memoryview`` (cast to ``'q'``) over a shared segment
-#: after :meth:`CSRGraph.from_shared`.  Both index, slice and iterate as
-#: plain ints, which is all the kernels do.
-IntBuffer = Union["array[int]", memoryview]
-
-
-def _align8(offset: int) -> int:
-    return (offset + 7) & ~7
+#: A CSR buffer: an ``array('q')`` of offsets or targets.
+IntBuffer: TypeAlias = "array[int]"
 
 
 class CSRGraph:
@@ -291,92 +280,6 @@ class CSRGraph:
         return sum(a.itemsize * len(a) for a in buffers)
 
     # ------------------------------------------------------------------
-    # shared memory (zero-copy worker attach)
-    # ------------------------------------------------------------------
-    def to_shared(self) -> SharedSegment:
-        """Export this graph into one shared-memory segment (owner side).
-
-        Layout: an 8-byte little-endian pickle length, the pickled meta
-        blob (decode table, node colors, palette, buffer lengths), then
-        — 8-byte aligned — every CSR buffer concatenated as raw ``'q'``
-        items in ``(out_offsets, out_targets, in_offsets, in_targets)``
-        order per color.  Workers rebuild the graph with
-        :meth:`from_shared`; only the meta blob is copied, the adjacency
-        stays in the segment.
-
-        The caller owns the returned segment: close + unlink it (or use
-        it as a context manager) once every worker has detached.
-        """
-        order: list[IntBuffer] = []
-        for color in self._colors:
-            order.append(self._out_offsets[color])
-            order.append(self._out_targets[color])
-            order.append(self._in_offsets[color])
-            order.append(self._in_targets[color])
-        lengths = [len(buf) for buf in order]
-        meta = pickle.dumps(
-            {
-                "decode": self._decode,
-                "node_colors": self._node_colors,
-                "colors": self._colors,
-                "lengths": lengths,
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        data_start = _align8(8 + len(meta))
-        segment = SharedSegment.create(data_start + 8 * sum(lengths))
-        buf = segment.buf
-        struct.pack_into("<q", buf, 0, len(meta))
-        buf[8 : 8 + len(meta)] = meta
-        position = data_start
-        for source in order:
-            nbytes = 8 * len(source)
-            buf[position : position + nbytes] = memoryview(source).cast("B")
-            position += nbytes
-        return segment
-
-    @classmethod
-    def from_shared(cls, segment: SharedSegment) -> "CSRGraph":
-        """Attach to an exported graph without copying the adjacency.
-
-        The returned graph's CSR buffers are ``memoryview`` slices over
-        the segment — drop every reference to the graph before closing
-        the segment, and do not pickle it (re-attach in each process
-        instead).
-        """
-        buf = segment.buf
-        (meta_len,) = struct.unpack_from("<q", buf, 0)
-        meta = pickle.loads(bytes(buf[8 : 8 + meta_len]))
-        lengths: list[int] = meta["lengths"]
-        data_start = _align8(8 + meta_len)
-        items = buf[data_start : data_start + 8 * sum(lengths)].cast(_TYPECODE)
-        views: list[memoryview] = []
-        position = 0
-        for length in lengths:
-            views.append(items[position : position + length])
-            position += length
-        colors: tuple[Any, ...] = meta["colors"]
-        out_offsets: dict[Any, IntBuffer] = {}
-        out_targets: dict[Any, IntBuffer] = {}
-        in_offsets: dict[Any, IntBuffer] = {}
-        in_targets: dict[Any, IntBuffer] = {}
-        cursor = iter(views)
-        for color in colors:
-            out_offsets[color] = next(cursor)
-            out_targets[color] = next(cursor)
-            in_offsets[color] = next(cursor)
-            in_targets[color] = next(cursor)
-        return cls(
-            meta["decode"],
-            meta["node_colors"],
-            colors,
-            out_offsets,
-            out_targets,
-            in_offsets,
-            in_targets,
-        )
-
-    # ------------------------------------------------------------------
     def _check_color(self, color: Any) -> Any:
         if color not in self._out_offsets:
             raise ValueError(
@@ -385,8 +288,7 @@ class CSRGraph:
             )
         return color
 
-    # __slots__ classes need explicit pickle support; the parallel
-    # detector ships frozen subTPIINs to worker processes.
+    # __slots__ classes need explicit pickle support.
     def __getstate__(self) -> dict[str, Any]:
         return {slot: getattr(self, slot) for slot in self.__slots__}
 

@@ -372,8 +372,7 @@ class DiGraph:
         return rev
 
     # ------------------------------------------------------------------
-    # pickling (__slots__ classes need explicit state support; the
-    # parallel detector ships subTPIINs to worker processes)
+    # pickling (__slots__ classes need explicit state support)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict[str, Any]:
         return {slot: getattr(self, slot) for slot in self.__slots__}

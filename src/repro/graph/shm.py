@@ -1,196 +1,16 @@
-"""POSIX shared-memory segment lifecycle for zero-copy worker attach.
+"""The ``/dev/shm`` name prefix of the retired shared-memory segments.
 
-The shared-memory parallel engine exports one frozen CSR adjacency
-(see :meth:`repro.graph.csr.CSRGraph.to_shared`) into a single
-``multiprocessing.shared_memory`` segment; every worker process then
-*attaches* to the same physical pages instead of receiving a pickled
-copy.  :class:`SharedSegment` wraps the stdlib ``SharedMemory`` object
-with the lifecycle discipline that makes this safe:
-
-* **Creation** keeps the stdlib resource-tracker registration.  The
-  tracker is a separate watchdog process that unlinks every registered
-  segment when its owner dies — so a crash, an unhandled exception or a
-  ``SIGTERM`` that skips ``atexit`` still cannot leak ``/dev/shm``
-  entries.  An :mod:`atexit` hook and context-manager support cover the
-  orderly paths without waiting for the tracker.
-* **Attachment** (in a worker) leaves the tracker state alone.  Worker
-  processes spawned by :mod:`multiprocessing` — fork *and* spawn alike
-  — share the creator's tracker process, whose cache is a name *set*:
-  the attach-side re-registration Python 3.11 performs is an idempotent
-  no-op there, and the single entry is removed exactly once, by the
-  owner's :meth:`SharedSegment.unlink`.  (Explicitly unregistering on
-  attach — a common workaround for *unrelated* processes with trackers
-  of their own — would strip the owner's crash net here.)
-* **Close/unlink are idempotent** and split owner from attacher: every
-  process closes its own mapping; only the creating process unlinks the
-  name.
-
-Segment names carry a recognizable ``repro_shm_`` prefix plus the
-creator pid so leak checks (tests, benchmarks) can scan ``/dev/shm``
-for strays.  The process-wide ``repro_shm_bytes`` gauge tracks the
-bytes currently owned by this process.
+The parallel engine once exported its frozen CSR adjacency into POSIX
+shared-memory segments for a worker pool.  The pool never beat
+in-process mining in a measured cell and was removed, and nothing in
+``repro`` creates a segment any more.  Only the name prefix stays:
+``perfbench/batch.py`` imports it for its ``/dev/shm`` leak scan, which
+keeps guarding that no run leaves a segment behind.
 """
 
 from __future__ import annotations
 
-import atexit
-import os
-import secrets
-import threading
-from multiprocessing import shared_memory
-from types import TracebackType
+__all__ = ["SHM_NAME_PREFIX"]
 
-from repro.obs.registry import get_registry
-
-__all__ = ["SHM_NAME_PREFIX", "SharedSegment", "live_owned_segments"]
-
-#: Public (``/dev/shm``) name prefix of every segment this module creates.
+#: Public (``/dev/shm``) name prefix the removed segments carried.
 SHM_NAME_PREFIX = "repro_shm_"
-
-_GAUGE_NAME = "repro_shm_bytes"
-_GAUGE_HELP = "Bytes of POSIX shared memory currently owned by this process."
-
-_registry_lock = threading.Lock()
-_owned: dict[str, "SharedSegment"] = {}
-
-
-def live_owned_segments() -> list[str]:
-    """Names of segments this process created and has not yet unlinked."""
-    with _registry_lock:
-        return sorted(_owned)
-
-
-def _cleanup_owned_at_exit() -> None:
-    with _registry_lock:
-        leftovers = list(_owned.values())
-    for segment in leftovers:
-        try:
-            segment.close()
-        except BufferError:  # view still pinned at exit; unlink anyway
-            pass
-        segment.unlink()
-
-
-atexit.register(_cleanup_owned_at_exit)
-
-
-class SharedSegment:
-    """One POSIX shared-memory segment, created or attached.
-
-    Use :meth:`create` in the exporting process and :meth:`attach` in
-    workers.  Both forms are context managers: ``__exit__`` closes the
-    local mapping, and additionally unlinks the name when this process
-    is the owner.
-    """
-
-    __slots__ = ("_shm", "_size", "_owner", "_closed", "_unlinked")
-
-    def __init__(self, shm: shared_memory.SharedMemory, *, owner: bool) -> None:
-        self._shm = shm
-        self._size = shm.size
-        self._owner = owner
-        self._closed = False
-        self._unlinked = False
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def create(cls, size: int) -> "SharedSegment":
-        """Create a new segment of at least ``size`` bytes (owner side).
-
-        The segment stays registered with the stdlib resource tracker:
-        if this process dies without unlinking — crash, ``SIGTERM``,
-        ``os._exit`` — the tracker unlinks it post-mortem.
-        """
-        name = f"{SHM_NAME_PREFIX}{os.getpid()}_{secrets.token_hex(4)}"
-        shm = shared_memory.SharedMemory(name=name, create=True, size=max(1, size))
-        segment = cls(shm, owner=True)
-        with _registry_lock:
-            _owned[segment.name] = segment
-        get_registry().gauge(_GAUGE_NAME, help=_GAUGE_HELP).inc(segment.size)
-        return segment
-
-    @classmethod
-    def attach(cls, name: str) -> "SharedSegment":
-        """Attach to an existing segment by public name (worker side).
-
-        Python 3.11 re-registers the name with the resource tracker on
-        attach; in a :mod:`multiprocessing` worker that tracker is the
-        creator's own (its cache is a set, so this is a no-op) and the
-        owner's unlink removes the single entry.  Do not attach from a
-        process with an unrelated resource tracker — its exit would
-        unlink the segment out from under the owner.
-        """
-        return cls(shared_memory.SharedMemory(name=name), owner=False)
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    @property
-    def name(self) -> str:
-        """Public segment name (the ``/dev/shm`` basename on Linux)."""
-        return self._shm.name
-
-    @property
-    def size(self) -> int:
-        """Mapped size in bytes (may exceed the requested size)."""
-        return self._size
-
-    @property
-    def owner(self) -> bool:
-        """Whether this process created (and must unlink) the segment."""
-        return self._owner
-
-    @property
-    def buf(self) -> memoryview:
-        """The raw byte view of the mapping."""
-        if self._closed:
-            raise ValueError(f"shared segment {self.name!r} is closed")
-        buf = self._shm.buf
-        assert buf is not None
-        return buf
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release this process's mapping (idempotent).
-
-        Every derived :class:`memoryview` over :attr:`buf` must be
-        released first or the underlying ``mmap`` refuses to close.
-        """
-        if self._closed:
-            return
-        self._shm.close()
-        self._closed = True
-
-    def unlink(self) -> None:
-        """Remove the segment name (owner only, idempotent)."""
-        if not self._owner or self._unlinked:
-            return
-        self._unlinked = True
-        with _registry_lock:
-            _owned.pop(self.name, None)
-        get_registry().gauge(_GAUGE_NAME, help=_GAUGE_HELP).dec(self._size)
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already reaped
-            pass
-
-    def __enter__(self) -> "SharedSegment":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        self.close()
-        self.unlink()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        role = "owner" if self._owner else "attached"
-        state = "closed" if self._closed else "open"
-        return f"<SharedSegment {self.name!r} {self._size}B {role} {state}>"

@@ -1,6 +1,6 @@
 """Whole-graph mining plan, compact mine records, and lazy groups.
 
-The shared-memory parallel engine never slices the TPIIN into
+The parallel engine never slices the TPIIN into
 per-component :class:`~repro.graph.digraph.DiGraph` objects.  Instead it
 freezes the *whole* graph once (:class:`~repro.graph.csr.CSRGraph`) and
 drives the kernels with the structures in this module:
@@ -10,13 +10,11 @@ drives the kernels with the structures in this module:
   order), the trading adjacency pre-filtered to intra-component arcs,
   and per-component *work estimates*: for acyclic components the exact
   DFS tree size via a path-count DP (the refined form of the
-  out-degree-product heuristic), used both to pick the mining kernel
-  and to balance worker buckets (LPT);
+  out-degree-product heuristic), used to pick the mining kernel;
 * :class:`CompactMine` — the raw mining outcome as flat arrays: the DFS
   prefix forest (``parent``/``node``/``root``) plus one
-  ``(tree index, target)`` pair per first-trading-arc emission.  Worker
-  processes return these arrays (they pickle as byte blobs) instead of
-  millions of group objects;
+  ``(tree index, target)`` pair per first-trading-arc emission, kept
+  as arrays instead of millions of group objects;
 * :func:`count_mine` — every Table-1 tally (trails, matched, circles,
   suspicious arcs) straight off the arrays, without materializing a
   single :class:`~repro.mining.groups.SuspiciousGroup`;
@@ -54,7 +52,6 @@ __all__ = [
     "build_plan",
     "count_mine",
     "make_group_store",
-    "merge_counts",
     "unpack_arcs",
 ]
 
@@ -69,12 +66,7 @@ _EST_CLIP = 1.0e18
 
 
 def as_int64(buffer: IntBuffer) -> np.ndarray:
-    """Zero-copy ``int64`` view over a CSR buffer.
-
-    Works for both buffer kinds: an owned ``array('q')`` and a shared
-    ``memoryview`` slice (:meth:`CSRGraph.from_shared`).  The view
-    aliases the source — it must not outlive a shared segment.
-    """
+    """Zero-copy ``int64`` view over a CSR ``array('q')`` buffer."""
     return np.frombuffer(buffer, dtype=np.int64)
 
 
@@ -87,9 +79,7 @@ def as_int64(buffer: IntBuffer) -> np.ndarray:
 class MiningPlan:
     """Component structure + work estimates of one frozen TPIIN.
 
-    All arrays are plain ``numpy`` data (picklable, small next to the
-    adjacency): the plan rides to worker processes by value while the
-    adjacency itself is attached through shared memory.
+    All arrays are plain ``numpy`` data, small next to the adjacency.
     """
 
     #: Node count of the frozen graph.
@@ -120,8 +110,8 @@ class MiningPlan:
     #: acyclic components below the clip; a coarse size proxy for
     #: cyclic ones.
     est_tree: np.ndarray
-    #: Per component, predicted tree size + emission count — the LPT
-    #: bucket weight and the pool-gating work measure.
+    #: Per component, predicted tree size + emission count (the
+    #: ``plan`` span's ``estimated_work``).
     est_work: np.ndarray
 
     def nontrivial(self) -> np.ndarray:
@@ -294,7 +284,11 @@ class CompactMine:
 
     @classmethod
     def merge(cls, parts: Sequence["CompactMine"], n_components: int) -> "CompactMine":
-        """Concatenate mines over disjoint components (tree indices shifted)."""
+        """Concatenate mines over disjoint components (tree indices shifted).
+
+        Joins the frontier and stack kernels' outputs in
+        :func:`~repro.mining.csr_engine.mine_components`.
+        """
         if not parts:
             return cls.empty(n_components)
         if len(parts) == 1:
@@ -440,25 +434,6 @@ def count_mine(mine: CompactMine, plan: MiningPlan) -> CompactCounts:
     return CompactCounts(trails, matched, circles, arcs)
 
 
-def merge_counts(
-    parts: Sequence[CompactCounts], n_components: int
-) -> CompactCounts:
-    """Sum tallies over disjoint component sets (worker bucket join)."""
-    trails = np.zeros(n_components, dtype=np.int64)
-    matched = np.zeros(n_components, dtype=np.int64)
-    circles = np.zeros(n_components, dtype=np.int64)
-    for part in parts:
-        trails += part.trails_by_comp
-        matched += part.matched_by_comp
-        circles += part.circle_by_comp
-    arcs = np.unique(
-        np.concatenate(
-            [p.suspicious_arcs for p in parts] or [np.zeros(0, dtype=np.int64)]
-        )
-    )
-    return CompactCounts(trails, matched, circles, arcs)
-
-
 def unpack_arcs(keys: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Packed ``tail * n_nodes + head`` arc keys back to id pairs."""
     return keys // n_nodes, keys % n_nodes
@@ -594,8 +569,7 @@ class LazyGroups(Sequence[SuspiciousGroup]):
     objects are decoded from the compact arrays on first element access
     and cached.  ``tail`` carries eager extras appended after the mined
     groups (the SCS groups on the top-level view).  Pickling
-    materializes — workers return arrays, not these views, so pickle
-    only happens when a *caller* stores results.
+    materializes, so it only happens when a caller stores results.
     """
 
     __slots__ = ("_store", "_comp", "_length", "_tail", "_items")

@@ -244,11 +244,8 @@ def detect(
     *,
     engine: str | Engine | None = None,
     max_trails_per_subtpiin: int | None = None,
-    skip_trivial_subtpiins: bool | None = None,
-    processes: int | None = None,
     collect_groups: bool | None = None,
     trace: TraceSpec | None = None,
-    min_pool_work: int | None = None,
     detectors: "str | Sequence[str] | None" = None,
 ) -> DetectionResult:
     """Detect all suspicious tax evasion groups in ``tpiin``.
@@ -265,11 +262,12 @@ def detect(
     engine:
         :class:`~repro.mining.options.Engine` or its string name.
         ``"faithful"`` (the default) runs the paper's Algorithm 1/2
-        literally and is the reference the others are tested against;
+        literally and is the reference the others are tested against
+        (subTPIINs without a trading arc are skipped, as they cannot
+        host a group);
         ``"parallel"`` runs the compact kernels over one frozen
-        :class:`~repro.graph.csr.CSRGraph` (same groups, much faster;
-        see docs/PERFORMANCE.md), fanning large jobs out across worker
-        processes;
+        :class:`~repro.graph.csr.CSRGraph` in this process (same
+        groups, much faster; see docs/PERFORMANCE.md);
         ``"incremental"`` streams the trading arcs through
         :class:`~repro.mining.incremental.IncrementalDetector` (useful
         to validate the streaming path against the batch engines).
@@ -278,16 +276,6 @@ def detect(
         safety valve; a capped run sets ``DetectionResult.truncated``
         and its counts are *lower bounds* (the paper's experiments run
         uncapped, as do ours).
-    skip_trivial_subtpiins:
-        Faithful engine only: skip subTPIINs with no trading arc (pure
-        optimization).
-    processes:
-        Parallel engine only: worker-process count (defaults to the
-        machine's CPU count).
-    min_pool_work:
-        Parallel engine only: minimum total estimated mining work
-        before a worker pool is spawned; smaller jobs (or single-CPU
-        machines) mine in-process on the same compact kernels.
     collect_groups:
         Incremental engine only: ``False`` keeps the Table-1 tallies
         without materializing every group object (the parallel engine
@@ -308,11 +296,8 @@ def detect(
     opts = (options if options is not None else DetectOptions()).with_overrides(
         engine=engine,
         max_trails_per_subtpiin=max_trails_per_subtpiin,
-        skip_trivial_subtpiins=skip_trivial_subtpiins,
-        processes=processes,
         collect_groups=collect_groups,
         trace=trace,
-        min_pool_work=min_pool_work,
         detectors=detectors,
     )
     tracer = opts.resolve_tracer()
@@ -358,12 +343,7 @@ def _run_engine(tpiin: TPIIN, opts: DetectOptions, tracer: TracerLike) -> Detect
     if opts.engine is Engine.PARALLEL:
         from repro.mining.parallel import parallel_detect  # reprolint: disable=R010
 
-        return parallel_detect(
-            tpiin,
-            processes=opts.processes,
-            min_pool_work=opts.min_pool_work,
-            tracer=tracer,
-        )
+        return parallel_detect(tpiin, tracer=tracer)
     if opts.engine is Engine.INCREMENTAL:
         from repro.mining.incremental import (  # reprolint: disable=R010
             IncrementalDetector,
@@ -401,7 +381,7 @@ def _detect_faithful(
 ) -> DetectionResult:
     """The paper's Algorithm 1 literally (segment / mine / match)."""
     with tracer.span("segment") as seg_span:
-        segmentation = segment(tpiin, skip_trivial=opts.skip_trivial_subtpiins)
+        segmentation = segment(tpiin, skip_trivial=True)
         if tracer.enabled:
             seg_span.set(
                 subtpiins=len(segmentation.subtpiins),

@@ -70,15 +70,8 @@ class DetectOptions:
 
     engine: Engine = Engine.FAITHFUL
     max_trails_per_subtpiin: int | None = None
-    skip_trivial_subtpiins: bool = True
-    processes: int | None = None
     collect_groups: bool = True
     trace: TraceSpec = False
-    # Parallel engine: minimum total estimated mining work (tree nodes +
-    # emissions) before a worker pool is spawned; below it the engine
-    # mines in-process on the same compact kernels.  None = the
-    # engine's built-in default.
-    min_pool_work: int | None = None
     # Extra portfolio detectors (repro.detectors registry names, or
     # "all") to run alongside the IAT mining; their merged findings
     # report is attached to DetectionResult.findings.  None = IAT only.
@@ -94,10 +87,6 @@ class DetectOptions:
             raise MiningError(
                 f"max_trails_per_subtpiin must be >= 1, got {self.max_trails_per_subtpiin}"
             )
-        if self.processes is not None and self.processes < 1:
-            raise MiningError(f"processes must be >= 1, got {self.processes}")
-        if self.min_pool_work is not None and self.min_pool_work < 0:
-            raise MiningError(f"min_pool_work must be >= 0, got {self.min_pool_work}")
 
     def with_overrides(self, **overrides: object) -> "DetectOptions":
         """A copy with every non-``None`` override applied.

@@ -1,58 +1,39 @@
-"""Zero-copy shared-memory parallel mining (``engine="parallel"``).
+"""In-process parallel-kernel mining (``engine="parallel"``).
 
-Algorithm 1's divide-and-conquer segmentation makes the mining
-embarrassingly parallel: each influence component is mined
-independently and only the results are merged.  Earlier revisions
-pickled one frozen kernel *per subTPIIN* to a process pool; this module
-replaces that fan-out end to end:
+Algorithm 1's divide-and-conquer segmentation makes every influence
+component an independent mining job.  This engine exploits that
+independence with vectorized kernels instead of a slice per
+subTPIIN:
 
 * the whole TPIIN is frozen **once** into a
-  :class:`~repro.graph.csr.CSRGraph` and exported into a single POSIX
-  shared-memory segment (:meth:`~repro.graph.csr.CSRGraph.to_shared`);
-  workers attach the same physical pages zero-copy instead of
-  unpickling per-component adjacency;
-* components are grouped into one bucket per worker by **estimated
-  mining work** (the :class:`~repro.mining.compact.MiningPlan` path-
-  count estimate, assigned largest-first / LPT), not by node count —
-  tree size, not graph size, is what a component costs;
-* each bucket runs the compact kernels
+  :class:`~repro.graph.csr.CSRGraph`; nothing is sliced into
+  per-component graphs;
+* the :class:`~repro.mining.compact.MiningPlan` labels components and
+  estimates each one's mining work (the path-count tree size), which
+  picks the kernel per component;
+* the compact kernels
   (:func:`~repro.mining.csr_engine.mine_components`: batched frontier
   expansion for large acyclic components, the guarded stack walk for
-  the rest) and returns flat count + tree arrays, never group objects;
+  the rest) return flat count + tree arrays, never group objects;
 * group objects materialize **lazily**
-  (:class:`~repro.mining.compact.LazyGroups`) in the parent, only if a
-  caller actually reads them.
+  (:class:`~repro.mining.compact.LazyGroups`), only if a caller
+  actually reads them.
 
-Small jobs skip the pool entirely and mine in-process on the very same
-kernels — on a single-CPU host the parallel engine is therefore the
-fastest *serial* engine, not a degraded one.  Segment lifecycle is
-crash-safe: the owner unlinks in a ``finally``, an ``atexit`` hook and
-the stdlib resource tracker cover abnormal exits (see
-:mod:`repro.graph.shm`).
+Everything runs in the calling process; docs/PERFORMANCE.md records
+why there is no worker pool.
 """
 
 from __future__ import annotations
 
-import heapq
-import os
-import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-
-import numpy as np
 
 from repro.fusion.tpiin import TPIIN
 from repro.graph.csr import CSRGraph
-from repro.graph.shm import SharedSegment
 from repro.mining.compact import (
-    CompactCounts,
-    CompactMine,
     LazyGroups,
-    MiningPlan,
     build_plan,
     count_mine,
     make_group_store,
-    merge_counts,
     unpack_arcs,
 )
 from repro.mining.csr_engine import mine_components
@@ -62,120 +43,16 @@ from repro.mining.scs_groups import scs_suspicious_groups
 from repro.model.colors import EColor
 from repro.obs.tracing import NULL_TRACER, TracerLike
 
-__all__ = ["DEFAULT_MIN_POOL_WORK", "parallel_detect"]
-
-#: Minimum total estimated mining work (tree nodes + emissions) before
-#: a worker pool is spawned.  Below it, process start-up and result
-#: pickling dominate any speedup, so the job mines in-process on the
-#: same compact kernels.  Calibrated against the benchmark sweep: the
-#: densest-720 setting (~0.5 M estimated work) mines in well under the
-#: ~100 ms a pool costs to spin up.
-DEFAULT_MIN_POOL_WORK = 5_000_000
-
-#: One worker outcome: (mine, counts, attach/mine/detach wall seconds).
-_Outcome = tuple[CompactMine, CompactCounts, float, float, float]
-
-
-def _lpt_buckets(
-    comps: np.ndarray, weights: np.ndarray, buckets: int
-) -> list[list[int]]:
-    """Longest-processing-time assignment of components to buckets.
-
-    Components are placed heaviest-first onto the least-loaded bucket,
-    so one giant component starts immediately instead of tail-blocking
-    the pool.  Empty buckets are dropped.
-    """
-    order = np.argsort(weights, kind="stable")[::-1]
-    heap: list[tuple[float, int]] = [(0.0, index) for index in range(buckets)]
-    heapq.heapify(heap)
-    assigned: list[list[int]] = [[] for _ in range(buckets)]
-    for comp, weight in zip(comps[order].tolist(), weights[order].tolist()):
-        load, index = heapq.heappop(heap)
-        assigned[index].append(comp)
-        heapq.heappush(heap, (load + weight, index))
-    return [bucket for bucket in assigned if bucket]
-
-
-def _mine_bucket(
-    payload: tuple[str, MiningPlan, list[int]],
-) -> _Outcome:
-    """Worker: attach the shared adjacency, mine one bucket, detach.
-
-    The attach is zero-copy — the worker maps the owner's pages and the
-    CSR buffers are ``memoryview`` slices into them.  Only the compact
-    result arrays travel back through the result pickle.  Wall times
-    for attach/mine/detach ride along so the parent can stamp spans at
-    the join (workers cannot share the parent's tracer).
-    """
-    segment_name, plan, comp_ids = payload
-    started = time.perf_counter()
-    segment = SharedSegment.attach(segment_name)
-    csr = CSRGraph.from_shared(segment)
-    attach_seconds = time.perf_counter() - started
-    try:
-        started = time.perf_counter()
-        mine = mine_components(csr, plan, np.asarray(comp_ids, dtype=np.int64))
-        counts = count_mine(mine, plan)
-        mine_seconds = time.perf_counter() - started
-    finally:
-        started = time.perf_counter()
-        del csr
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - view pinned by a traceback
-            pass  # the mapping is released when the worker exits
-        detach_seconds = time.perf_counter() - started
-    return mine, counts, attach_seconds, mine_seconds, detach_seconds
-
-
-def _pooled_mine(
-    csr: CSRGraph,
-    plan: MiningPlan,
-    buckets: list[list[int]],
-    tracer: TracerLike,
-) -> tuple[CompactMine, CompactCounts]:
-    """Fan buckets out over a pool attached to one shared segment."""
-    segment = csr.to_shared()
-    try:
-        with ProcessPoolExecutor(max_workers=len(buckets)) as pool:
-            payloads = [(segment.name, plan, bucket) for bucket in buckets]
-            outcomes: list[_Outcome] = list(pool.map(_mine_bucket, payloads))
-    finally:
-        segment.close()
-        segment.unlink()
-    if tracer.enabled:
-        for index, outcome in enumerate(outcomes):
-            _, _, attach_seconds, mine_seconds, detach_seconds = outcome
-            tracer.record("worker_attach", attach_seconds, bucket=index)
-            tracer.record(
-                "mine_bucket",
-                mine_seconds,
-                bucket=index,
-                components=len(buckets[index]),
-            )
-            tracer.record("worker_detach", detach_seconds, bucket=index)
-    mine = CompactMine.merge([o[0] for o in outcomes], plan.n_components)
-    counts = merge_counts([o[1] for o in outcomes], plan.n_components)
-    return mine, counts
+__all__ = ["parallel_detect"]
 
 
 def parallel_detect(
-    tpiin: TPIIN,
-    *,
-    processes: int | None = None,
-    min_pool_work: int | None = None,
-    tracer: TracerLike = NULL_TRACER,
+    tpiin: TPIIN, *, tracer: TracerLike = NULL_TRACER
 ) -> DetectionResult:
-    """Shared-memory parallel detection over the compact CSR kernels.
+    """Detection over the compact CSR kernels, in this process.
 
-    ``processes`` bounds the worker pool (default: CPU count); the pool
-    only spawns when there are at least two workers, at least two
-    non-trivial components, and the total estimated mining work clears
-    ``min_pool_work`` (default :data:`DEFAULT_MIN_POOL_WORK`) — below
-    that the same kernels run in-process, which beats every other
-    engine serially.  Results are identical to
-    ``detect(engine="faithful")`` up to group ordering; the property
-    suite compares them as sets.
+    Results are identical to ``detect(engine="faithful")`` up to group
+    ordering; the property suite compares them as sets.
     """
     with tracer.span("freeze") as freeze_span:
         csr = CSRGraph.freeze(
@@ -186,33 +63,17 @@ def parallel_detect(
     with tracer.span("plan") as plan_span:
         plan = build_plan(csr, tpiin.graph.nodes())
         selected = plan.nontrivial()
-        total_work = float(plan.est_work[selected].sum())
         if tracer.enabled:
             plan_span.set(
                 components=plan.n_components,
                 nontrivial=int(selected.size),
                 cross_component_trades=plan.cross_count,
-                estimated_work=total_work,
+                estimated_work=float(plan.est_work[selected].sum()),
             )
 
-    workers = processes if processes is not None else (os.cpu_count() or 1)
-    threshold = DEFAULT_MIN_POOL_WORK if min_pool_work is None else min_pool_work
-    pooled = workers >= 2 and selected.size >= 2 and total_work >= threshold
-    with tracer.span("mine") as mine_span:
-        if pooled:
-            buckets = _lpt_buckets(selected, plan.est_work[selected], workers)
-            mine, counts = _pooled_mine(csr, plan, buckets, tracer)
-            if tracer.enabled:
-                mine_span.set(
-                    pooled=True,
-                    workers=len(buckets),
-                    shm_bytes=csr.nbytes,
-                )
-        else:
-            mine = mine_components(csr, plan, selected)
-            counts = count_mine(mine, plan)
-            if tracer.enabled:
-                mine_span.set(pooled=False, workers=1)
+    with tracer.span("mine"):
+        mine = mine_components(csr, plan, selected)
+        counts = count_mine(mine, plan)
 
     decode = csr.decode_table
     store = make_group_store(mine, decode, plan.comp_id)

@@ -1,158 +1,19 @@
-"""Lifecycle tests for the POSIX shared-memory segment wrapper."""
+"""The shared-memory name prefix that leak scans look for."""
 
 from __future__ import annotations
 
 import os
-import pickle
 
-import pytest
-
-from repro.graph.csr import CSRGraph
-from repro.graph.shm import (
-    SHM_NAME_PREFIX,
-    SharedSegment,
-    _cleanup_owned_at_exit,
-    live_owned_segments,
-)
-from repro.model.colors import EColor
-from repro.obs.registry import get_registry
-
-SHM_DIR = "/dev/shm"
+from repro.graph.shm import SHM_NAME_PREFIX
+from repro.mining.detector import detect
 
 
-def shm_entries() -> list[str]:
-    """``repro_shm_*`` basenames currently present in ``/dev/shm``."""
-    if not os.path.isdir(SHM_DIR):  # pragma: no cover - non-Linux fallback
-        return []
-    return sorted(
-        name for name in os.listdir(SHM_DIR) if name.startswith(SHM_NAME_PREFIX)
-    )
-
-
-def gauge_value() -> float:
-    return get_registry().gauge("repro_shm_bytes").value
-
-
-class TestSharedSegment:
-    def test_create_write_attach_read(self):
-        payload = b"zero-copy attach"
-        with SharedSegment.create(len(payload)) as segment:
-            segment.buf[: len(payload)] = payload
-            attached = SharedSegment.attach(segment.name)
-            try:
-                assert bytes(attached.buf[: len(payload)]) == payload
-                assert not attached.owner
-                assert attached.size == segment.size
-            finally:
-                attached.close()
-        assert shm_entries() == []
-
-    def test_name_carries_prefix_and_pid(self):
-        with SharedSegment.create(8) as segment:
-            assert segment.name.startswith(f"{SHM_NAME_PREFIX}{os.getpid()}_")
-
-    def test_owner_registry_and_gauge(self):
-        before = gauge_value()
-        segment = SharedSegment.create(4096)
-        assert segment.name in live_owned_segments()
-        assert gauge_value() == before + segment.size
-        segment.close()
-        segment.unlink()
-        assert segment.name not in live_owned_segments()
-        assert gauge_value() == before
-        assert segment.name not in shm_entries()
-
-    def test_unlink_is_idempotent_and_owner_only(self):
-        segment = SharedSegment.create(16)
-        attached = SharedSegment.attach(segment.name)
-        before = gauge_value()
-        attached.close()
-        attached.unlink()  # no-op: not the owner
-        assert segment.name in shm_entries()
-        segment.close()
-        segment.unlink()
-        segment.unlink()  # second unlink is a no-op, gauge decs once
-        assert gauge_value() == before - segment.size
-
-    def test_buf_raises_after_close(self):
-        segment = SharedSegment.create(8)
-        try:
-            segment.close()
-            with pytest.raises(ValueError):
-                segment.buf
-        finally:
-            segment.unlink()
-
-    def test_context_manager_cleans_up_on_error(self):
-        with pytest.raises(RuntimeError):
-            with SharedSegment.create(32) as segment:
-                name = segment.name
-                raise RuntimeError("worker blew up")
-        assert name not in shm_entries()
-        assert name not in live_owned_segments()
-
-    def test_atexit_hook_reaps_leftovers(self):
-        segment = SharedSegment.create(64)
-        assert segment.name in live_owned_segments()
-        _cleanup_owned_at_exit()
-        assert live_owned_segments() == []
-        assert segment.name not in shm_entries()
-
-
-class TestCSRSharedRoundtrip:
-    def assert_same_graph(self, original: CSRGraph, restored: CSRGraph) -> None:
-        assert restored.decode_table == original.decode_table
-        assert restored.arc_color_domain == original.arc_color_domain
-        for color in original.arc_color_domain:
-            assert restored.number_of_arcs(color) == original.number_of_arcs(color)
-            for node in original.nodes():
-                assert list(restored.successors(node, color)) == list(
-                    original.successors(node, color)
-                )
-                assert list(restored.predecessors(node, color)) == list(
-                    original.predecessors(node, color)
-                )
-                assert restored.node_color(node) == original.node_color(node)
-
-    def test_roundtrip_preserves_adjacency(self, fig8):
-        csr = CSRGraph.freeze(fig8.graph, colors=(EColor.INFLUENCE, EColor.TRADING))
-        segment = csr.to_shared()
-        try:
-            restored = CSRGraph.from_shared(segment)
-            self.assert_same_graph(csr, restored)
-            del restored
-        finally:
-            segment.close()
-            segment.unlink()
-        assert shm_entries() == []
-
-    def test_attached_copy_is_zero_copy_view(self, fig8):
-        csr = CSRGraph.freeze(fig8.graph, colors=(EColor.INFLUENCE, EColor.TRADING))
-        owner = csr.to_shared()
-        try:
-            attached = SharedSegment.attach(owner.name)
-            restored = CSRGraph.from_shared(attached)
-            offs, tgts = restored.out_adjacency(EColor.INFLUENCE)
-            assert isinstance(offs, memoryview)
-            # The views pin the mapping: close must fail until released.
-            with pytest.raises(BufferError):
-                attached.close()
-            del restored, offs, tgts
-            attached.close()
-        finally:
-            owner.close()
-            owner.unlink()
-
-    def test_shared_csr_survives_where_pickle_would_copy(self, small_province_tpiin):
-        csr = CSRGraph.freeze(
-            small_province_tpiin.graph, colors=(EColor.INFLUENCE, EColor.TRADING)
-        )
-        pickled = len(pickle.dumps(csr))
-        with csr.to_shared() as segment:
-            restored = CSRGraph.from_shared(segment)
-            self.assert_same_graph(csr, restored)
-            # The segment holds one adjacency; it is the same order of
-            # magnitude as the pickle but shared by every attacher.
-            assert segment.size >= 8
-            assert pickled > 0
-            del restored
+def test_parallel_detect_leaves_no_segment(small_province_tpiin):
+    # perfbench's batch workloads scan /dev/shm for this prefix after
+    # every run; the in-process engine must never give them a hit.
+    assert SHM_NAME_PREFIX == "repro_shm_"
+    detect(small_province_tpiin, engine="parallel")
+    if os.path.isdir("/dev/shm"):
+        assert not [
+            name for name in os.listdir("/dev/shm") if name.startswith(SHM_NAME_PREFIX)
+        ]

@@ -14,7 +14,6 @@ from repro.mining.compact import (
     build_plan,
     count_mine,
     make_group_store,
-    merge_counts,
 )
 from repro.mining.csr_engine import (
     _FRONTIER_MIN_TREE,
@@ -138,12 +137,6 @@ class TestKernels:
         )
         assert np.array_equal(
             merged_counts.suspicious_arcs, whole_counts.suspicious_arcs
-        )
-        split_counts = merge_counts(
-            [count_mine(left, plan), count_mine(right, plan)], plan.n_components
-        )
-        assert np.array_equal(
-            split_counts.matched_by_comp, whole_counts.matched_by_comp
         )
 
 

@@ -44,6 +44,17 @@ class TestDetectOptions:
         assert opts.collect_groups is True
         assert opts.trace is False
 
+    @pytest.mark.parametrize(
+        "removed", ["processes", "min_pool_work", "skip_trivial_subtpiins"]
+    )
+    def test_removed_knobs_are_rejected(self, removed):
+        from repro.detectors.iat import IATConfig
+
+        for bag in (DetectOptions, IATConfig):
+            assert removed not in bag.__dataclass_fields__
+            with pytest.raises(TypeError):
+                bag(**{removed: 1})
+
     def test_engine_coerced_on_construction(self):
         assert DetectOptions(engine="parallel").engine is Engine.PARALLEL
         with pytest.raises(MiningError, match="unknown engine"):
@@ -57,16 +68,14 @@ class TestDetectOptions:
     def test_validates_bounds(self):
         with pytest.raises(MiningError, match="max_trails_per_subtpiin"):
             DetectOptions(max_trails_per_subtpiin=0)
-        with pytest.raises(MiningError, match="processes"):
-            DetectOptions(processes=0)
 
     def test_with_overrides_drops_nones(self):
-        base = DetectOptions(engine=Engine.PARALLEL, processes=4)
-        same = base.with_overrides(engine=None, processes=None)
+        base = DetectOptions(engine=Engine.PARALLEL, max_trails_per_subtpiin=4)
+        same = base.with_overrides(engine=None, max_trails_per_subtpiin=None)
         assert same is base
         changed = base.with_overrides(engine="incremental", collect_groups=None)
         assert changed.engine is Engine.INCREMENTAL
-        assert changed.processes == 4
+        assert changed.max_trails_per_subtpiin == 4
         assert base.engine is Engine.PARALLEL  # original untouched
 
     def test_with_overrides_coerces_engine(self):

@@ -1,70 +1,15 @@
-"""Unit tests for the shared-memory parallel detector."""
+"""Unit tests for the in-process parallel detector."""
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-import pytest
-from concurrent.futures.process import BrokenProcessPool
-
-import repro.mining.parallel as parallel_mod
-from repro.graph.shm import SHM_NAME_PREFIX, live_owned_segments
 from repro.mining.compact import LazyGroups
 from repro.mining.detector import detect
-from repro.mining.parallel import (
-    DEFAULT_MIN_POOL_WORK,
-    _lpt_buckets,
-    parallel_detect,
-)
-from repro.obs.registry import get_registry
+from repro.mining.parallel import parallel_detect
 from repro.obs.tracing import Tracer
-
-
-def shm_entries() -> list[str]:
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux fallback
-        return []
-    return sorted(
-        name
-        for name in os.listdir("/dev/shm")
-        if name.startswith(SHM_NAME_PREFIX)
-    )
-
-
-def assert_no_shm_leak() -> None:
-    assert shm_entries() == []
-    assert live_owned_segments() == []
-    assert get_registry().gauge("repro_shm_bytes").value == 0.0
-
-
-def mine_span(tracer: Tracer):
-    (span,) = [root for root in tracer.roots if root.name == "mine"]
-    return span
-
-
-def _crash_worker(payload):  # pragma: no cover - runs in the child
-    os._exit(1)
-
-
-class _InterruptingPool:
-    """Stand-in pool whose map() dies like a Ctrl-C mid-flight."""
-
-    def __init__(self, *args, **kwargs):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return None
-
-    def map(self, fn, payloads):
-        raise KeyboardInterrupt
 
 
 class TestParallel:
     def test_matches_faithful_on_fig8(self, fig8):
-        # Single subTPIIN: takes the in-process fallback path.
         faithful = detect(fig8)
         parallel = parallel_detect(fig8)
         assert {g.key() for g in parallel.groups} == {
@@ -74,7 +19,7 @@ class TestParallel:
 
     def test_matches_faithful_on_small_province(self, small_province_tpiin):
         faithful = detect(small_province_tpiin)
-        parallel = parallel_detect(small_province_tpiin, processes=2)
+        parallel = parallel_detect(small_province_tpiin)
         assert {g.key() for g in parallel.groups} == {
             g.key() for g in faithful.groups
         }
@@ -86,11 +31,6 @@ class TestParallel:
         result = detect(fig8, engine="parallel")
         assert result.engine == "parallel"
 
-    def test_engine_dispatch_forwards_processes(self, small_province_tpiin):
-        faithful = detect(small_province_tpiin)
-        result = detect(small_province_tpiin, engine="parallel", processes=2)
-        assert {g.key() for g in result.groups} == {g.key() for g in faithful.groups}
-
     def test_incremental_engine_dispatch(self, fig8):
         faithful = detect(fig8)
         result = detect(fig8, engine="incremental")
@@ -98,7 +38,7 @@ class TestParallel:
         assert {g.key() for g in result.groups} == {g.key() for g in faithful.groups}
 
     def test_sub_results_sorted_by_index(self, small_province_tpiin):
-        result = parallel_detect(small_province_tpiin, processes=2)
+        result = parallel_detect(small_province_tpiin)
         indices = [sub.index for sub in result.sub_results]
         assert indices == sorted(indices)
 
@@ -112,100 +52,9 @@ class TestParallel:
             [g for g in result.groups if g.kind.name == "SCS"]
         ) == len(result.groups)
 
-
-class TestPoolGating:
-    def test_small_work_stays_in_process(self, small_province_tpiin):
-        # The default threshold dwarfs any test fixture: pool spin-up
-        # costs ~100 ms, so small jobs must mine in-process.
-        assert DEFAULT_MIN_POOL_WORK >= 1_000_000
+    def test_stage_spans(self, small_province_tpiin):
         tracer = Tracer()
-        parallel_detect(small_province_tpiin, processes=8, tracer=tracer)
-        span = mine_span(tracer)
-        assert span.attributes["pooled"] is False
-        assert span.attributes["workers"] == 1
-        assert_no_shm_leak()
-
-    def test_zero_threshold_forces_pool(self, small_province_tpiin):
-        tracer = Tracer()
-        result = parallel_detect(
-            small_province_tpiin, processes=2, min_pool_work=0, tracer=tracer
-        )
-        span = mine_span(tracer)
-        assert span.attributes["pooled"] is True
-        assert span.attributes["workers"] == 2
-        assert span.attributes["shm_bytes"] > 0
-        faithful = detect(small_province_tpiin)
-        assert {g.key() for g in result.groups} == {
-            g.key() for g in faithful.groups
-        }
-        assert result.kind_counts() == faithful.kind_counts()
-        assert_no_shm_leak()
-
-    def test_single_worker_never_pools(self, small_province_tpiin):
-        tracer = Tracer()
-        parallel_detect(
-            small_province_tpiin, processes=1, min_pool_work=0, tracer=tracer
-        )
-        assert mine_span(tracer).attributes["pooled"] is False
-
-    def test_detect_forwards_min_pool_work(self, small_province_tpiin):
-        faithful = detect(small_province_tpiin)
-        result = detect(
-            small_province_tpiin, engine="parallel", processes=2, min_pool_work=0
-        )
-        assert {g.key() for g in result.groups} == {
-            g.key() for g in faithful.groups
-        }
-        assert_no_shm_leak()
-
-
-class TestLptBuckets:
-    def test_balances_heaviest_first(self):
-        comps = np.array([10, 11, 12, 13, 14, 15])
-        weights = np.array([9.0, 1.0, 1.0, 1.0, 1.0, 9.0])
-        buckets = _lpt_buckets(comps, weights, 2)
-        assert sorted(comp for bucket in buckets for comp in bucket) == [
-            10,
-            11,
-            12,
-            13,
-            14,
-            15,
-        ]
-        loads = sorted(
-            sum(weights[comps.tolist().index(c)] for c in bucket)
-            for bucket in buckets
-        )
-        assert loads == [11.0, 11.0]
-
-    def test_giant_component_gets_own_bucket(self):
-        comps = np.array([0, 1, 2])
-        weights = np.array([100.0, 1.0, 1.0])
-        buckets = _lpt_buckets(comps, weights, 2)
-        assert [0] in buckets
-        assert sorted(len(b) for b in buckets) == [1, 2]
-
-    def test_drops_empty_buckets(self):
-        comps = np.array([3, 4])
-        weights = np.array([2.0, 1.0])
-        buckets = _lpt_buckets(comps, weights, 8)
-        assert len(buckets) == 2
-        assert all(bucket for bucket in buckets)
-
-
-class TestCrashSafety:
-    def test_worker_crash_leaks_nothing(self, small_province_tpiin, monkeypatch):
-        monkeypatch.setattr(parallel_mod, "_mine_bucket", _crash_worker)
-        with pytest.raises(BrokenProcessPool):
-            parallel_detect(small_province_tpiin, processes=2, min_pool_work=0)
-        assert_no_shm_leak()
-
-    def test_keyboard_interrupt_leaks_nothing(
-        self, small_province_tpiin, monkeypatch
-    ):
-        monkeypatch.setattr(
-            parallel_mod, "ProcessPoolExecutor", _InterruptingPool
-        )
-        with pytest.raises(KeyboardInterrupt):
-            parallel_detect(small_province_tpiin, processes=2, min_pool_work=0)
-        assert_no_shm_leak()
+        parallel_detect(small_province_tpiin, tracer=tracer)
+        assert [root.name for root in tracer.roots][:3] == ["freeze", "plan", "mine"]
+        (plan,) = [root for root in tracer.roots if root.name == "plan"]
+        assert plan.attributes["estimated_work"] > 0

@@ -14,9 +14,7 @@ from repro.obs.tracing import Tracer
 
 from .strategies import tpiins
 
-#: Every engine; tiny examples stay far below the parallel engine's
-#: pool threshold, so it mines in-process here (the pooled path's trace
-#: is covered by tests/mining/test_parallel.py).
+#: Every engine.
 _ENGINES = tuple(Engine)
 
 

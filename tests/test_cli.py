@@ -30,7 +30,6 @@ class TestParser:
                 else [command, "a.csv", "n.csv", "--engine", "incremental"]
             )
             assert args.engine == "incremental"
-            assert args.processes is None
 
     def test_engine_defaults_to_parallel(self):
         parser = build_parser()
@@ -44,11 +43,13 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "faithful, parallel, incremental" in capsys.readouterr().err.replace("'", "")
 
-    def test_mine_accepts_processes(self):
-        args = build_parser().parse_args(
-            ["mine", "a.csv", "n.csv", "--engine", "parallel", "--processes", "2"]
-        )
-        assert args.processes == 2
+    @pytest.mark.parametrize("command", ["mine", "ingest"])
+    def test_processes_flag_is_gone(self, command, capsys):
+        paths = ["a.csv"] if command == "ingest" else ["a.csv", "n.csv"]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *paths, "--processes", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --processes 2" in capsys.readouterr().err
 
     def test_serve_defaults(self, tmp_path):
         args = build_parser().parse_args(
@@ -304,3 +305,52 @@ class TestNewCommands:
         out = capsys.readouterr().out
         assert "Affiliated transaction analysis: C00001" in out
         assert "Investment tree" in out
+
+
+class TestErrors:
+    """Typed library errors and OS errors exit 2 with one stderr line."""
+
+    @staticmethod
+    def assert_one_line_error(code, capsys, command, fragment):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"repro-tpiin {command}: ")
+        assert fragment in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.fixture(scope="class")
+    def network(self, tmp_path_factory):
+        prefix = tmp_path_factory.mktemp("net") / "net"
+        assert main(["generate", "--out", str(prefix), "--companies", "60"]) == 0
+        return prefix.with_suffix(".arcs.csv"), prefix.with_suffix(".nodes.csv")
+
+    @pytest.mark.parametrize(
+        "flag", ["--snapshot-every", "--queue-limit", "--group-commit-max"]
+    )
+    def test_serve_rejects_zero_limits(self, flag, network, tmp_path, capsys):
+        arcs, nodes = network
+        capsys.readouterr()
+        code = main(
+            [
+                "serve",
+                str(arcs),
+                str(nodes),
+                "--port",
+                "0",
+                "--state-dir",
+                str(tmp_path / "state"),
+                flag,
+                "0",
+            ]
+        )
+        self.assert_one_line_error(code, capsys, "serve", ">= 1")
+        assert not (tmp_path / "state").exists()
+
+    def test_investigate_unknown_company(self, capsys):
+        code = main(["investigate", "ZZZ", "--companies", "60"])
+        self.assert_one_line_error(code, capsys, "investigate", "'ZZZ'")
+
+    def test_mine_missing_csv(self, tmp_path, capsys):
+        code = main(["mine", str(tmp_path / "nope.csv"), str(tmp_path / "t.csv")])
+        self.assert_one_line_error(code, capsys, "mine", "nope.csv")

@@ -35,7 +35,7 @@ def test_stream_ingest(benchmark):
     _ds, base, feed = _setup()
 
     def ingest():
-        monitor = IncrementalDetector(base, collect_groups=False)
+        monitor = IncrementalDetector(base)
         for arc in feed:
             monitor.add_trading_arc(*arc)
         return monitor
@@ -63,7 +63,7 @@ def test_batch_equivalent(benchmark):
 def test_streaming_report(benchmark):
     def build_report() -> str:
         _ds, base, feed = _setup()
-        monitor = IncrementalDetector(base, collect_groups=False)
+        monitor = IncrementalDetector(base)
         started = time.perf_counter()
         suspicious = 0
         for arc in feed:

@@ -72,24 +72,20 @@ def run_table1(
     probabilities: Sequence[float] = PAPER_TRADING_PROBABILITIES,
     *,
     engine: str = "parallel",
-    collect_groups: bool = False,
     verify_against_oracle: bool = True,
 ) -> Table1Result:
     """Run the sweep and return the assembled table.
 
     The antecedent network is fused once; each probability overlays its
     own seeded trading network (matching the paper's "twenty trading
-    networks randomly generated").  ``engine`` selects the detector;
-    ``collect_groups`` only affects the incremental engine, whose
-    count-only mode keeps the densest settings within a small memory
-    budget.
+    networks randomly generated").  ``engine`` selects the detector.
     """
     base = dataset.antecedent_tpiin()
     result = Table1Result(engine=engine)
     for probability in probabilities:
         started = time.perf_counter()
         tpiin = dataset.overlay_trading(base, probability)
-        detection = detect(tpiin, engine=engine, collect_groups=collect_groups)
+        detection = detect(tpiin, engine=engine)
         row = compute_table1_row(
             tpiin,
             detection,

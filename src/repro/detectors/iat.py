@@ -32,15 +32,13 @@ class IATConfig:
     """Tuning of the wrapped :func:`repro.mining.detect` run.
 
     Mirrors the engine-facing fields of
-    :class:`~repro.mining.options.DetectOptions`: the engine, the
-    faithful engine's trail cap and the incremental engine's
-    ``collect_groups``.  Tracing is supplied by the portfolio runner,
-    and ``detectors`` recursion is forbidden by construction.
+    :class:`~repro.mining.options.DetectOptions`: the engine and the
+    faithful engine's trail cap.  Tracing is supplied by the portfolio
+    runner, and ``detectors`` recursion is forbidden by construction.
     """
 
     engine: str = "faithful"
     max_trails_per_subtpiin: int | None = None
-    collect_groups: bool = True
 
     @classmethod
     def from_options(cls, options: DetectOptions) -> "IATConfig":
@@ -48,14 +46,12 @@ class IATConfig:
         return cls(
             engine=options.engine.value,
             max_trails_per_subtpiin=options.max_trails_per_subtpiin,
-            collect_groups=options.collect_groups,
         )
 
     def to_options(self) -> DetectOptions:
         return DetectOptions(
             engine=self.engine,
             max_trails_per_subtpiin=self.max_trails_per_subtpiin,
-            collect_groups=self.collect_groups,
         )
 
 
@@ -81,13 +77,9 @@ class IATGroupDetector:
             trace=context.tracer if context.tracer.enabled else None,
         )
         certifying: dict[tuple[Node, Node], int] = {}
-        if result.groups:
-            for group in result.groups:
-                arc = group.trading_arc
-                certifying[arc] = certifying.get(arc, 0) + 1
-        else:
-            # Count-only engines keep the arc set without the groups.
-            certifying = dict.fromkeys(result.suspicious_trading_arcs, 1)
+        for group in result.groups:
+            arc = group.trading_arc
+            certifying[arc] = certifying.get(arc, 0) + 1
         findings = [
             Finding(
                 detector=self.name,

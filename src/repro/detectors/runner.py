@@ -26,7 +26,6 @@ from repro.errors import MiningError
 from repro.fusion.tpiin import TPIIN
 from repro.mining.options import DetectOptions, TraceSpec
 from repro.obs.registry import get_registry
-from repro.obs.tracing import NULL_TRACER, Tracer, TracerLike
 
 __all__ = ["run_detectors"]
 
@@ -72,7 +71,7 @@ def run_detectors(
                 f"config supplied for unselected detector {name!r} "
                 f"(selected: {', '.join(names)})"
             )
-    tracer = _resolve_tracer(trace)
+    tracer = DetectOptions(trace=trace).resolve_tracer()
     metrics = get_registry()
     runs: dict[str, DetectorRun] = {}
     with tracer.span("run_detectors") as root:
@@ -116,14 +115,6 @@ def run_detectors(
             )
         trace_record = root.record
     return FindingsReport(runs=runs, trace=trace_record)
-
-
-def _resolve_tracer(trace: TraceSpec) -> TracerLike:
-    if trace is True:
-        return Tracer()
-    if trace is False or trace is None:
-        return NULL_TRACER
-    return trace
 
 
 def _instantiate(

@@ -1,12 +1,12 @@
 """Compact mining kernels over a frozen CSR graph.
 
 These are the kernels the ``parallel`` engine
-(:mod:`repro.mining.parallel`) runs, in-process or inside a worker
-attached to the shared-memory freeze.  They walk Algorithm 2's patterns
-tree over a :class:`~repro.graph.csr.CSRGraph` of the *whole* TPIIN,
-restricted to the components a :class:`~repro.mining.compact.MiningPlan`
-selects, and record the DFS prefix forest plus the first-trading-arc
-emissions as flat arrays (:class:`~repro.mining.compact.CompactMine`)
+(:mod:`repro.mining.parallel`) runs in-process.  They walk Algorithm 2's
+patterns tree over a :class:`~repro.graph.csr.CSRGraph` of the *whole*
+TPIIN, restricted to the components a
+:class:`~repro.mining.compact.MiningPlan` selects, and record the DFS
+prefix forest plus the first-trading-arc emissions as flat arrays
+(:class:`~repro.mining.compact.CompactMine`)
 instead of building group objects:
 
 * :func:`mine_frontier_compact` — batched, level-synchronous frontier

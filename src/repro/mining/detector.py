@@ -13,8 +13,7 @@ Three engines implement identical semantics:
 * ``"faithful"`` — the paper's algorithm literally: materializes the
   pattern base and matches it (this module); the reference oracle;
 * ``"parallel"`` — count-first compact kernels over one frozen CSR
-  graph, optionally fanned out over shared memory
-  (:mod:`repro.mining.parallel`);
+  graph, in-process (:mod:`repro.mining.parallel`);
 * ``"incremental"`` — the streaming per-arc detector
   (:mod:`repro.mining.incremental`) replayed over the whole arc set.
 
@@ -84,9 +83,9 @@ class SubTPIINResult:
 class DetectionResult:
     """Aggregated outcome of Algorithm 1 over a whole TPIIN.
 
-    The incremental engine's count-only mode fills the ``*_override``
-    fields instead of materializing every group object; the count
-    properties below fall back to them when ``groups`` is empty.
+    The parallel engine fills the ``*_override`` fields from its compact
+    tallies, so reading the kind counts or the suspicious arcs never
+    materializes its lazy groups.
     """
 
     # Eager engines fill a plain list; the parallel engine supplies a
@@ -101,8 +100,6 @@ class DetectionResult:
     # True when a max_trails cap silently stopped some pattern search:
     # every count in this result is then a lower bound, not a total.
     truncated: bool = False
-    simple_count_override: int | None = None
-    complex_count_override: int | None = None
     kind_counts_override: Counter[GroupKind] | None = None
     suspicious_arcs_override: set[tuple[Node, Node]] | None = None
     # Root span of the traced run (None unless detect(..., trace=...)
@@ -133,27 +130,18 @@ class DetectionResult:
     @property
     def simple_group_count(self) -> int:
         """Simple groups (Definition 3), including circle and SCS groups."""
-        if self.simple_count_override is not None:
-            return self.simple_count_override
         return sum(1 for g in self.groups if g.is_simple)
 
     @property
     def complex_group_count(self) -> int:
-        if self.complex_count_override is not None:
-            return self.complex_count_override
         return sum(1 for g in self.groups if g.is_complex)
 
     @property
     def group_count(self) -> int:
-        """Total groups, without classifying them.
-
-        Uses the count overrides when an engine supplied them (the
-        incremental engine's count-only mode), else ``len(groups)`` — never a
-        simple/complex classification pass, which costs two full
-        interior-set scans and would materialize lazy group sequences.
+        """Total groups: ``len(groups)``, never a simple/complex
+        classification pass, which costs two full interior-set scans and
+        would materialize lazy group sequences.
         """
-        if self.simple_count_override is not None and self.complex_count_override is not None:
-            return self.simple_count_override + self.complex_count_override
         return len(self.groups)
 
     @property
@@ -244,7 +232,6 @@ def detect(
     *,
     engine: str | Engine | None = None,
     max_trails_per_subtpiin: int | None = None,
-    collect_groups: bool | None = None,
     trace: TraceSpec | None = None,
     detectors: "str | Sequence[str] | None" = None,
 ) -> DetectionResult:
@@ -276,10 +263,6 @@ def detect(
         safety valve; a capped run sets ``DetectionResult.truncated``
         and its counts are *lower bounds* (the paper's experiments run
         uncapped, as do ours).
-    collect_groups:
-        Incremental engine only: ``False`` keeps the Table-1 tallies
-        without materializing every group object (the parallel engine
-        materializes its groups lazily, on first read, regardless).
     trace:
         ``True`` collects a span tree onto ``DetectionResult.trace``;
         a caller-owned :class:`~repro.obs.Tracer` nests the run under
@@ -296,7 +279,6 @@ def detect(
     opts = (options if options is not None else DetectOptions()).with_overrides(
         engine=engine,
         max_trails_per_subtpiin=max_trails_per_subtpiin,
-        collect_groups=collect_groups,
         trace=trace,
         detectors=detectors,
     )
@@ -349,9 +331,7 @@ def _run_engine(tpiin: TPIIN, opts: DetectOptions, tracer: TracerLike) -> Detect
             IncrementalDetector,
         )
 
-        return IncrementalDetector(
-            tpiin, collect_groups=opts.collect_groups, tracer=tracer
-        ).result()
+        return IncrementalDetector(tpiin, tracer=tracer).result()
     return _detect_faithful(tpiin, opts, tracer)
 
 

@@ -27,7 +27,7 @@ roots ``r`` (matched groups) plus the influence paths ``c2 ~> c1``
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -107,9 +107,6 @@ class IncrementalDetector:
         saved SCS subgraphs define the static antecedent side; any
         trading arcs already present (including recorded intra-SCS
         trades) are ingested as the initial stream.
-    collect_groups:
-        With ``False`` only counts are tracked, mirroring
-        ``detect(..., collect_groups=False)``.
     max_cached_roots:
         Upper bound on the number of roots whose influence-path
         enumerations are kept in the LRU cache.  ``None`` disables the
@@ -132,7 +129,6 @@ class IncrementalDetector:
         self,
         tpiin: TPIIN,
         *,
-        collect_groups: bool = True,
         max_cached_roots: int | None = 4096,
         tracer: TracerLike = NULL_TRACER,
         ingest_baseline: bool = True,
@@ -142,7 +138,6 @@ class IncrementalDetector:
                 f"max_cached_roots must be positive or None, got {max_cached_roots}"
             )
         self._tpiin = tpiin
-        self._collect = collect_groups
         self._graph = tpiin.antecedent_graph()
         with tracer.span("index_antecedent") as index_span:
             self._index = RootAncestorIndex(self._graph, EColor.INFLUENCE)
@@ -189,9 +184,6 @@ class IncrementalDetector:
                 self._component_of[node] = i
 
         self._arcs: dict[tuple[Node, Node], _ArcState] = {}
-        self._simple = 0
-        self._complex = 0
-        self._kinds: Counter[GroupKind] = Counter()
 
         if ingest_baseline:
             with tracer.span("ingest") as ingest_span:
@@ -223,7 +215,6 @@ class IncrementalDetector:
         groups = self._groups_for(seller, buyer, arc)
         state = _ArcState(suspicious=bool(groups), groups=list(groups))
         self._arcs[key] = state
-        self._account(groups, sign=+1)
         return ArcUpdate(key, state.suspicious, tuple(groups), True)
 
     def remove_trading_arc(self, seller: Node, buyer: Node) -> ArcUpdate:
@@ -232,7 +223,6 @@ class IncrementalDetector:
         state = self._arcs.pop(key, None)
         if state is None:
             return ArcUpdate(key, False, (), False)
-        self._account(state.groups, sign=-1)
         return ArcUpdate(key, state.suspicious, tuple(state.groups), True)
 
     def __contains__(self, arc: tuple[Node, Node]) -> bool:
@@ -297,9 +287,8 @@ class IncrementalDetector:
     def result(self) -> DetectionResult:
         """A :class:`DetectionResult` equal to a batch run over the arcs."""
         groups: list[SuspiciousGroup] = []
-        if self._collect:
-            for state in self._arcs.values():
-                groups.extend(state.groups)
+        for state in self._arcs.values():
+            groups.extend(state.groups)
         return DetectionResult(
             groups=groups,
             total_trading_arcs=len(self._arcs),
@@ -311,10 +300,6 @@ class IncrementalDetector:
             ),
             subtpiin_count=self.component_count,
             engine="incremental",
-            simple_count_override=None if self._collect else self._simple,
-            complex_count_override=None if self._collect else self._complex,
-            kind_counts_override=None if self._collect else Counter(self._kinds),
-            suspicious_arcs_override=None if self._collect else self.suspicious_arcs,
         )
 
     # ------------------------------------------------------------------
@@ -383,14 +368,6 @@ class IncrementalDetector:
         return _enumerate_arc_groups(
             self._csr, self._index, self._paths_of, c1, c2
         )
-
-    def _account(self, groups: list[SuspiciousGroup], *, sign: int) -> None:
-        for group in groups:
-            self._kinds[group.kind] += sign
-            if group.is_simple:
-                self._simple += sign
-            else:
-                self._complex += sign
 
 
 # ----------------------------------------------------------------------

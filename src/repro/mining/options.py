@@ -70,7 +70,6 @@ class DetectOptions:
 
     engine: Engine = Engine.FAITHFUL
     max_trails_per_subtpiin: int | None = None
-    collect_groups: bool = True
     trace: TraceSpec = False
     # Extra portfolio detectors (repro.detectors registry names, or
     # "all") to run alongside the IAT mining; their merged findings

@@ -87,7 +87,6 @@ def sliding_window_detect(
     step: int | None = None,
     start: int | None = None,
     end: int | None = None,
-    collect_groups: bool = False,
 ) -> Iterator[WindowResult]:
     """Slide a ``window``-wide detection over the timed ``trades``.
 
@@ -123,7 +122,7 @@ def sliding_window_detect(
             max(t.effective_from for t in trades) + 1,
         )
 
-    detector = IncrementalDetector(antecedent, collect_groups=collect_groups)
+    detector = IncrementalDetector(antecedent)
     refcount: Counter[tuple[Node, Node]] = Counter()
     previous_suspicious: set[tuple[Node, Node]] = set()
 

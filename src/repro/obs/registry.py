@@ -1,9 +1,10 @@
 """Process-wide metrics registry (counters, gauges, histograms).
 
-One :class:`MetricsRegistry` holds every named metric series of a
-process — daemon request counters, WAL appends, batch-detect tallies,
-path-cache hit rates — so the service's ``/v1/metrics`` endpoint and the
-batch pipeline report through a single schema.  Two exporters:
+The process-wide :class:`MetricsRegistry` holds the library series —
+batch-detect tallies, detector runs, path-cache hit rates; each serving
+daemon keeps its own instance for its request and WAL series.  Both
+report through one schema, so the service's ``/v1/metrics`` endpoint
+exports the two side by side.  Two exporters:
 
 * :meth:`MetricsRegistry.to_dict` — one JSON document, metric name ->
   ``{kind, help, series: [{labels, ...values}]}``;

@@ -13,7 +13,6 @@ from repro.service.config import ServiceConfig
 from repro.service.locks import ReadWriteLock
 from repro.service.metrics import ServiceMetrics
 from repro.service.server import DetectionHTTPServer, serve
-from repro.service.shard import ShardWorker
 from repro.service.sharding import ArcStatus, ShardedDetectionService
 from repro.service.snapshot import Snapshot, read_snapshot, write_snapshot
 from repro.service.wal import (
@@ -35,7 +34,6 @@ __all__ = [
     "ServiceClient",
     "ServiceConfig",
     "ServiceMetrics",
-    "ShardWorker",
     "ShardedDetectionService",
     "Snapshot",
     "WALRecord",

@@ -40,9 +40,6 @@ class ServiceConfig:
     max_cached_roots:
         Forwarded to :class:`~repro.mining.incremental.IncrementalDetector`:
         LRU bound on the per-root influence-path cache.
-    collect_groups:
-        With ``False`` the detector tracks counts only; ``/result``
-        then reports counts without materialized groups.
     recent_traces:
         How many recent mutation span trees to keep for
         ``GET /v1/trace/{subtpiin}``; ``0`` disables mutation tracing.
@@ -64,7 +61,6 @@ class ServiceConfig:
     snapshot_every: int = 500
     fsync: bool = True
     max_cached_roots: int | None = 4096
-    collect_groups: bool = True
     recent_traces: int = 64
     ingest_queue_limit: int = 1024
     group_commit_max: int = 128

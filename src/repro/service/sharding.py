@@ -1,10 +1,12 @@
 """The detection daemon's state machine: one writer over durable state.
 
-:class:`ShardedDetectionService` keeps the live arc set in a single
-:class:`~repro.service.shard.ShardWorker`: one bounded ingest queue, one
-commit thread applying queued mutations under group commit, one
-write-ahead log, one snapshot and one incremental detector.  The class
-and module keep their names because deployment scripts import them.
+:class:`ShardedDetectionService` owns the live arc set: one bounded
+ingest queue, one commit thread applying queued mutations under group
+commit, one write-ahead log, one snapshot and one incremental detector
+behind a readers/writer lock.  On a box where the fsync dominates the
+mutation path, group commit is where the daemon's write throughput
+comes from.  The class and module keep their names because deployment
+scripts import them.
 
 Earlier releases could partition the arcs across ``--shards N`` workers,
 each with its own ``wal-NNNN.jsonl`` and ``snapshot-NNNN.json``; ``open``
@@ -26,17 +28,17 @@ from typing import TypeVar
 from repro.analysis.investigate import CompanyInvestigation, investigate_company
 from repro.detectors.registry import get_detector_registry
 from repro.detectors.runner import run_detectors
-from repro.errors import MiningError, ServiceError
+from repro.errors import BackpressureError, MiningError, ServiceError
 from repro.fusion.tpiin import TPIIN
 from repro.io.registry_io import ArcLine
 from repro.mining.detector import DetectionResult
 from repro.mining.groups import SuspiciousGroup
 from repro.mining.incremental import ArcUpdate, IncrementalDetector
 from repro.model.colors import EColor
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import NULL_TRACER, Tracer, TracerLike
 from repro.service.config import ServiceConfig
+from repro.service.locks import ReadWriteLock
 from repro.service.metrics import ServiceMetrics
-from repro.service.shard import ShardWorker
 from repro.service.snapshot import Snapshot, read_snapshot, write_snapshot
 from repro.service.wal import OP_ADD, OP_REMOVE, WriteAheadLog, read_wal
 
@@ -47,6 +49,16 @@ __all__ = ["ArcStatus", "ShardedDetectionService"]
 _HOME_MULTIPLIER = 2654435761
 
 _T = TypeVar("_T")
+
+#: How long an HTTP thread waits for its queued mutation's verdict
+#: before declaring the commit thread dead.  Generous: a full group of
+#: fsyncs plus a compaction finishes orders of magnitude faster.
+_RESOLVE_TIMEOUT_SECONDS = 60.0
+
+#: One mutation's verdict: the update, or the error that refused it.
+_Outcome = ArcUpdate | BaseException
+#: ``(subTPIINs touched, trace payload)`` of one traced mutation.
+_Trace = tuple[tuple[int, ...], dict[str, object]]
 
 #: File names of the single-file layout earlier releases wrote; ``open``
 #: renames them to shard 0's files.
@@ -222,12 +234,61 @@ class ArcStatus:
         self.groups = tuple(groups)
 
 
+class _PendingMutation:
+    """One queued single-arc mutation awaiting its verdict."""
+
+    __slots__ = ("op", "seller", "buyer", "_event", "_result", "_error")
+
+    def __init__(self, op: str, seller: str, buyer: str) -> None:
+        self.op = op
+        self.seller = seller
+        self.buyer = buyer
+        self._event = threading.Event()
+        self._result: ArcUpdate | None = None
+        self._error: BaseException | None = None
+
+    def resolve(self, result: ArcUpdate) -> None:
+        self._result = result
+        self._event.set()
+
+    def fail(self, error: BaseException) -> None:
+        self._error = error
+        self._event.set()
+
+    def wait(self, timeout: float = _RESOLVE_TIMEOUT_SECONDS) -> ArcUpdate:
+        """Block until the commit thread resolves this mutation; re-raise errors."""
+        if not self._event.wait(timeout):
+            raise ServiceError(
+                f"the writer did not answer within {timeout:g}s "
+                f"for {self.op} ({self.seller!r} -> {self.buyer!r})"
+            )
+        if self._error is not None:
+            raise self._error
+        assert self._result is not None
+        return self._result
+
+
 class ShardedDetectionService:
     """The daemon's one writer behind a bounded, group-committed queue.
 
-    The HTTP server and the ``serve`` CLI run it.  Construct via
+    Owns the incremental detector, the write-ahead log, the snapshot, a
+    readers/writer lock and the ingest queue.  HTTP threads enqueue
+    single-arc mutations (a full queue sheds with
+    :class:`~repro.errors.BackpressureError` instead of blocking — the
+    429 path must never deadlock), and one commit thread drains the
+    queue in groups of up to ``group_commit_max``, applies each mutation
+    under the write lock, appends the WAL records unflushed, and issues
+    **one** flush+fsync for the whole group before acknowledging any of
+    them.  The HTTP server and the ``serve`` CLI run it.  Construct via
     :meth:`open`.
     """
+
+    #: Attributes that may only be touched under ``self._lock`` —
+    #: reads need at least the read lock, mutations the write lock.
+    #: Enforced flow-sensitively by reprolint R014.  The ingest queue is
+    #: *not* in this set: it has its own condition variable so admission
+    #: control never contends with the detector's critical sections.
+    _lock_guarded = frozenset({"_detector", "_wal", "_ops_since_snapshot"})
 
     def __init__(
         self,
@@ -243,28 +304,32 @@ class ShardedDetectionService:
     ) -> None:
         self._tpiin = tpiin
         self._config = config
-        self._closed = threading.Event()
+        self._detector = detector
+        self._wal = wal
+        self._lock = ReadWriteLock()
+        self._ops_since_snapshot = 0
+        self._snapshot_path = config.shard_snapshot_path(0)
         self._subtpiin_count = detector.component_count
         self.metrics = ServiceMetrics()
         self.metrics.count_wal_replay(recovered_records, torn_tail=healed_torn_tail)
+        self.metrics.set_queue_depth(0, config.ingest_queue_limit)
         self.recovered_records = recovered_records
         self.recovered_from_snapshot = recovered_from_snapshot
         self.healed_torn_tail = healed_torn_tail
         #: Span tree of the recovery that produced this service.
         self.recovery_trace = recovery_trace
-        self._trace_lock = threading.Lock()
-        self._recent_traces: deque[tuple[tuple[int, ...], dict[str, object]]] = deque(
-            maxlen=max(1, config.recent_traces)
-        )
         self._trace_mutations = config.recent_traces > 0
-        self._writer = ShardWorker(
-            detector,
-            wal,
-            config,
-            self.metrics,
-            on_trace=self._record_trace if self._trace_mutations else None,
+        self._trace_lock = threading.Lock()
+        self._recent_traces: deque[_Trace] = deque(maxlen=max(1, config.recent_traces))
+        # Admission state, guarded by ``_q_cond``.
+        self._queue: deque[_PendingMutation] = deque()
+        self._q_cond = threading.Condition()
+        self._closed = False
+        self._failed: BaseException | None = None
+        self._thread = threading.Thread(
+            target=self._run, name="repro-writer", daemon=False
         )
-        self.metrics.set_queue_depth(0, config.ingest_queue_limit)
+        self._thread.start()
 
     # ------------------------------------------------------------------
     # construction / recovery
@@ -283,7 +348,6 @@ class ShardedDetectionService:
             with tracer.span("build_detector") as span:
                 detector = IncrementalDetector(
                     tpiin.antecedent_view(),
-                    collect_groups=config.collect_groups,
                     max_cached_roots=config.max_cached_roots,
                     tracer=tracer,
                     ingest_baseline=False,
@@ -353,41 +417,56 @@ class ShardedDetectionService:
                 "is the daemon serving the same TPIIN it was started with?"
             ) from exc
 
-    def _record_trace(
-        self, components: tuple[int, ...], payload: dict[str, object]
-    ) -> None:
-        with self._trace_lock:
-            self._recent_traces.append((components, payload))
-
     # ------------------------------------------------------------------
     # mutations
     # ------------------------------------------------------------------
     def add_arc(self, seller: str, buyer: str) -> ArcUpdate:
         """Add a trading arc; returns the verdict with proof-chain groups."""
-        return self._submit(OP_ADD, str(seller), str(buyer))
+        return self._enqueue(OP_ADD, str(seller), str(buyer)).wait()
 
     def remove_arc(self, seller: str, buyer: str) -> ArcUpdate:
         """Retract a trading arc (e.g. a corrected filing)."""
-        return self._submit(OP_REMOVE, str(seller), str(buyer))
+        return self._enqueue(OP_REMOVE, str(seller), str(buyer)).wait()
 
-    def _submit(self, op: str, seller: str, buyer: str) -> ArcUpdate:
-        self._ensure_open()
-        return self._writer.submit(op, seller, buyer).wait()
+    def _enqueue(self, op: str, seller: str, buyer: str) -> _PendingMutation:
+        """Queue one mutation for the commit thread; sheds when full."""
+        entry = _PendingMutation(op, seller, buyer)
+        limit = self._config.ingest_queue_limit
+        with self._q_cond:
+            if self._closed:
+                raise ServiceError("the detection service is closed")
+            if self._failed is not None:
+                raise ServiceError(f"the writer failed: {self._failed}")
+            if len(self._queue) >= limit:
+                self.metrics.count_shed()
+                raise BackpressureError(
+                    f"ingest queue is full ({len(self._queue)}/{limit})",
+                    retry_after=self._config.retry_after_seconds,
+                )
+            self._queue.append(entry)
+            depth = len(self._queue)
+            self._q_cond.notify()
+        self.metrics.set_queue_depth(depth, limit)
+        return entry
 
     def apply_batch(self, lines: Sequence[ArcLine]) -> list[dict[str, object]]:
         """Apply parsed NDJSON lines; one report entry per line, in order.
 
-        One write-lock hold and one fsync per ``group_commit_max`` chunk.
-        A chunk the writer refuses (poisoned, or its commit failed)
-        reports the error on each of its lines.
+        The batch bypasses the ingest queue (the request body *is* the
+        batch) but shares the commit thread's critical section: one
+        write-lock hold and one fsync per ``group_commit_max`` chunk.
+        Batch lines are not traced: one batch would evict every
+        single-arc trace from the ``/v1/trace`` ring.  A chunk the
+        writer refuses (poisoned, or its commit failed) reports the
+        error on each of its lines.
         """
         self._ensure_open()
         report: list[dict[str, object]] = []
         for chunk in _chunks(lines, self._config.group_commit_max):
+            ops = [(line.op, line.seller, line.buyer) for line in chunk]
             try:
-                outcomes = self._writer.apply_chunk(
-                    [(line.op, line.seller, line.buyer) for line in chunk]
-                )
+                with self._lock.write():
+                    outcomes, _ = self._apply_group_locked(ops, trace=False)
             except ServiceError as exc:
                 report.extend({"line": line.index, "error": str(exc)} for line in chunk)
                 continue
@@ -399,18 +478,190 @@ class ShardedDetectionService:
         return report
 
     # ------------------------------------------------------------------
-    # queries
+    # commit thread
+    # ------------------------------------------------------------------
+    def _run(self) -> None:
+        while True:
+            group = self._take()
+            if group is None:
+                return
+            try:
+                self._commit_group(group)
+            except BaseException as exc:  # noqa: BLE001 - disk fault &c.
+                for pending in group:
+                    pending.fail(exc)
+                self._fail_remaining(exc)
+                return
+
+    def _take(self) -> list[_PendingMutation] | None:
+        """Next group of up to ``group_commit_max`` queued mutations.
+
+        Returns ``None`` once closed *and* drained — shutdown commits
+        every accepted mutation before the thread exits.
+        """
+        group_max = self._config.group_commit_max
+        with self._q_cond:
+            while not self._queue and not self._closed:
+                self._q_cond.wait()
+            if not self._queue:
+                return None
+            group = [
+                self._queue.popleft()
+                for _ in range(min(group_max, len(self._queue)))
+            ]
+            depth = len(self._queue)
+        self.metrics.set_queue_depth(depth, self._config.ingest_queue_limit)
+        return group
+
+    def _commit_group(self, group: list[_PendingMutation]) -> None:
+        ops = [(pending.op, pending.seller, pending.buyer) for pending in group]
+        with self._lock.write():
+            outcomes, traces = self._apply_group_locked(
+                ops, trace=self._trace_mutations
+            )
+        if traces:
+            with self._trace_lock:
+                self._recent_traces.extend(traces)
+        for pending, outcome in zip(group, outcomes):
+            if isinstance(outcome, BaseException):
+                pending.fail(outcome)
+            else:
+                pending.resolve(outcome)
+
+    def _apply_group_locked(
+        self, ops: Sequence[tuple[str, str, str]], *, trace: bool
+    ) -> tuple[list[_Outcome], list[_Trace]]:
+        """Apply ``(op, seller, buyer)`` tuples with one fsync at the end.
+
+        The WAL sync is the group-commit barrier: no caller observes a
+        verdict before every record of the group is durable.  A poisoned
+        writer refuses the group.  A failed append, sync or compaction
+        poisons it: the group is applied in memory but not durable, so
+        nothing may be acknowledged on top of it — the writer fails its
+        queue, refuses later writes and shows in health.
+        """
+        with self._q_cond:
+            failed = self._failed
+        if failed is not None:
+            raise ServiceError(f"the writer failed: {failed}")
+        try:
+            return self._commit_locked(ops, trace=trace)
+        except Exception as exc:
+            self._fail_remaining(exc)
+            raise ServiceError(f"commit failed: {exc}") from exc
+
+    def _commit_locked(
+        self, ops: Sequence[tuple[str, str, str]], *, trace: bool
+    ) -> tuple[list[_Outcome], list[_Trace]]:
+        outcomes: list[_Outcome] = []
+        traces: list[_Trace] = []
+        appended = False
+        for op, seller, buyer in ops:
+            tracer: TracerLike = Tracer() if trace else NULL_TRACER
+            try:
+                with tracer.span("mutation") as span:
+                    with tracer.span("apply"):
+                        if op == OP_ADD:
+                            update = self._detector.add_trading_arc(seller, buyer)
+                        else:
+                            update = self._detector.remove_trading_arc(seller, buyer)
+                    if update.applied:
+                        with tracer.span("wal_append"):
+                            self._wal.append(  # reprolint: disable=R014
+                                op, seller, buyer, sync=False
+                            )
+                        appended = True
+                        self._ops_since_snapshot += 1
+                        self.metrics.count_wal_append()
+                        self.metrics.count_arc_applied(op)
+                    if tracer.enabled:
+                        span.set(
+                            op=op,
+                            seller=seller,
+                            buyer=buyer,
+                            applied=update.applied,
+                            suspicious=update.suspicious,
+                        )
+                    record = span.record
+            except MiningError as exc:
+                outcomes.append(exc)
+                continue
+            outcomes.append(update)
+            if record is not None:
+                components = self._components_of_locked(seller, buyer)
+                traces.append(
+                    (
+                        components,
+                        {
+                            "subtpiins": list(components),
+                            "op": op,
+                            "arc": [seller, buyer],
+                            "trace": record.to_dict(),
+                        },
+                    )
+                )
+        if appended:
+            # Group-commit barrier: one flush+fsync covers every record
+            # appended above; only now may any of them be acknowledged.
+            self._wal.sync()  # reprolint: disable=R014
+            if self._ops_since_snapshot >= self._config.snapshot_every:
+                self._compact_locked()
+        return outcomes, traces
+
+    def _components_of_locked(self, seller: str, buyer: str) -> tuple[int, ...]:
+        components = set()
+        for node in (seller, buyer):
+            try:
+                components.add(self._detector.component_of(node))
+            except MiningError:
+                continue
+        return tuple(sorted(components))
+
+    def _fail_remaining(self, error: BaseException) -> None:
+        """Poison the writer after an unrecoverable commit fault."""
+        with self._q_cond:
+            if self._failed is None:
+                self._failed = error
+            drained = list(self._queue)
+            self._queue.clear()
+            self._q_cond.notify_all()
+        for entry in drained:
+            entry.fail(ServiceError(f"the writer failed: {error}"))
+
+    def _compact_locked(self) -> Snapshot:
+        snapshot = Snapshot(
+            last_seq=self._wal.last_seq,
+            arcs=tuple(
+                (str(seller), str(buyer))
+                for seller, buyer in self._detector.trading_arcs()
+            ),
+        )
+        # Snapshot write and WAL truncation must be atomic with respect
+        # to mutations: a write between them would be lost on recovery.
+        write_snapshot(self._snapshot_path, snapshot)  # reprolint: disable=R014
+        self._wal.truncate()  # reprolint: disable=R014
+        self._ops_since_snapshot = 0
+        self.metrics.count_snapshot()
+        return snapshot
+
+    # ------------------------------------------------------------------
+    # queries (shared lock)
     # ------------------------------------------------------------------
     def arc_status(self, seller: str, buyer: str) -> ArcStatus:
         seller, buyer = str(seller), str(buyer)
-        present, suspicious, groups = self._writer.arc_view(seller, buyer)
-        return ArcStatus(
-            seller, buyer, present=present, suspicious=suspicious, groups=groups
-        )
+        with self._lock.read():
+            return ArcStatus(
+                seller,
+                buyer,
+                present=(seller, buyer) in self._detector,
+                suspicious=self._detector.is_suspicious_arc(seller, buyer),
+                groups=self._detector.groups_for_arc(seller, buyer),
+            )
 
     def result(self) -> DetectionResult:
         """Aggregate result, equal to a batch run over the live arc set."""
-        return self._writer.result()
+        with self._lock.read():
+            return self._detector.result()
 
     def investigate(self, company: str) -> CompanyInvestigation:
         return investigate_company(self._tpiin, self.result(), company)
@@ -430,8 +681,10 @@ class ShardedDetectionService:
                 f"unknown detector {detector!r} "
                 f"(choices: {', '.join(registry.names())})"
             )
+        with self._lock.read():
+            arcs = [(str(s), str(b)) for s, b in self._detector.trading_arcs()]
         snapshot = self._tpiin.antecedent_view()
-        for seller, buyer in self._writer.trading_arcs():
+        for seller, buyer in arcs:
             mapped_seller = snapshot.node_map.get(seller, seller)
             mapped_buyer = snapshot.node_map.get(buyer, buyer)
             if mapped_seller == mapped_buyer:
@@ -442,7 +695,8 @@ class ShardedDetectionService:
         return report[detector].to_dict()
 
     def arc_count(self) -> int:
-        return self._writer.arc_count()
+        with self._lock.read():
+            return len(self._detector)
 
     def health(self) -> dict[str, object]:
         """Liveness summary; ``status`` is ``"ok"`` only when serving.
@@ -450,14 +704,12 @@ class ShardedDetectionService:
         A commit failure poisons the writer: the status turns
         ``"failed"`` and ``error`` says why.
         """
-        error = self._writer.failure()
-        arcs, wal_seq, _ = self._writer.stats()
+        with self._q_cond:
+            closed, error = self._closed, self._failed
+        with self._lock.read():
+            arcs, wal_seq = len(self._detector), self._wal.last_seq
         return {
-            "status": (
-                "closed"
-                if self._closed.is_set()
-                else "failed" if error is not None else "ok"
-            ),
+            "status": "closed" if closed else "failed" if error is not None else "ok",
             "error": None if error is None else str(error),
             "arcs": arcs,
             "wal_seq": wal_seq,
@@ -469,11 +721,15 @@ class ShardedDetectionService:
 
     def metrics_payload(self) -> dict[str, object]:
         payload = self.metrics.to_dict()
-        arcs, wal_seq, cache = self._writer.stats()
+        with self._lock.read():
+            cache = self._detector.path_cache_stats
+            arcs, wal_seq = len(self._detector), self._wal.last_seq
+        with self._q_cond:
+            depth = len(self._queue)
         payload["path_cache"] = cache.to_dict()
         payload["arcs_tracked"] = arcs
         payload["wal_seq"] = wal_seq
-        payload["queue_depth"] = self._writer.queue_depth()
+        payload["queue_depth"] = depth
         return payload
 
     def trace_payload(self, subtpiin: int) -> dict[str, object]:
@@ -501,16 +757,25 @@ class ShardedDetectionService:
     def compact(self) -> Snapshot:
         """Force a snapshot + WAL truncation."""
         self._ensure_open()
-        return self._writer.compact()
+        with self._lock.write():
+            return self._compact_locked()
 
     def close(self) -> None:
-        """Drain the queue, then flush and release the WAL (idempotent)."""
-        self._closed.set()
-        self._writer.close()
+        """Stop accepting work, drain the queue (every accepted entry
+        commits), then flush and release the WAL (idempotent)."""
+        with self._q_cond:
+            self._closed = True
+            self._q_cond.notify_all()
+        if self._thread.is_alive():
+            self._thread.join()
+        with self._lock.write():
+            wal = self._wal
+        wal.close()
 
     def _ensure_open(self) -> None:
-        if self._closed.is_set():
-            raise ServiceError("the detection service is closed")
+        with self._q_cond:
+            if self._closed:
+                raise ServiceError("the detection service is closed")
 
     def __enter__(self) -> "ShardedDetectionService":
         return self

@@ -192,25 +192,17 @@ class WriteAheadLog:
         seller: str,
         buyer: str,
         *,
-        seq: int | None = None,
         sync: bool = True,
     ) -> WALRecord:
         """Durably record one applied update; returns the record.
 
-        ``seq`` overrides the internal counter and must stay strictly
-        increasing within this file.  ``sync=False`` buffers
-        the record without flushing; the caller then amortizes one
-        :meth:`sync` over a whole group of appends (group commit) and
-        must not acknowledge any of them before that sync returns.
+        ``sync=False`` buffers the record without flushing; the caller
+        then amortizes one :meth:`sync` over a whole group of appends
+        (group commit) and must not acknowledge any of them before that
+        sync returns.
         """
         if op not in _OPS:
             raise WALError(f"unknown WAL operation {op!r}")
-        if seq is not None:
-            if seq < self._next_seq:
-                raise WALError(
-                    f"seq {seq} does not increase (next expected >= {self._next_seq})"
-                )
-            self._next_seq = seq
         record = WALRecord(seq=self._next_seq, op=op, seller=seller, buyer=buyer)
         handle = self._ensure_handle()
         handle.write(record.to_json() + "\n")

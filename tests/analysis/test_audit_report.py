@@ -52,9 +52,11 @@ class TestAuditReport:
         assert path.read_text().startswith("#")
 
     def test_count_only_result_skips_group_sections(self, fig8):
-        from repro.mining.detector import detect
+        from repro.fusion.tpiin import TPIIN
 
-        result = detect(fig8, engine="incremental", collect_groups=False)
-        report = build_audit_report(fig8, result)
+        untraded = TPIIN(graph=fig8.antecedent_graph())
+        result = detect(untraded, engine="incremental")
+        assert result.groups == []
+        report = build_audit_report(untraded, result)
         assert "## Distributions" not in report
         assert "simple suspicious groups" in report

@@ -98,7 +98,5 @@ class TestSweepOptions:
         assert sweep.rows[0].trade_accuracy == 1.0  # reported, unchecked
 
     def test_collect_groups_mode(self, small_province):
-        sweep = run_table1(
-            small_province, probabilities=(0.02,), collect_groups=True
-        )
+        sweep = run_table1(small_province, probabilities=(0.02,))
         assert sweep.rows[0].group_accuracy == 1.0

@@ -6,8 +6,10 @@ silence), and a CLI-level test proves a planted violation fails the
 lint run end to end.
 """
 
+import json
 from pathlib import Path
 
+import repro.service
 from repro.devtools import lint_project
 from repro.devtools.cli import main
 from repro.devtools.config import LintConfig
@@ -17,6 +19,7 @@ from repro.devtools.project_rules import (
     LayeringRule,
     LockDisciplineRule,
 )
+from repro.service.sharding import ShardedDetectionService
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -164,3 +167,22 @@ class TestEndToEnd:
         )
         assert report.diagnostics == ()
         assert report.suppressed == 1
+
+
+class TestServiceTree:
+    def test_daemon_declares_its_guarded_state(self):
+        # R014 skips a class without the declaration, so pin it here.
+        assert ShardedDetectionService._lock_guarded == frozenset(
+            {"_detector", "_wal", "_ops_since_snapshot"}
+        )
+
+    def test_service_package_is_lock_clean(self, capsys):
+        service_dir = Path(repro.service.__file__).parent
+        code = main(["--select", "R014", "--json", str(service_dir)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["diagnostics"] == []
+        # The group-commit WAL append and sync, and the compaction's
+        # snapshot write and WAL truncation, block under the write lock
+        # on purpose; nothing else may be suppressed.
+        assert report["suppressed"] == 4

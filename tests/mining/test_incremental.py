@@ -190,18 +190,17 @@ class TestValidation:
 
 class TestCountMode:
     def test_count_mode_matches(self, fig8):
-        counting = IncrementalDetector(fig8, collect_groups=False)
-        full = IncrementalDetector(fig8)
-        assert counting.result().group_count == full.result().group_count
+        counting = IncrementalDetector(fig8)
+        batch = detect(fig8, engine="faithful")
+        assert counting.result().group_count == batch.group_count
         assert counting.result().simple_group_count == 3
-        assert counting.result().groups == []
         assert (
             counting.result().suspicious_trading_arcs
-            == full.result().suspicious_trading_arcs
+            == batch.suspicious_trading_arcs
         )
 
     def test_count_mode_removal(self, fig8):
-        counting = IncrementalDetector(fig8, collect_groups=False)
+        counting = IncrementalDetector(fig8)
         counting.remove_trading_arc("C3", "C5")
         assert counting.result().group_count == 2
 

@@ -41,11 +41,11 @@ class TestDetectOptions:
     def test_defaults(self):
         opts = DetectOptions()
         assert opts.engine is Engine.FAITHFUL
-        assert opts.collect_groups is True
         assert opts.trace is False
 
     @pytest.mark.parametrize(
-        "removed", ["processes", "min_pool_work", "skip_trivial_subtpiins"]
+        "removed",
+        ["processes", "min_pool_work", "skip_trivial_subtpiins", "collect_groups"],
     )
     def test_removed_knobs_are_rejected(self, removed):
         from repro.detectors.iat import IATConfig
@@ -73,7 +73,7 @@ class TestDetectOptions:
         base = DetectOptions(engine=Engine.PARALLEL, max_trails_per_subtpiin=4)
         same = base.with_overrides(engine=None, max_trails_per_subtpiin=None)
         assert same is base
-        changed = base.with_overrides(engine="incremental", collect_groups=None)
+        changed = base.with_overrides(engine="incremental", trace=None)
         assert changed.engine is Engine.INCREMENTAL
         assert changed.max_trails_per_subtpiin == 4
         assert base.engine is Engine.PARALLEL  # original untouched

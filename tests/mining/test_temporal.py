@@ -55,7 +55,7 @@ class TestSlidingWindows:
     def test_each_window_matches_batch(self, fig8):
         trades = fig8_timed_trades()
         for window_result in sliding_window_detect(
-            antecedent(fig8), trades, window=10, step=5, collect_groups=True
+            antecedent(fig8), trades, window=10, step=5
         ):
             expected_tpiin = TPIIN(graph=fig8.antecedent_graph())
             for arc in active_in(

@@ -102,7 +102,7 @@ def test_sliding_windows_match_batch(tpiin, data):
         )
     antecedent = TPIIN(graph=tpiin.antecedent_graph())
     for window_result in sliding_window_detect(
-        antecedent, trades, window=7, step=4, collect_groups=False
+        antecedent, trades, window=7, step=4
     ):
         expected = TPIIN(graph=tpiin.antecedent_graph())
         for arc in active_in(

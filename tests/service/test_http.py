@@ -1,5 +1,6 @@
 """In-process HTTP round-trips: server routing + client error mapping."""
 
+import contextlib
 import errno
 import json
 import socket
@@ -18,11 +19,11 @@ from repro.service.server import DetectionHTTPServer
 from repro.service.sharding import ShardedDetectionService
 
 
-@pytest.fixture()
-def served_fig8(fig8, tmp_path):
-    """A live daemon over Fig. 8 on an ephemeral port, plus its client."""
-    config = ServiceConfig(state_dir=tmp_path / "state", port=0)
-    service = ShardedDetectionService.open(fig8, config)
+@contextlib.contextmanager
+def running_daemon(tpiin, state_dir):
+    """A live daemon on an ephemeral port: yields ``(client, service)``."""
+    config = ServiceConfig(state_dir=state_dir, port=0)
+    service = ShardedDetectionService.open(tpiin, config)
     server = DetectionHTTPServer((config.host, config.port), service)
     thread = threading.Thread(target=server.serve_forever, name="test-daemon")
     thread.start()
@@ -35,6 +36,13 @@ def served_fig8(fig8, tmp_path):
         thread.join()
         server.server_close()
         service.close()
+
+
+@pytest.fixture()
+def served_fig8(fig8, tmp_path):
+    """A live daemon over Fig. 8, plus its client."""
+    with running_daemon(fig8, tmp_path / "state") as served:
+        yield served
 
 
 class TestQueries:
@@ -246,6 +254,9 @@ class TestVersionedAPI:
 
     def test_prometheus_exposition(self, served_fig8):
         client, _ = served_fig8
+        # The second request on the keep-alive connection is handled
+        # only after the first was recorded.
+        client.healthz()
         client.healthz()
         status, headers, body = self._raw_get(client, "/v1/metrics?format=prometheus")
         assert status == 200
@@ -290,7 +301,7 @@ class TestVersionedAPI:
 
 def fail_next_wal_sync(monkeypatch, service):
     """Make the next WAL fsync fail with EIO (later ones succeed)."""
-    wal = service._writer._wal
+    wal = service._wal
     real_sync = wal.sync
     calls = []
 
@@ -340,3 +351,45 @@ class TestCommitFailure:
         assert status == 503
         assert health["status"] == "failed"
         assert "injected fsync failure" in health["error"]
+
+
+def prometheus_samples(text):
+    """``{series: value}`` of a Prometheus text exposition."""
+    samples = {}
+    for line in text.splitlines():
+        if line and not line.startswith("#"):
+            key, _, value = line.rpartition(" ")
+            samples[key] = float(value)
+    return samples
+
+
+class TestPerDaemonMetrics:
+    def test_two_daemons_count_only_their_own_requests(self, fig8, tmp_path):
+        with running_daemon(fig8, tmp_path / "a") as (client_a, service_a):
+            with running_daemon(fig8, tmp_path / "b") as (client_b, service_b):
+                for _ in range(3):
+                    client_a.healthz()
+                client_b.healthz()
+                client_b.remove_arc("C3", "C5")
+                client_b.add_arc("C3", "C5")
+                # A keep-alive connection handles a request only after the
+                # previous one on it was recorded: these fence the counts.
+                client_a.metrics()
+                client_b.metrics()
+                texts = [
+                    service.metrics.render_prometheus()
+                    for service in (service_a, service_b)
+                ]
+        samples_a, samples_b = map(prometheus_samples, texts)
+        healthz = 'repro_http_requests_total{endpoint="healthz"}'
+        post = 'repro_http_requests_total{endpoint="post_arcs"}'
+        assert samples_a[healthz] == 3
+        assert post not in samples_a
+        assert samples_b[healthz] == 1
+        assert samples_b[post] == 2
+        for text in texts:
+            types = [
+                line.split()[2] for line in text.splitlines() if line.startswith("# TYPE ")
+            ]
+            assert len(types) == len(set(types))
+        assert "repro_path_cache_hits_total" in samples_b

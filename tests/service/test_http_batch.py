@@ -96,7 +96,7 @@ class TestBatchEndpoint:
     def test_batch_metrics_recorded(self, served):
         client, service, _ = served
         client.batch_arcs([("add", "C1", "C6")])
-        own = service.metrics._own
+        own = service.metrics._registry
         assert own.counter("repro_batch_requests_total").value == 1
         assert (
             own.counter("repro_batch_lines_total", outcome="accepted").value == 1
@@ -109,7 +109,6 @@ class TestAdmissionControl:
             tmp_path, ingest_queue_limit=2
         )
         try:
-            worker = service._writer
             statuses = []
             lock = threading.Lock()
 
@@ -127,8 +126,8 @@ class TestAdmissionControl:
                 finally:
                     client.close()
 
-            with worker._lock.write():
-                # Park the worker, then flood well past the queue bound.
+            with service._lock.write():
+                # Park the commit thread, then flood well past the queue bound.
                 threads = [
                     threading.Thread(target=post_one) for _ in range(8)
                 ]
@@ -181,23 +180,22 @@ class TestKeepAliveClient:
 
     def test_429_maps_to_client_error_with_retry_after(self, served):
         client, service, config = served
-        worker = service._writer
-        with worker._lock.write():
+        with service._lock.write():
             done = threading.Event()
             failure = []
 
             def flood():
-                # Fill the parked worker's queue, then trip one 429.
+                # Fill the parked writer's queue, then trip one 429.
                 flooder = ServiceClient(client._base)
                 pendings = []
                 try:
-                    worker.submit("add", "C1", "C6")
+                    service._enqueue("add", "C1", "C6")
                     deadline = time.monotonic() + 5.0
-                    while worker.queue_depth() > 0:
+                    while service._queue:
                         assert time.monotonic() < deadline
                         time.sleep(0.001)
                     for _ in range(config.ingest_queue_limit):
-                        pendings.append(worker.submit("add", "C1", "C6"))
+                        pendings.append(service._enqueue("add", "C1", "C6"))
                     try:
                         flooder.add_arc("C1", "C6")
                         failure.append("expected a 429")
@@ -225,7 +223,7 @@ class TestStatusClassMetrics:
         # next request on the same keep-alive connection is handled only
         # once that recording is done.
         client.healthz()
-        series = service.metrics._own.series_for(
+        series = service.metrics._registry.series_for(
             "repro_http_request_duration_by_status_ms"
         )
         labels = {
@@ -238,6 +236,9 @@ class TestStatusClassMetrics:
     def test_prometheus_exposition_includes_new_series(self, served):
         client, _, _ = served
         client.batch_arcs([("add", "C1", "C6")])
+        # The batch is recorded after its response is sent; the next
+        # request on the same keep-alive connection waits for that.
+        client.healthz()
         url = client._base + "/v1/metrics?format=prometheus"
         with urllib.request.urlopen(url, timeout=10.0) as response:
             text = response.read().decode("utf-8")

@@ -204,24 +204,23 @@ class TestBackpressure:
     def test_saturated_queue_sheds_with_retry_after(self, tmp_path):
         config = ServiceConfig(state_dir=tmp_path, fsync=False, ingest_queue_limit=3)
         with ShardedDetectionService.open(FIG8, config) as service:
-            worker = service._writer
             pending = []
-            with worker._lock.write():
-                # Park the worker thread on the write lock: submit one
-                # entry and wait for the worker to take it (it then
+            with service._lock.write():
+                # Park the commit thread on the write lock: submit one
+                # entry and wait for the thread to take it (it then
                 # blocks in its commit path until we release).
-                pending.append(worker.submit("add", "C1", "C6"))
+                pending.append(service._enqueue("add", "C1", "C6"))
                 deadline = time.monotonic() + 5.0
-                while worker.queue_depth() > 0:
-                    assert time.monotonic() < deadline, "worker never took entry"
+                while service._queue:
+                    assert time.monotonic() < deadline, "commit thread never took entry"
                     time.sleep(0.001)
                 # Now fill the queue exactly to its bound.
                 for _ in range(config.ingest_queue_limit):
-                    pending.append(worker.submit("add", "C1", "C6"))
+                    pending.append(service._enqueue("add", "C1", "C6"))
                 with pytest.raises(BackpressureError) as excinfo:
-                    worker.submit("add", "C1", "C6")
+                    service._enqueue("add", "C1", "C6")
                 assert excinfo.value.retry_after == config.retry_after_seconds
-                shed = service.metrics._own.counter("repro_ingest_shed_total").value
+                shed = service.metrics._registry.counter("repro_ingest_shed_total").value
                 assert shed == 1
             # Released: everything acknowledged eventually lands.
             updates = [entry.wait() for entry in pending]
@@ -240,14 +239,13 @@ class TestDrain:
     def test_close_flushes_queued_writes(self, tmp_path):
         config = ServiceConfig(state_dir=tmp_path, fsync=False)
         service = ShardedDetectionService.open(FIG8, config)
-        worker = service._writer
-        with worker._lock.write():
+        with service._lock.write():
             pending = [
-                worker.submit("add", "C1", "C6"),
-                worker.submit("add", "C2", "C6"),
+                service._enqueue("add", "C1", "C6"),
+                service._enqueue("add", "C2", "C6"),
             ]
         service.close()
-        # Acknowledged-at-submit writes are applied before the worker
+        # Acknowledged-at-submit writes are applied before the commit thread
         # exits; close never abandons them.
         assert all(entry.wait().applied for entry in pending)
         recovered = ShardedDetectionService.open(FIG8, config)

@@ -111,7 +111,7 @@ class TestFoldIn:
         state_dir = copy_fixture(name, tmp_path)
         with ShardedDetectionService.open(FOREST, config_for(state_dir)) as service:
             assert_serves(service, served_arcs(name))
-            assert {tuple(arc) for arc in service._writer.trading_arcs()} == (
+            assert {(str(s), str(b)) for s, b in service._detector.trading_arcs()} == (
                 served_arcs(name)
             )
         assert sorted(os.listdir(state_dir)) == FOLDED
@@ -168,8 +168,8 @@ class TestLegacyUpgrade:
             state_dir / "snapshot.json",
             Snapshot(last_seq=2, arcs=tuple(sorted(self.SNAPSHOT_ARCS))),
         )
-        wal, _ = WriteAheadLog.open(state_dir / "wal.jsonl", fsync=False)
-        wal.append(OP_ADD, "A0", "D1", seq=2)  # crash before truncation
+        wal = WriteAheadLog(state_dir / "wal.jsonl", fsync=False, next_seq=2)
+        wal.append(OP_ADD, "A0", "D1")  # crash before truncation
         wal.append(OP_ADD, "A3", "D4")
         wal.append(OP_REMOVE, "B1", "D1")
         wal.close()

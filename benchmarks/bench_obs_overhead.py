@@ -20,6 +20,7 @@ Plus allocation checks: an untraced run must never construct a
 
 from __future__ import annotations
 
+import inspect
 import json
 import time
 from pathlib import Path
@@ -28,8 +29,7 @@ import pytest
 
 from benchmarks.run_bench import FULL_SETTINGS, build_tpiin
 from repro.mining.detector import detect
-from repro.mining.options import DetectOptions
-from repro.obs.tracing import NULL_TRACER, Tracer
+from repro.obs.tracing import NULL_TRACER, Tracer, resolve_tracer
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR7.json"
 
@@ -104,8 +104,9 @@ def test_null_tracer_overhead_is_under_tolerance(benchmark):
 
 
 def test_untraced_detect_allocates_no_tracer():
-    assert DetectOptions().resolve_tracer() is NULL_TRACER
-    assert DetectOptions(trace=False).resolve_tracer() is NULL_TRACER
+    default = inspect.signature(detect).parameters["trace"].default
+    assert resolve_tracer(default) is NULL_TRACER
+    assert resolve_tracer(False) is NULL_TRACER
 
 
 def test_untraced_result_carries_no_trace():

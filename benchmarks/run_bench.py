@@ -36,7 +36,6 @@ from repro.datagen.province import generate_province  # noqa: E402
 from repro.detectors import ALL_DETECTORS, run_detectors  # noqa: E402
 from repro.fusion.tpiin import TPIIN  # noqa: E402
 from repro.mining.detector import DetectionResult, detect  # noqa: E402
-from repro.mining.options import DetectOptions  # noqa: E402
 from repro.model.colors import EColor, VColor  # noqa: E402
 from repro.obs.tracing import Tracer  # noqa: E402
 
@@ -162,7 +161,7 @@ def detectors_cell(smoke: bool) -> dict[str, Any]:
     label, companies, probability = DETECTOR_SMOKE_TIER if smoke else DETECTOR_TIER
     repeats = repeats_for(companies, smoke)
     tpiin = build_registry_tpiin(companies, probability)
-    options = DetectOptions(engine="parallel")
+    configs = {"iat-groups": {"engine": "parallel"}}
     walls = {"iat_only": float("inf"), "portfolio": float("inf")}
     for _ in range(repeats):
         for key, selection in (
@@ -171,9 +170,9 @@ def detectors_cell(smoke: bool) -> dict[str, Any]:
         ):
             gc.collect()
             started = time.perf_counter()
-            run_detectors(tpiin, selection, options=options)
+            run_detectors(tpiin, selection, configs=configs)
             walls[key] = min(walls[key], time.perf_counter() - started)
-    report = run_detectors(tpiin, ALL_DETECTORS, options=options)
+    report = run_detectors(tpiin, ALL_DETECTORS, configs=configs)
     overhead = walls["portfolio"] - walls["iat_only"]
     return {
         "setting": label,
@@ -298,7 +297,6 @@ def bench_setting(
             "groups": len(result.groups),
             "groups_materialize_seconds": round(materialize, 4),
             "suspicious_arcs": len(result.suspicious_trading_arcs),
-            "truncated": result.truncated,
         }
     reference = group_keys.get("faithful") or next(iter(group_keys.values()))
     agree = all(keys == reference for keys in group_keys.values())

@@ -37,7 +37,6 @@ Quick start::
 from repro.fusion import TPIIN, fuse
 from repro.mining import (
     DetectionResult,
-    DetectOptions,
     Engine,
     GroupKind,
     SuspiciousGroup,
@@ -47,7 +46,6 @@ from repro.mining import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "DetectOptions",
     "DetectionResult",
     "Engine",
     "GroupKind",

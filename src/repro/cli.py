@@ -34,7 +34,7 @@ from repro.analysis.investigate import investigate_company
 from repro.analysis.table1 import run_table1
 from repro.datagen.config import PAPER_TRADING_PROBABILITIES, ProvinceConfig
 from repro.datagen.province import generate_province
-from repro.detectors.registry import ALL_DETECTORS
+from repro.detectors.registry import resolve_detectors
 from repro.detectors.runner import run_detectors
 from repro.errors import ReproError
 from repro.fusion.tpiin import TPIIN
@@ -44,7 +44,7 @@ from repro.io.results_io import write_detection_json
 from repro.ite.pipeline import run_two_phase
 from repro.ite.transactions import SimulationConfig, simulate_transactions
 from repro.mining.detector import IAT_DETECTOR_NAME, detect
-from repro.mining.options import DetectOptions, Engine
+from repro.mining.options import Engine
 from repro.obs.profile import render_profile
 from repro.service.config import ServiceConfig
 from repro.service.server import DetectionHTTPServer, serve
@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help=(
             "portfolio detector to run over the TPIIN (repeatable; "
-            '"all" runs every registered detector); '
+            '"all" runs every detector); '
             "default: the paper's IAT mining only"
         ),
     )
@@ -224,11 +224,14 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 def _mine_portfolio(tpiin: TPIIN, args: argparse.Namespace) -> int:
     """``mine --detector``: run the selected portfolio over one freeze."""
-    selection: "str | list[str]" = (
-        ALL_DETECTORS if ALL_DETECTORS in args.detector else list(args.detector)
+    selection = resolve_detectors(args.detector)
+    # The runner rejects a config for an unselected detector.
+    configs = (
+        {IAT_DETECTOR_NAME: {"engine": args.engine}}
+        if IAT_DETECTOR_NAME in selection
+        else None
     )
-    options = DetectOptions(engine=args.engine)
-    report = run_detectors(tpiin, selection, options=options, trace=args.profile)
+    report = run_detectors(tpiin, selection, configs=configs, trace=args.profile)
     print(report.summary())
     if args.profile and report.trace is not None:
         print()

@@ -1,12 +1,12 @@
 """Detector plugin framework: fraud-scenario detectors over one TPIIN.
 
 The subsystem generalizes the paper's single IAT group miner into a
-portfolio: any object satisfying the :class:`Detector` protocol can be
-registered (by entry-point-style ``"module:attr"`` spec or class) and
-executed by :func:`run_detectors` over one shared frozen graph, merged
-into a per-detector-keyed :class:`FindingsReport`.  Four detectors ship
-built in: the reference ``iat-groups`` port of :func:`repro.mining.detect`
-plus ``circular-trading``, ``missing-trader`` and ``shared-household``.
+portfolio of :class:`Detector` classes, listed by name in the static
+:data:`DETECTORS` table and executed by :func:`run_detectors` over one
+shared frozen graph, merged into a per-detector-keyed
+:class:`FindingsReport`.  Four detectors ship: the reference
+``iat-groups`` port of :func:`repro.mining.detect` plus
+``circular-trading``, ``missing-trader`` and ``shared-household``.
 """
 
 from repro.detectors.base import (
@@ -27,22 +27,23 @@ from repro.detectors.iat import IATConfig, IATGroupDetector
 from repro.detectors.missing_trader import MissingTraderConfig, MissingTraderDetector
 from repro.detectors.registry import (
     ALL_DETECTORS,
-    DetectorRegistry,
-    get_detector_registry,
-    set_detector_registry,
+    DETECTORS,
+    create_detector,
+    detector_info,
+    resolve_detectors,
 )
 from repro.detectors.runner import run_detectors
 
 __all__ = [
     "ALL_DETECTORS",
     "AccuracyReport",
+    "DETECTORS",
     "CircularTradingConfig",
     "CircularTradingDetector",
     "DetectionContext",
     "Detector",
     "DetectorInfo",
     "DetectorOutcome",
-    "DetectorRegistry",
     "DetectorRun",
     "Finding",
     "FindingsReport",
@@ -55,7 +56,8 @@ __all__ = [
     "SharedHouseholdDetector",
     "accuracy",
     "config_schema",
-    "get_detector_registry",
+    "create_detector",
+    "detector_info",
+    "resolve_detectors",
     "run_detectors",
-    "set_detector_registry",
 ]

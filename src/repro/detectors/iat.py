@@ -22,37 +22,18 @@ from dataclasses import dataclass
 from repro.detectors.base import DetectionContext, DetectorOutcome, Finding
 from repro.graph.digraph import Node
 from repro.mining.detector import IAT_DETECTOR_NAME, IAT_DETECTOR_VERSION, detect
-from repro.mining.options import DetectOptions
 
 __all__ = ["IATConfig", "IATGroupDetector"]
 
 
 @dataclass(frozen=True, slots=True)
 class IATConfig:
-    """Tuning of the wrapped :func:`repro.mining.detect` run.
+    """Tuning of the wrapped :func:`repro.mining.detect` run: the engine.
 
-    Mirrors the engine-facing fields of
-    :class:`~repro.mining.options.DetectOptions`: the engine and the
-    faithful engine's trail cap.  Tracing is supplied by the portfolio
-    runner, and ``detectors`` recursion is forbidden by construction.
+    Tracing is supplied by the portfolio runner.
     """
 
     engine: str = "faithful"
-    max_trails_per_subtpiin: int | None = None
-
-    @classmethod
-    def from_options(cls, options: DetectOptions) -> "IATConfig":
-        """Lift the engine-facing fields out of a ``DetectOptions`` bag."""
-        return cls(
-            engine=options.engine.value,
-            max_trails_per_subtpiin=options.max_trails_per_subtpiin,
-        )
-
-    def to_options(self) -> DetectOptions:
-        return DetectOptions(
-            engine=self.engine,
-            max_trails_per_subtpiin=self.max_trails_per_subtpiin,
-        )
 
 
 class IATGroupDetector:
@@ -72,9 +53,9 @@ class IATGroupDetector:
     def run(self, context: DetectionContext) -> DetectorOutcome:
         result = detect(
             context.tpiin,
-            self.config.to_options(),
+            engine=self.config.engine,
             # Nest the engine's spans under the portfolio runner's.
-            trace=context.tracer if context.tracer.enabled else None,
+            trace=context.tracer if context.tracer.enabled else False,
         )
         certifying: dict[tuple[Node, Node], int] = {}
         for group in result.groups:

@@ -1,11 +1,4 @@
-"""Process-wide detector registry with entry-point-style registration.
-
-Detectors register under a stable public name either as a class object
-or as a lazy ``"module:attr"`` specification (the entry-point idiom:
-the module is imported only when the detector is first created, so
-listing the registry never pays for every implementation's imports).
-One process-wide registry mirrors :func:`repro.obs.get_registry`;
-tests swap it with :func:`set_detector_registry`.
+"""The detector table: stable public name -> detector class.
 
 The built-in portfolio (see docs/DETECTORS.md):
 
@@ -15,175 +8,103 @@ The built-in portfolio (see docs/DETECTORS.md):
 ``missing-trader``     under-capitalized high-throughput hubs
 ``shared-household``   kinship syndicates running trading clusters
 =====================  ==============================================
+
+A new detector is one more class in this package and one more entry
+in :data:`DETECTORS`.
 """
 
 from __future__ import annotations
 
-import importlib
-from collections.abc import Iterable, Sequence
+import dataclasses
+from collections.abc import Iterable, Mapping
+from types import MappingProxyType
 
 from repro.detectors.base import Detector, DetectorInfo, config_schema
+from repro.detectors.circular import CircularTradingDetector
+from repro.detectors.household import SharedHouseholdDetector
+from repro.detectors.iat import IATGroupDetector
+from repro.detectors.missing_trader import MissingTraderDetector
 from repro.errors import MiningError
 
 __all__ = [
     "ALL_DETECTORS",
-    "DetectorRegistry",
-    "get_detector_registry",
-    "set_detector_registry",
+    "DETECTORS",
+    "create_detector",
+    "detector_info",
+    "resolve_detectors",
 ]
 
-#: The selection token meaning "every registered detector".
+#: The selection token meaning "every detector".
 ALL_DETECTORS = "all"
 
-#: Built-in detectors, as lazy entry-point specs.
-_BUILTIN_SPECS: dict[str, str] = {
-    "iat-groups": "repro.detectors.iat:IATGroupDetector",
-    "circular-trading": "repro.detectors.circular:CircularTradingDetector",
-    "missing-trader": "repro.detectors.missing_trader:MissingTraderDetector",
-    "shared-household": "repro.detectors.household:SharedHouseholdDetector",
-}
+#: Every detector class, keyed by its public name (CLI flag values,
+#: API routes), in name order.
+DETECTORS: Mapping[str, type] = MappingProxyType(
+    {
+        CircularTradingDetector.name: CircularTradingDetector,
+        IATGroupDetector.name: IATGroupDetector,
+        MissingTraderDetector.name: MissingTraderDetector,
+        SharedHouseholdDetector.name: SharedHouseholdDetector,
+    }
+)
 
 
-def _load_spec(spec: str) -> type:
-    """Resolve one ``"module:attr"`` entry-point string to its class."""
-    module_name, _, attr = spec.partition(":")
-    if not module_name or not attr:
+def _detector_class(name: str) -> type:
+    try:
+        return DETECTORS[name]
+    except KeyError:
         raise MiningError(
-            f"detector spec {spec!r} is not of the form 'module:attr'"
-        )
-    try:
-        module = importlib.import_module(module_name)
-    except ImportError as exc:
-        raise MiningError(f"cannot import detector module {module_name!r}: {exc}") from exc
-    try:
-        loaded = getattr(module, attr)
-    except AttributeError:
-        raise MiningError(f"module {module_name!r} has no attribute {attr!r}") from None
-    if not isinstance(loaded, type):
-        raise MiningError(f"detector spec {spec!r} resolved to a non-class object")
-    return loaded
+            f"unknown detector {name!r} (choices: {', '.join(DETECTORS)}, or 'all')"
+        ) from None
 
 
-class DetectorRegistry:
-    """Name -> detector class table, with lazy entry-point loading."""
+def create_detector(
+    name: str, overrides: Mapping[str, object] | None = None
+) -> Detector:
+    """Instantiate one detector, its config built from ``overrides``.
 
-    __slots__ = ("_specs", "_classes")
-
-    def __init__(self, *, builtins: bool = True) -> None:
-        self._specs: dict[str, str] = dict(_BUILTIN_SPECS) if builtins else {}
-        self._classes: dict[str, type] = {}
-
-    # ------------------------------------------------------------------
-    # registration
-    # ------------------------------------------------------------------
-    def register(
-        self, name: str, detector: "type | str", *, replace: bool = False
-    ) -> None:
-        """Register a detector class (or lazy ``"module:attr"`` spec).
-
-        Names are the stable public identity (CLI flag values, API
-        routes); re-registering an existing name requires ``replace``.
-        """
-        if not name or "/" in name:
-            raise MiningError(f"invalid detector name {name!r}")
-        if not replace and (name in self._specs or name in self._classes):
+    ``None`` means the default config; a field the detector's config
+    does not declare raises :class:`MiningError` naming the valid ones.
+    """
+    cls = _detector_class(name)
+    if overrides is not None:
+        fields = [field.name for field in dataclasses.fields(cls.config_type)]
+        unknown = sorted(set(overrides) - set(fields))
+        if unknown:
             raise MiningError(
-                f"detector {name!r} is already registered (pass replace=True)"
+                f"detector {name!r} has no config field "
+                f"{', '.join(map(repr, unknown))} (valid: {', '.join(fields)})"
             )
-        if isinstance(detector, str):
-            self._specs[name] = detector
-            self._classes.pop(name, None)
-        else:
-            self._classes[name] = detector
-            self._specs.pop(name, None)
-
-    def unregister(self, name: str) -> None:
-        if name not in self._specs and name not in self._classes:
-            raise MiningError(f"detector {name!r} is not registered")
-        self._specs.pop(name, None)
-        self._classes.pop(name, None)
-
-    # ------------------------------------------------------------------
-    # lookup
-    # ------------------------------------------------------------------
-    def names(self) -> tuple[str, ...]:
-        """Every registered name, sorted."""
-        return tuple(sorted(set(self._specs) | set(self._classes)))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._specs or name in self._classes
-
-    def load(self, name: str) -> type:
-        """The detector class behind ``name`` (imports lazily once)."""
-        loaded = self._classes.get(name)
-        if loaded is not None:
-            return loaded
-        spec = self._specs.get(name)
-        if spec is None:
-            known = ", ".join(self.names()) or "none registered"
-            raise MiningError(f"unknown detector {name!r} (choices: {known})")
-        loaded = _load_spec(spec)
-        self._classes[name] = loaded
-        return loaded
-
-    def create(self, name: str, config: object | None = None) -> Detector:
-        """Instantiate one detector, optionally with an explicit config."""
-        cls = self.load(name)
-        detector = cls() if config is None else cls(config)
-        if detector.name != name:
-            raise MiningError(
-                f"detector class {cls.__name__} reports name {detector.name!r} "
-                f"but is registered as {name!r}"
-            )
-        return detector
-
-    def info(self, name: str) -> DetectorInfo:
-        """Identity + config schema of one detector (default config)."""
-        detector = self.create(name)
-        return DetectorInfo(
-            name=detector.name,
-            version=detector.version,
-            summary=detector.summary,
-            schema=config_schema(detector.config),
-        )
-
-    def resolve(self, selection: "str | Iterable[str]") -> tuple[str, ...]:
-        """Normalize a selection into registered names, in stable order.
-
-        ``"all"`` (anywhere in the selection) expands to every
-        registered detector; unknown names raise :class:`MiningError`.
-        Duplicates collapse, first occurrence wins the ordering.
-        """
-        tokens: Sequence[str] = (
-            [selection] if isinstance(selection, str) else list(selection)
-        )
-        if not tokens:
-            raise MiningError("detector selection is empty")
-        ordered: list[str] = []
-        for token in tokens:
-            expansion = self.names() if token == ALL_DETECTORS else (token,)
-            for name in expansion:
-                if name not in self:
-                    known = ", ".join(self.names()) or "none registered"
-                    raise MiningError(
-                        f"unknown detector {name!r} (choices: {known}, or 'all')"
-                    )
-                if name not in ordered:
-                    ordered.append(name)
-        return tuple(ordered)
+    detector: Detector = (
+        cls() if overrides is None else cls(cls.config_type(**overrides))
+    )
+    return detector
 
 
-_REGISTRY = DetectorRegistry()
+def detector_info(name: str) -> DetectorInfo:
+    """Identity + config schema of one detector (default config)."""
+    detector = create_detector(name)
+    return DetectorInfo(
+        name=detector.name,
+        version=detector.version,
+        summary=detector.summary,
+        schema=config_schema(detector.config),
+    )
 
 
-def get_detector_registry() -> DetectorRegistry:
-    """The process-wide detector registry."""
-    return _REGISTRY
+def resolve_detectors(selection: "str | Iterable[str]") -> tuple[str, ...]:
+    """Normalize a selection into detector names, in stable order.
 
-
-def set_detector_registry(registry: DetectorRegistry) -> DetectorRegistry:
-    """Swap the process-wide registry (tests); returns the previous one."""
-    global _REGISTRY
-    previous = _REGISTRY
-    _REGISTRY = registry
-    return previous
+    ``"all"`` (anywhere in the selection) expands to every detector;
+    unknown names raise :class:`MiningError`.  Duplicates collapse,
+    first occurrence wins the ordering.
+    """
+    tokens = [selection] if isinstance(selection, str) else list(selection)
+    if not tokens:
+        raise MiningError("detector selection is empty")
+    ordered: dict[str, None] = {}
+    for token in tokens:
+        for name in DETECTORS if token == ALL_DETECTORS else (token,):
+            _detector_class(name)
+            ordered.setdefault(name)
+    return tuple(ordered)

@@ -1,7 +1,7 @@
 """The detector portfolio driver: one freeze, many detectors.
 
-:func:`run_detectors` resolves a selection against the process-wide
-registry, builds **one** shared :class:`~repro.detectors.base.DetectionContext`
+:func:`run_detectors` resolves a selection against the detector
+table, builds **one** shared :class:`~repro.detectors.base.DetectionContext`
 (so every detector reads the same frozen trading view — expensive
 supporting indexes are computed once, not per detector), executes each
 detector under its own trace span, meters every run through
@@ -14,18 +14,12 @@ from __future__ import annotations
 import time
 from typing import Iterable, Mapping
 
-from repro.detectors.base import (
-    DetectionContext,
-    Detector,
-    DetectorRun,
-    FindingsReport,
-)
-from repro.detectors.iat import IATConfig, IATGroupDetector
-from repro.detectors.registry import DetectorRegistry, get_detector_registry
+from repro.detectors.base import DetectionContext, DetectorRun, FindingsReport
+from repro.detectors.registry import create_detector, resolve_detectors
 from repro.errors import MiningError
 from repro.fusion.tpiin import TPIIN
-from repro.mining.options import DetectOptions, TraceSpec
 from repro.obs.registry import get_registry
+from repro.obs.tracing import TraceSpec, resolve_tracer
 
 __all__ = ["run_detectors"]
 
@@ -37,33 +31,27 @@ def run_detectors(
     detectors: "str | Iterable[str]" = "all",
     *,
     configs: Mapping[str, Mapping[str, object]] | None = None,
-    registry: DetectorRegistry | None = None,
-    options: DetectOptions | None = None,
     trace: TraceSpec = False,
 ) -> FindingsReport:
-    """Run a selection of registered detectors over one shared graph.
+    """Run a selection of detectors over one shared graph.
 
     Parameters
     ----------
     tpiin:
         The fused graph every detector reads (never mutated).
     detectors:
-        A registry name, an iterable of names, or ``"all"``.
+        A detector name, an iterable of names, or ``"all"``.
     configs:
-        Optional per-detector constructor overrides, keyed by detector
-        name: ``{"circular-trading": {"min_balance": 0.8}}``.
-    registry:
-        Detector registry to resolve against (the process-wide one by
-        default).
-    options:
-        When given, the IAT reference detector is configured from these
-        engine options (unless ``configs`` overrides it explicitly).
+        Optional per-detector config overrides, keyed by detector
+        name: ``{"circular-trading": {"min_balance": 0.8}}`` or
+        ``{"iat-groups": {"engine": "parallel"}}``.  A config for an
+        unselected detector, or a field its config does not declare,
+        raises :class:`MiningError`.
     trace:
         ``True`` collects a span tree onto ``FindingsReport.trace``;
         a caller-owned tracer nests the run under its spans.
     """
-    registry = registry if registry is not None else get_detector_registry()
-    names = registry.resolve(detectors)
+    names = resolve_detectors(detectors)
     configs = configs or {}
     for name in configs:
         if name not in names:
@@ -71,13 +59,13 @@ def run_detectors(
                 f"config supplied for unselected detector {name!r} "
                 f"(selected: {', '.join(names)})"
             )
-    tracer = DetectOptions(trace=trace).resolve_tracer()
+    tracer = resolve_tracer(trace)
     metrics = get_registry()
     runs: dict[str, DetectorRun] = {}
     with tracer.span("run_detectors") as root:
         context = DetectionContext(tpiin=tpiin, tracer=tracer)
         for name in names:
-            detector = _instantiate(registry, name, configs.get(name), options)
+            detector = create_detector(name, configs.get(name))
             started = time.perf_counter()
             with tracer.span(f"detector:{name}") as span:
                 outcome = detector.run(context)
@@ -116,23 +104,3 @@ def run_detectors(
         trace_record = root.record
     return FindingsReport(runs=runs, trace=trace_record)
 
-
-def _instantiate(
-    registry: DetectorRegistry,
-    name: str,
-    overrides: Mapping[str, object] | None,
-    options: DetectOptions | None,
-) -> Detector:
-    """Build the detector instance a portfolio run uses for ``name``.
-
-    Explicit ``configs`` overrides win; otherwise the IAT reference
-    detector inherits the caller's engine options so that
-    ``detect(..., detectors=...)`` and the CLI keep one source of truth
-    for engine selection.
-    """
-    if overrides is not None:
-        cls = registry.load(name)
-        return cls(cls.config_type(**overrides))
-    if options is not None and name == IATGroupDetector.name:
-        return IATGroupDetector(IATConfig.from_options(options))
-    return registry.create(name)

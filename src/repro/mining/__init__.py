@@ -4,7 +4,7 @@ from repro.mining.detector import DetectionResult, SubTPIINResult, detect
 from repro.mining.groups import GroupKind, SuspiciousGroup, minimal_groups
 from repro.mining.incremental import ArcUpdate, IncrementalDetector, PathCacheStats
 from repro.mining.matching import match_component_patterns, match_pairs_naive
-from repro.mining.options import DetectOptions, Engine, TraceSpec
+from repro.mining.options import Engine, TraceSpec
 from repro.mining.oracle import suspicious_arc_oracle, suspicious_arc_oracle_closure
 from repro.mining.parallel import parallel_detect
 from repro.mining.sampling import ShareEstimate, estimate_suspicious_share
@@ -21,7 +21,6 @@ from repro.mining.temporal import TimedTrade, WindowResult, sliding_window_detec
 
 __all__ = [
     "ArcUpdate",
-    "DetectOptions",
     "DetectionResult",
     "Engine",
     "GroupKind",

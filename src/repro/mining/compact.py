@@ -223,7 +223,7 @@ def build_plan(csr: CSRGraph, order_nodes: Iterable[Node]) -> MiningPlan:
     np.add.at(est_tree, comp_id[roots], tree_arr[roots])
     np.add.at(est_emit, comp_id[roots], emit_arr[roots])
     # Cyclic components: the DP does not apply; fall back to a coarse
-    # size proxy (nodes + arcs) so LPT still spreads them sensibly.
+    # size proxy (nodes + arcs) for the plan span's estimated_work.
     infl_by_comp = np.bincount(comp_id[infl_tgts], minlength=n_components)
     fallback = (comp_sizes + infl_by_comp + trading_by_comp).astype(np.float64)
     est_tree = np.where(cyclic, fallback, est_tree)

@@ -32,14 +32,14 @@ from repro.fusion.tpiin import TPIIN
 from repro.graph.digraph import Node
 from repro.mining.groups import GroupKind, SuspiciousGroup
 from repro.mining.matching import match_component_patterns
-from repro.mining.options import DetectOptions, Engine, TraceSpec
+from repro.mining.options import Engine, TraceSpec
 from repro.mining.patterns import build_patterns_tree
 from repro.mining.scs_groups import scs_suspicious_groups
 from repro.mining.segmentation import segment
 from repro.model.colors import EColor
 from repro.obs.profile import SUBTPIIN_SPAN
 from repro.obs.registry import get_registry
-from repro.obs.tracing import SpanRecord, TracerLike
+from repro.obs.tracing import SpanRecord, TracerLike, resolve_tracer
 
 __all__ = [
     "DetectionResult",
@@ -97,9 +97,6 @@ class DetectionResult:
     engine: str
     pattern_trail_count: int | None = None
     sub_results: list[SubTPIINResult] = field(default_factory=list)
-    # True when a max_trails cap silently stopped some pattern search:
-    # every count in this result is then a lower bound, not a total.
-    truncated: bool = False
     kind_counts_override: Counter[GroupKind] | None = None
     suspicious_arcs_override: set[tuple[Node, Node]] | None = None
     # Root span of the traced run (None unless detect(..., trace=...)
@@ -110,10 +107,6 @@ class DetectionResult:
     # plugin framework (repro.detectors) stamps ports of other miners.
     detector: str = IAT_DETECTOR_NAME
     detector_version: str = IAT_DETECTOR_VERSION
-    # FindingsReport of the extra portfolio detectors requested via
-    # DetectOptions.detectors.  Typed as object because the mining
-    # layer sits below repro.detectors; narrow at the call site.
-    findings: object | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -166,7 +159,7 @@ class DetectionResult:
 
     def summary(self) -> str:
         kinds = self.kind_counts()
-        text = (
+        return (
             f"detector={self.detector} v{self.detector_version} "
             f"engine={self.engine} subTPIINs={self.subtpiin_count} "
             f"groups={self.group_count} "
@@ -177,9 +170,6 @@ class DetectionResult:
             f"suspicious_arcs={self.suspicious_arc_count}/{self.total_trading_arcs} "
             f"({100.0 * self.suspicious_arc_share:.4f}%)"
         )
-        if self.truncated:
-            text += " [truncated: max_trails cap hit; counts are lower bounds]"
-        return text
 
     def render_sub_report(self, *, max_rows: int = 20) -> str:
         """Per-subTPIIN table (faithful/parallel engines only).
@@ -228,24 +218,14 @@ class DetectionResult:
 
 def detect(
     tpiin: TPIIN,
-    options: DetectOptions | None = None,
     *,
-    engine: str | Engine | None = None,
-    max_trails_per_subtpiin: int | None = None,
-    trace: TraceSpec | None = None,
-    detectors: "str | Sequence[str] | None" = None,
+    engine: str | Engine = Engine.FAITHFUL,
+    trace: TraceSpec = False,
 ) -> DetectionResult:
     """Detect all suspicious tax evasion groups in ``tpiin``.
 
-    Accepts a :class:`~repro.mining.options.DetectOptions` bag, plain
-    keywords, or both — explicit keywords override the corresponding
-    option field (``None`` means "not supplied").
-
     Parameters
     ----------
-    options:
-        Consolidated knobs; defaults to ``DetectOptions()`` (faithful
-        engine, untraced).
     engine:
         :class:`~repro.mining.options.Engine` or its string name.
         ``"faithful"`` (the default) runs the paper's Algorithm 1/2
@@ -258,81 +238,41 @@ def detect(
         ``"incremental"`` streams the trading arcs through
         :class:`~repro.mining.incremental.IncrementalDetector` (useful
         to validate the streaming path against the batch engines).
-    max_trails_per_subtpiin:
-        Faithful engine only: optional cap on each pattern base as a
-        safety valve; a capped run sets ``DetectionResult.truncated``
-        and its counts are *lower bounds* (the paper's experiments run
-        uncapped, as do ours).
     trace:
         ``True`` collects a span tree onto ``DetectionResult.trace``;
         a caller-owned :class:`~repro.obs.Tracer` nests the run under
         the caller's open span instead.  Group sets are identical
         either way (property-tested).
-    detectors:
-        Extra portfolio detectors (names registered in
-        :mod:`repro.detectors`, or ``"all"``) to run over the same
-        TPIIN after the IAT mining; their merged
-        :class:`~repro.detectors.base.FindingsReport` is attached as
-        ``DetectionResult.findings``.  The IAT detector itself is never
-        re-run — this result *is* its output.
     """
-    opts = (options if options is not None else DetectOptions()).with_overrides(
-        engine=engine,
-        max_trails_per_subtpiin=max_trails_per_subtpiin,
-        trace=trace,
-        detectors=detectors,
-    )
-    tracer = opts.resolve_tracer()
+    engine = Engine.coerce(engine)
+    tracer = resolve_tracer(trace)
     started = time.perf_counter()
     if tracer.enabled:
         span = tracer.span("detect")
         with span:
-            span.set(engine=opts.engine.value)
-            result = _run_engine(tpiin, opts, tracer)
+            span.set(engine=engine.value)
+            result = _run_engine(tpiin, engine, tracer)
         result.trace = span.record
     else:
-        result = _run_engine(tpiin, opts, tracer)
-    _count_run(opts.engine, result, time.perf_counter() - started)
-    if opts.detectors:
-        result.findings = _run_extra_detectors(tpiin, opts)
+        result = _run_engine(tpiin, engine, tracer)
+    _count_run(engine, result, time.perf_counter() - started)
     return result
 
 
-def _run_extra_detectors(tpiin: TPIIN, opts: DetectOptions) -> object | None:
-    """Run the non-IAT detectors named by ``opts.detectors``.
-
-    The plugin framework sits above the mining layer, so the imports
-    must stay function-local; the IAT detector is excluded because the
-    caller's result already is its output.
-    """
-    from repro.detectors.registry import get_detector_registry  # reprolint: disable=R010
-    from repro.detectors.runner import run_detectors  # reprolint: disable=R010
-
-    registry = get_detector_registry()
-    extras = [
-        name
-        for name in registry.resolve(opts.detectors or ())
-        if name != IAT_DETECTOR_NAME
-    ]
-    if not extras:
-        return None
-    return run_detectors(tpiin, extras, registry=registry, trace=opts.trace)
-
-
-def _run_engine(tpiin: TPIIN, opts: DetectOptions, tracer: TracerLike) -> DetectionResult:
+def _run_engine(tpiin: TPIIN, engine: Engine, tracer: TracerLike) -> DetectionResult:
     # The engine modules import DetectionResult from this module, so
     # their imports must stay function-local to break the cycle.
-    if opts.engine is Engine.PARALLEL:
+    if engine is Engine.PARALLEL:
         from repro.mining.parallel import parallel_detect  # reprolint: disable=R010
 
         return parallel_detect(tpiin, tracer=tracer)
-    if opts.engine is Engine.INCREMENTAL:
+    if engine is Engine.INCREMENTAL:
         from repro.mining.incremental import (  # reprolint: disable=R010
             IncrementalDetector,
         )
 
         return IncrementalDetector(tpiin, tracer=tracer).result()
-    return _detect_faithful(tpiin, opts, tracer)
+    return _detect_faithful(tpiin, tracer)
 
 
 def _count_run(engine: Engine, result: DetectionResult, elapsed: float) -> None:
@@ -356,9 +296,7 @@ def _count_run(engine: Engine, result: DetectionResult, elapsed: float) -> None:
     ).observe(elapsed * 1e3)
 
 
-def _detect_faithful(
-    tpiin: TPIIN, opts: DetectOptions, tracer: TracerLike
-) -> DetectionResult:
+def _detect_faithful(tpiin: TPIIN, tracer: TracerLike) -> DetectionResult:
     """The paper's Algorithm 1 literally (segment / mine / match)."""
     with tracer.span("segment") as seg_span:
         segmentation = segment(tpiin, skip_trivial=True)
@@ -371,15 +309,12 @@ def _detect_faithful(
     groups: list[SuspiciousGroup] = []
     sub_results: list[SubTPIINResult] = []
     trail_total = 0
-    truncated = False
     for sub in segmentation.subtpiins:
         with tracer.span(SUBTPIIN_SPAN) as sub_span:
             with tracer.span("patterns_tree") as tree_span:
-                tree = build_patterns_tree(
-                    sub.graph, max_trails=opts.max_trails_per_subtpiin, build_tree=False
-                )
+                tree = build_patterns_tree(sub.graph, build_tree=False)
                 if tracer.enabled:
-                    tree_span.set(trails=len(tree.trails), truncated=tree.truncated)
+                    tree_span.set(trails=len(tree.trails))
             with tracer.span("match") as match_span:
                 sub_groups = match_component_patterns(tree.trails)
                 if tracer.enabled:
@@ -392,7 +327,6 @@ def _detect_faithful(
                     trails=len(tree.trails),
                     groups=len(sub_groups),
                 )
-        truncated = truncated or tree.truncated
         trail_total += len(tree.trails)
         groups.extend(sub_groups)
         sub_results.append(
@@ -422,5 +356,4 @@ def _detect_faithful(
         engine="faithful",
         pattern_trail_count=trail_total,
         sub_results=sub_results,
-        truncated=truncated,
     )

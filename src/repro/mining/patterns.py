@@ -125,17 +125,11 @@ class PatternTreeNode:
 
 @dataclass(slots=True)
 class PatternsTreeResult:
-    """The patterns tree plus its flattened component pattern base.
-
-    ``truncated`` is ``True`` when a ``max_trails`` cap stopped the
-    search early, i.e. ``trails`` is a prefix of the full pattern base
-    and every result derived from it is a lower bound.
-    """
+    """The patterns tree plus its flattened component pattern base."""
 
     roots: list[PatternTreeNode]
     trails: list[PatternTrail]
     list_d: list[Node]
-    truncated: bool = False
 
     def render_tree(self) -> str:
         """Fig. 9-style indented rendering of the whole forest."""
@@ -174,7 +168,6 @@ def list_d_order(graph: DiGraph) -> list[Node]:
 def build_patterns_tree(
     graph: DiGraph,
     *,
-    max_trails: int | None = None,
     build_tree: bool = True,
 ) -> PatternsTreeResult:
     """Run Algorithm 2 on one subTPIIN graph.
@@ -183,10 +176,6 @@ def build_patterns_tree(
     ----------
     graph:
         A subTPIIN: influence + trading arcs over Person/Company nodes.
-    max_trails:
-        Optional safety bound on the number of emitted trails (the
-        pattern base can be large at high trading density); ``None``
-        means unbounded.
     build_tree:
         When ``False``, only the trail base is produced and the explicit
         tree nodes are skipped — the mining path uses this to avoid
@@ -259,8 +248,6 @@ def build_patterns_tree(
                     tree_node.children.append(
                         PatternTreeNode(successor, via_trading=True)
                     )
-                if max_trails is not None and len(trails) >= max_trails:
-                    return PatternsTreeResult(forest, trails, list_d, truncated=True)
                 continue
             if successor in on_path:
                 # Cannot happen on a valid (DAG) antecedent network;
@@ -274,6 +261,4 @@ def build_patterns_tree(
             emitted_any[-1] = True
             emitted_any.append(False)
             stack.append((successor, child, out_arcs_of(successor)))
-            if max_trails is not None and len(trails) >= max_trails:
-                return PatternsTreeResult(forest, trails, list_d, truncated=True)
     return PatternsTreeResult(forest, trails, list_d)

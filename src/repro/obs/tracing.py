@@ -37,7 +37,9 @@ __all__ = [
     "SpanHandle",
     "SpanRecord",
     "Tracer",
+    "TraceSpec",
     "TracerLike",
+    "resolve_tracer",
 ]
 
 #: Scalar attribute values a span may carry.
@@ -186,6 +188,19 @@ class NullTracer:
 
 #: Module-level singleton; the annotation is the only spelling of its type.
 NULL_TRACER: NullTracer = NullTracer()
+
+#: What ``trace`` accepts: ``False`` (off), ``True`` (collect into a
+#: fresh tracer, attached to the result), or a caller-owned tracer.
+TraceSpec = Union[bool, TracerLike]
+
+
+def resolve_tracer(trace: "TraceSpec | None") -> TracerLike:
+    """The tracer a run reports to: fresh, caller-owned, or null."""
+    if trace is True:
+        return Tracer()
+    if trace is False or trace is None:
+        return NULL_TRACER
+    return trace
 
 
 class _OpenSpan:

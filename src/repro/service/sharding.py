@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import TypeVar
 
 from repro.analysis.investigate import CompanyInvestigation, investigate_company
-from repro.detectors.registry import get_detector_registry
+from repro.detectors.registry import DETECTORS, detector_info
 from repro.detectors.runner import run_detectors
 from repro.errors import BackpressureError, MiningError, ServiceError
 from repro.fusion.tpiin import TPIIN
@@ -668,18 +668,13 @@ class ShardedDetectionService:
 
     def detectors_payload(self) -> dict[str, object]:
         """The ``GET /v1/detectors`` listing (name, version, config schema)."""
-        registry = get_detector_registry()
-        return {
-            "detectors": [registry.info(name).to_dict() for name in registry.names()]
-        }
+        return {"detectors": [detector_info(name).to_dict() for name in DETECTORS]}
 
     def detector_findings(self, detector: str) -> dict[str, object]:
-        """Run one registered portfolio detector over the live arc set."""
-        registry = get_detector_registry()
-        if detector not in registry:
+        """Run one portfolio detector over the live arc set."""
+        if detector not in DETECTORS:
             raise MiningError(
-                f"unknown detector {detector!r} "
-                f"(choices: {', '.join(registry.names())})"
+                f"unknown detector {detector!r} (choices: {', '.join(DETECTORS)})"
             )
         with self._lock.read():
             arcs = [(str(s), str(b)) for s, b in self._detector.trading_arcs()]
@@ -691,7 +686,7 @@ class ShardedDetectionService:
                 snapshot.intra_scs_trades.append((seller, buyer))
             else:
                 snapshot.graph.add_arc(mapped_seller, mapped_buyer, EColor.TRADING)
-        report = run_detectors(snapshot, [detector], registry=registry)
+        report = run_detectors(snapshot, [detector])
         return report[detector].to_dict()
 
     def arc_count(self) -> int:

@@ -1,38 +1,25 @@
-"""The process-wide detector registry: registration, lazy loading, resolve."""
+"""The static detector table: names, create, info, resolve."""
 
 import pytest
 
 from repro.detectors import (
-    DetectorRegistry,
+    DETECTORS,
     IATGroupDetector,
-    get_detector_registry,
-    set_detector_registry,
+    create_detector,
+    detector_info,
+    resolve_detectors,
 )
-from repro.detectors.base import DetectionContext, DetectorOutcome
 from repro.errors import MiningError
 
 BUILTINS = ("circular-trading", "iat-groups", "missing-trader", "shared-household")
 
 
-class ToyDetector:
-    name = "toy"
-    version = "0.1.0"
-    summary = "test double"
-    config_type = dict
-
-    def __init__(self, config=None):
-        self.config = config if config is not None else {}
-
-    def run(self, context: DetectionContext) -> DetectorOutcome:
-        return DetectorOutcome()
-
-
 class TestBuiltins:
     def test_all_four_builtins_registered(self):
-        assert get_detector_registry().names() == BUILTINS
+        assert tuple(DETECTORS) == BUILTINS
 
     def test_info_exposes_schema(self):
-        info = get_detector_registry().info("circular-trading")
+        info = detector_info("circular-trading")
         assert info.name == "circular-trading"
         assert info.version == "1.0.0"
         assert set(info.schema) == {"min_cycle_size", "min_balance"}
@@ -41,94 +28,30 @@ class TestBuiltins:
         assert payload["name"] == "circular-trading"
         assert "min_balance" in payload["config"]
 
-    def test_lazy_load_returns_class(self):
-        registry = DetectorRegistry()
-        assert registry.load("iat-groups") is IATGroupDetector
+    def test_table_maps_names_to_classes(self):
+        assert DETECTORS["iat-groups"] is IATGroupDetector
+        assert all(cls.name == name for name, cls in DETECTORS.items())
+        with pytest.raises(TypeError):
+            DETECTORS["toy"] = IATGroupDetector  # type: ignore[index]
 
     def test_create_instantiates_with_default_config(self):
-        detector = get_detector_registry().create("missing-trader")
+        detector = create_detector("missing-trader")
         assert detector.name == "missing-trader"
         assert detector.config.min_fan_in == 3
 
 
-class TestRegistration:
-    def test_register_class_and_create(self):
-        registry = DetectorRegistry(builtins=False)
-        registry.register("toy", ToyDetector)
-        assert "toy" in registry
-        assert isinstance(registry.create("toy"), ToyDetector)
-
-    def test_register_entry_point_spec(self):
-        registry = DetectorRegistry(builtins=False)
-        registry.register("iat-groups", "repro.detectors.iat:IATGroupDetector")
-        assert registry.load("iat-groups") is IATGroupDetector
-
-    def test_duplicate_requires_replace(self):
-        registry = DetectorRegistry(builtins=False)
-        registry.register("toy", ToyDetector)
-        with pytest.raises(MiningError, match="already registered"):
-            registry.register("toy", ToyDetector)
-        registry.register("toy", ToyDetector, replace=True)
-
-    def test_unregister(self):
-        registry = DetectorRegistry(builtins=False)
-        registry.register("toy", ToyDetector)
-        registry.unregister("toy")
-        assert "toy" not in registry
-        with pytest.raises(MiningError, match="not registered"):
-            registry.unregister("toy")
-
-    def test_invalid_name_rejected(self):
-        registry = DetectorRegistry(builtins=False)
-        with pytest.raises(MiningError, match="invalid detector name"):
-            registry.register("", ToyDetector)
-        with pytest.raises(MiningError, match="invalid detector name"):
-            registry.register("a/b", ToyDetector)
-
-    def test_name_mismatch_rejected(self):
-        registry = DetectorRegistry(builtins=False)
-        registry.register("other", ToyDetector)
-        with pytest.raises(MiningError, match="registered as"):
-            registry.create("other")
-
-    def test_bad_specs_rejected(self):
-        registry = DetectorRegistry(builtins=False)
-        registry.register("no-colon", "repro.detectors.iat")
-        with pytest.raises(MiningError, match="module:attr"):
-            registry.load("no-colon")
-        registry.register("no-module", "repro.nope:X")
-        with pytest.raises(MiningError, match="cannot import"):
-            registry.load("no-module")
-        registry.register("no-attr", "repro.detectors.iat:Nope")
-        with pytest.raises(MiningError, match="no attribute"):
-            registry.load("no-attr")
-
-
 class TestResolve:
     def test_all_expands_sorted(self):
-        assert get_detector_registry().resolve("all") == BUILTINS
+        assert resolve_detectors("all") == BUILTINS
 
     def test_explicit_order_preserved_and_deduped(self):
-        resolved = get_detector_registry().resolve(
-            ["missing-trader", "iat-groups", "missing-trader"]
-        )
+        resolved = resolve_detectors(["missing-trader", "iat-groups", "missing-trader"])
         assert resolved == ("missing-trader", "iat-groups")
 
     def test_unknown_name_lists_choices(self):
         with pytest.raises(MiningError, match="choices:"):
-            get_detector_registry().resolve("nope")
+            resolve_detectors("nope")
 
     def test_empty_selection_rejected(self):
         with pytest.raises(MiningError, match="empty"):
-            get_detector_registry().resolve([])
-
-
-class TestProcessWide:
-    def test_swap_and_restore(self):
-        replacement = DetectorRegistry(builtins=False)
-        previous = set_detector_registry(replacement)
-        try:
-            assert get_detector_registry() is replacement
-        finally:
-            set_detector_registry(previous)
-        assert get_detector_registry() is previous
+            resolve_detectors([])

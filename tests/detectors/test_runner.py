@@ -5,7 +5,6 @@ import pytest
 from repro.detectors import run_detectors
 from repro.errors import MiningError
 from repro.fusion.tpiin import TPIIN
-from repro.mining.options import DetectOptions
 from repro.obs.tracing import Tracer
 
 
@@ -95,20 +94,34 @@ class TestRunDetectors:
             )
 
     def test_options_configure_the_iat_detector(self):
-        report = run_detectors(
-            _portfolio_tpiin(), "iat-groups", options=DetectOptions(engine="parallel")
-        )
-        run = report["iat-groups"]
-        assert run.attributes["engine"] == "parallel"
-        assert run.detection is not None and run.detection.engine == "parallel"
-        # An explicit config override wins over the options.
-        report = run_detectors(
-            _portfolio_tpiin(),
-            "iat-groups",
-            configs={"iat-groups": {"engine": "incremental"}},
-            options=DetectOptions(engine="parallel"),
-        )
-        assert report["iat-groups"].attributes["engine"] == "incremental"
+        default = run_detectors(_portfolio_tpiin(), "iat-groups")
+        assert default["iat-groups"].attributes["engine"] == "faithful"
+        for engine in ("parallel", "incremental"):
+            report = run_detectors(
+                _portfolio_tpiin(),
+                "iat-groups",
+                configs={"iat-groups": {"engine": engine}},
+            )
+            run = report["iat-groups"]
+            assert run.attributes["engine"] == engine
+            assert run.detection is not None and run.detection.engine == engine
+
+    def test_unknown_config_field_is_a_mining_error(self):
+        with pytest.raises(
+            MiningError,
+            match=r"detector 'circular-trading' has no config field 'bogus' "
+            r"\(valid: min_cycle_size, min_balance\)",
+        ):
+            run_detectors(
+                _portfolio_tpiin(),
+                ["circular-trading"],
+                configs={"circular-trading": {"bogus": 1}},
+            )
+
+    def test_removed_keywords_are_rejected(self):
+        for removed in ("options", "registry"):
+            with pytest.raises(TypeError):
+                run_detectors(_portfolio_tpiin(), "iat-groups", **{removed: None})
 
     def test_run_payload_shape(self):
         payload = run_detectors(_portfolio_tpiin(), "all").to_dict()

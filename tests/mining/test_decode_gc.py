@@ -76,7 +76,6 @@ def expected_payload(result) -> dict:
         "detector": result.detector,
         "detector_version": result.detector_version,
         "engine": result.engine,
-        "truncated": result.truncated,
         "subtpiin_count": result.subtpiin_count,
         "total_trading_arcs": result.total_trading_arcs,
         "cross_component_trades": result.cross_component_trades,

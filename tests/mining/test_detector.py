@@ -85,17 +85,6 @@ class TestResultAccounting:
         with pytest.raises(MiningError, match="engine"):
             detect(fig8, engine="quantum")
 
-    def test_max_trails_caps_search(self, fig8):
-        result = detect(fig8, max_trails_per_subtpiin=4)
-        assert result.pattern_trail_count == 4
-        assert result.truncated
-        assert "truncated" in result.summary()
-
-    def test_uncapped_result_is_not_truncated(self, fig8):
-        result = detect(fig8)
-        assert not result.truncated
-        assert "truncated" not in result.summary()
-
     def test_write_files(self, fig8, tmp_path):
         result = detect(fig8)
         paths = result.write_files(tmp_path)

@@ -1,10 +1,14 @@
-"""Unit tests for the consolidated detect() options API."""
+"""Unit tests for the detect() configuration surface: engine and trace."""
+
+import inspect
 
 import pytest
 
+from repro.detectors.iat import IATConfig
 from repro.errors import MiningError
-from repro.mining.options import DetectOptions, Engine
-from repro.obs.tracing import NULL_TRACER, Tracer
+from repro.mining.detector import detect
+from repro.mining.options import Engine
+from repro.obs.tracing import NULL_TRACER, Tracer, resolve_tracer
 
 
 class TestEngine:
@@ -37,64 +41,54 @@ class TestEngine:
             Engine.coerce(removed)
 
 
-class TestDetectOptions:
-    def test_defaults(self):
-        opts = DetectOptions()
-        assert opts.engine is Engine.FAITHFUL
-        assert opts.trace is False
+class TestDetect:
+    def test_defaults(self, fig8):
+        result = detect(fig8)
+        assert result.engine == "faithful"
+        assert result.trace is None
+
+    def test_signature_is_engine_and_trace(self):
+        params = inspect.signature(detect).parameters
+        assert list(params) == ["tpiin", "engine", "trace"]
+        assert params["engine"].kind is inspect.Parameter.KEYWORD_ONLY
 
     @pytest.mark.parametrize(
         "removed",
-        ["processes", "min_pool_work", "skip_trivial_subtpiins", "collect_groups"],
+        [
+            "processes",
+            "min_pool_work",
+            "skip_trivial_subtpiins",
+            "collect_groups",
+            "options",
+            "max_trails_per_subtpiin",
+            "detectors",
+        ],
     )
-    def test_removed_knobs_are_rejected(self, removed):
-        from repro.detectors.iat import IATConfig
+    def test_removed_knobs_are_rejected(self, fig8, removed):
+        with pytest.raises(TypeError):
+            detect(fig8, **{removed: 1})
+        assert list(IATConfig.__dataclass_fields__) == ["engine"]
+        with pytest.raises(TypeError):
+            IATConfig(**{removed: 1})
 
-        for bag in (DetectOptions, IATConfig):
-            assert removed not in bag.__dataclass_fields__
-            with pytest.raises(TypeError):
-                bag(**{removed: 1})
-
-    def test_engine_coerced_on_construction(self):
-        assert DetectOptions(engine="parallel").engine is Engine.PARALLEL
-        with pytest.raises(MiningError, match="unknown engine"):
-            DetectOptions(engine="warp")
-
-    def test_frozen(self):
-        opts = DetectOptions()
-        with pytest.raises(AttributeError):
-            opts.engine = Engine.PARALLEL  # type: ignore[misc]
-
-    def test_validates_bounds(self):
-        with pytest.raises(MiningError, match="max_trails_per_subtpiin"):
-            DetectOptions(max_trails_per_subtpiin=0)
-
-    def test_with_overrides_drops_nones(self):
-        base = DetectOptions(engine=Engine.PARALLEL, max_trails_per_subtpiin=4)
-        same = base.with_overrides(engine=None, max_trails_per_subtpiin=None)
-        assert same is base
-        changed = base.with_overrides(engine="incremental", trace=None)
-        assert changed.engine is Engine.INCREMENTAL
-        assert changed.max_trails_per_subtpiin == 4
-        assert base.engine is Engine.PARALLEL  # original untouched
-
-    def test_with_overrides_coerces_engine(self):
-        with pytest.raises(MiningError, match="unknown engine"):
-            DetectOptions().with_overrides(engine="nope")
+    def test_engine_coerced_on_construction(self, fig8):
+        assert detect(fig8, engine="parallel").engine == "parallel"
+        with pytest.raises(MiningError, match="unknown engine 'warp'"):
+            detect(fig8, engine="warp")
 
 
 class TestResolveTracer:
     def test_false_and_none_are_null(self):
-        assert DetectOptions(trace=False).resolve_tracer() is NULL_TRACER
-        assert DetectOptions(trace=None).resolve_tracer() is NULL_TRACER  # type: ignore[arg-type]
+        assert resolve_tracer(False) is NULL_TRACER
+        assert resolve_tracer(None) is NULL_TRACER
 
     def test_true_is_a_fresh_tracer(self):
-        first = DetectOptions(trace=True).resolve_tracer()
-        second = DetectOptions(trace=True).resolve_tracer()
+        first = resolve_tracer(True)
+        second = resolve_tracer(True)
         assert isinstance(first, Tracer)
         assert first is not second
         assert first.enabled
 
     def test_caller_owned_tracer_passes_through(self):
         tracer = Tracer()
-        assert DetectOptions(trace=tracer).resolve_tracer() is tracer
+        assert resolve_tracer(tracer) is tracer

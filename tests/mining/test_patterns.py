@@ -113,22 +113,6 @@ class TestRules:
 
 
 class TestBounds:
-    def test_max_trails(self, fig8):
-        result = build_patterns_tree(fig8.graph, max_trails=5)
-        assert len(result.trails) == 5
-        assert result.truncated
-
-    def test_uncapped_is_not_truncated(self, fig8):
-        result = build_patterns_tree(fig8.graph)
-        assert not result.truncated
-
-    def test_cap_equal_to_total_is_not_truncated(self, fig8):
-        # The cap is only *hit* when the enumeration stops early.
-        total = len(build_patterns_tree(fig8.graph, build_tree=False).trails)
-        result = build_patterns_tree(fig8.graph, max_trails=total + 1)
-        assert len(result.trails) == total
-        assert not result.truncated
-
     def test_build_tree_false_skips_forest(self, fig8):
         result = build_patterns_tree(fig8.graph, build_tree=False)
         assert result.roots == []

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 
 from repro.detectors import DetectionContext, IATConfig, IATGroupDetector, run_detectors
 from repro.mining.detector import detect
-from repro.mining.options import DetectOptions, Engine
+from repro.mining.options import Engine
 
 from .strategies import tpiins
 
@@ -41,7 +41,7 @@ def test_runner_options_path_equals_legacy_detect(tpiin):
     for engine in ENGINES:
         legacy = detect(tpiin, engine=engine)
         report = run_detectors(
-            tpiin, "iat-groups", options=DetectOptions(engine=engine)
+            tpiin, "iat-groups", configs={"iat-groups": {"engine": engine}}
         )
         run = report["iat-groups"]
         assert run.detection is not None

@@ -174,8 +174,29 @@ class TestCommands:
             "missing-trader",
             "shared-household",
         ]
-        # The IAT reference run still writes the legacy artifacts.
-        assert (tmp_path / "out" / "detection.json").exists()
+        # The IAT reference run still writes the legacy artifacts, mined
+        # with the CLI's default engine.
+        detection = json.loads((tmp_path / "out" / "detection.json").read_text())
+        assert detection["engine"] == "parallel"
+        assert report["runs"]["iat-groups"]["attributes"]["engine"] == "parallel"
+
+        code = main(
+            [
+                "mine",
+                str(tmp_path / "net.arcs.csv"),
+                str(tmp_path / "net.nodes.csv"),
+                "--detector",
+                "all",
+                "--engine",
+                "faithful",
+                "--out-dir",
+                str(tmp_path / "faithful"),
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        detection = json.loads((tmp_path / "faithful" / "detection.json").read_text())
+        assert detection["engine"] == "faithful"
 
         code = main(
             [

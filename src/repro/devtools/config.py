@@ -37,7 +37,6 @@ _DEFAULT_LAYERS: tuple[tuple[str, ...], ...] = (
 
 _DEFAULT_HOT_FUNCTIONS: tuple[str, ...] = (
     "repro.mining.csr_engine::mine_frontier_compact",
-    "repro.mining.csr_engine::mine_stack_compact",
     "repro.mining.compact::_circle_flags",
 )
 

@@ -518,8 +518,8 @@ class _LockFlowWalker:
 class HotPathAllocationRule:
     """R015 - innermost loops of hot functions stay allocation-lean.
 
-    Functions marked hot in ``[tool.reprolint.hot] functions`` (the CSR
-    freeze and the fused DFS/matcher kernels) are the per-node/per-arc
+    Functions marked hot in ``[tool.reprolint.hot] functions`` (the
+    compact mining kernel and its circle walk) are the per-node/per-arc
     loops the benchmarks gate.  Inside their innermost ``for``/``while``
     loops the rule flags:
 
@@ -530,6 +530,11 @@ class HotPathAllocationRule:
       iteration; tuples are exempt — emission payloads are tuples);
     * repeated attribute lookups ``base.attr`` of a loop-invariant base
       (two or more occurrences) — hoist to a local before the loop.
+
+    A hot-list entry whose module is linted but defines no function of
+    that qualname is reported too, so a renamed or deleted kernel
+    cannot drop out of the check silently.  Entries for modules outside
+    the run (a lint of ``tests/`` alone) stay silent.
     """
 
     rule_id = "R015"
@@ -549,9 +554,20 @@ class HotPathAllocationRule:
             wanted = targets.get(info.module)
             if not wanted:
                 continue
+            found: set[str] = set()
             for qualname, fn in _named_functions(info.tree):
                 if qualname in wanted:
+                    found.add(qualname)
                     yield from self._check_function(info, fn)
+            for qualname in sorted(wanted - found):
+                yield info.diagnostic(
+                    None,
+                    self.rule_id,
+                    f"hot-list entry '{info.module}::{qualname}' names no "
+                    "function in this module, so nothing is checked",
+                    "update or remove the entry in [tool.reprolint.hot] "
+                    "functions",
+                )
 
     def _check_function(
         self, info: ModuleInfo, fn: ast.FunctionDef | ast.AsyncFunctionDef

@@ -3,8 +3,9 @@
 Algorithm 1 emits per-subTPIIN files ``susGroup(i)`` (all suspicious
 groups mined from the i-th subTPIIN) and ``susTrade(i)`` (the suspicious
 trading arcs).  :func:`write_sus_files` reproduces that layout for the
-faithful engine and writes a single aggregated pair for engines that do
-not track per-subTPIIN provenance.  :func:`write_detection_json` /
+faithful and parallel engines, which both keep per-subTPIIN results,
+and writes a single aggregated pair for the incremental engine, which
+does not.  :func:`write_detection_json` /
 :func:`read_detection_json` round-trip the full result for downstream
 tooling.
 """
@@ -12,10 +13,11 @@ tooling.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import SerializationError
+from repro.errors import MiningError, SerializationError
 from repro.graph.gcpause import gc_paused
 from repro.mining.groups import GroupKind, SuspiciousGroup
 
@@ -42,7 +44,7 @@ def write_sus_files(result: "DetectionResult", directory: Path) -> list[Path]:
     directory.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    def dump(index: str, groups: list[SuspiciousGroup]) -> None:
+    def dump(index: str, groups: Sequence[SuspiciousGroup]) -> None:
         group_path = directory / f"susGroup({index}).txt"
         trade_path = directory / f"susTrade({index}).txt"
         with group_path.open("w") as handle:
@@ -79,20 +81,33 @@ def group_to_dict(group: SuspiciousGroup) -> dict[str, Any]:
 
 
 def group_from_dict(payload: dict[str, Any]) -> SuspiciousGroup:
+    """Revive one :func:`group_to_dict` payload.
+
+    Every malformed payload — a missing key, a trail that is not a list
+    of strings, an unknown kind, or trails that break the group
+    invariants — raises :class:`~repro.errors.SerializationError`.
+    """
     try:
         trading = payload["trading_trail"]
         support = payload["support_trail"]
-        if not isinstance(trading, (list, tuple)) or not isinstance(
-            support, (list, tuple)
-        ):
-            raise SerializationError(f"group trails must be lists: {payload!r}")
+        if not _is_str_list(trading) or not _is_str_list(support):
+            raise SerializationError(
+                f"group trails must be lists of strings: {payload!r}"
+            )
         return SuspiciousGroup(
             trading_trail=tuple(trading),
             support_trail=tuple(support),
             kind=GroupKind(payload["kind"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, MiningError) as exc:
         raise SerializationError(f"malformed group payload: {payload!r}") from exc
+
+
+def _is_str_list(value: Any) -> bool:
+    """True for a JSON array (or tuple) whose items are all strings."""
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(item, str) for item in value
+    )
 
 
 def detection_to_dict(result: "DetectionResult") -> dict[str, Any]:
@@ -146,8 +161,11 @@ def read_detection_json(path: str | Path) -> dict[str, Any]:
     if not isinstance(groups, list) or not isinstance(arcs, list):
         raise SerializationError(f"{path}: groups/arcs must be JSON arrays")
     payload["groups"] = [group_from_dict(g) for g in groups]
-    try:
-        payload["suspicious_trading_arcs"] = {(a, b) for a, b in arcs}
-    except (TypeError, ValueError) as exc:
-        raise SerializationError(f"{path}: malformed arc entries") from exc
+    for arc in arcs:
+        if not (_is_str_list(arc) and len(arc) == 2):
+            raise SerializationError(
+                f"{path}: each suspicious trading arc must be a list of "
+                f"two strings, got {arc!r}"
+            )
+    payload["suspicious_trading_arcs"] = {(a, b) for a, b in arcs}
     return payload

@@ -3,14 +3,14 @@
 The parallel engine never slices the TPIIN into
 per-component :class:`~repro.graph.digraph.DiGraph` objects.  Instead it
 freezes the *whole* graph once (:class:`~repro.graph.csr.CSRGraph`) and
-drives the kernels with the structures in this module:
+drives the kernel with the structures in this module:
 
 * :class:`MiningPlan` — per-node component labels (influence weak
   connectivity, ordinals in the faithful segmentation's first-seen
   order), the trading adjacency pre-filtered to intra-component arcs,
-  and per-component *work estimates*: for acyclic components the exact
-  DFS tree size via a path-count DP (the refined form of the
-  out-degree-product heuristic), used to pick the mining kernel;
+  and per-component *work estimates*: the exact DFS tree size via a
+  path-count DP over the acyclic antecedent network, which sizes the
+  kernel's buffers and feeds the ``plan`` span's ``estimated_work``;
 * :class:`CompactMine` — the raw mining outcome as flat arrays: the DFS
   prefix forest (``parent``/``node``/``root``) plus one
   ``(tree index, target)`` pair per first-trading-arc emission, kept
@@ -37,6 +37,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.errors import NotADagError
 from repro.graph.csr import CSRGraph, IntBuffer
 from repro.graph.digraph import Node
 from repro.graph.gcpause import gc_paused
@@ -61,7 +62,7 @@ _CIRCLE = GroupKind.CIRCLE
 
 #: Per-node clip for the path-count DP: conglomerate DAGs can hold more
 #: simple paths than atoms in the observable universe; above this the
-#: estimate only needs to read as "enormous" for scheduling purposes.
+#: estimate only needs to read as "enormous".
 _EST_CLIP = 1.0e18
 
 
@@ -102,13 +103,8 @@ class MiningPlan:
     intra_targets: np.ndarray
     #: Trading arcs whose endpoints fall in different components.
     cross_count: int
-    #: Per component, whether its influence subgraph contains a cycle
-    #: (Kahn leftovers) — cyclic components must take the guarded stack
-    #: kernel, never the frontier kernel.
-    cyclic: np.ndarray
-    #: Per component, the predicted DFS tree size (float64).  Exact for
-    #: acyclic components below the clip; a coarse size proxy for
-    #: cyclic ones.
+    #: Per component, the predicted DFS tree size (float64), exact below
+    #: the clip.
     est_tree: np.ndarray
     #: Per component, predicted tree size + emission count (the
     #: ``plan`` span's ``estimated_work``).
@@ -126,6 +122,10 @@ def build_plan(csr: CSRGraph, order_nodes: Iterable[Node]) -> MiningPlan:
     order — component ordinals are assigned first-seen over it, which
     reproduces :func:`~repro.graph.traversal.weakly_connected_components`
     (and hence the faithful engine's subTPIIN order) exactly.
+
+    Raises :class:`~repro.errors.NotADagError` when the antecedent
+    network has a directed cycle: the frontier kernel walks it without
+    an on-path guard, which only a DAG (Property 1) allows.
     """
     n = len(csr)
     infl_offs = as_int64(csr.out_adjacency(EColor.INFLUENCE)[0])
@@ -179,7 +179,7 @@ def build_plan(csr: CSRGraph, order_nodes: Iterable[Node]) -> MiningPlan:
         comp_id[tr_tails[intra_mask]], minlength=n_components
     )
 
-    # --- Kahn: topological order + cyclic component flags -------------
+    # --- Kahn: topological order; leftovers mean a cycle --------------
     indeg = np.bincount(infl_tgts, minlength=n).tolist()
     topo = [u for u in range(n) if indeg[u] == 0]
     head = 0
@@ -191,17 +191,16 @@ def build_plan(csr: CSRGraph, order_nodes: Iterable[Node]) -> MiningPlan:
             indeg[v] -= 1
             if indeg[v] == 0:
                 topo.append(v)
-    acyclic_node = np.zeros(n, dtype=bool)
-    acyclic_node[topo] = True
-    cyclic = (
-        np.bincount(comp_id[~acyclic_node], minlength=n_components) > 0
-    )
+    if len(topo) != n:
+        raise NotADagError(
+            "antecedent network contains a directed cycle; run SCC "
+            "contraction (repro.fusion) before building the TPIIN"
+        )
 
     # --- path-count DP (reverse topological) --------------------------
     # tree[u] = DFS tree size rooted at u = 1 + sum(tree[succ]);
     # emit[u] = emissions in that tree = intra_deg(u) + sum(emit[succ]).
-    # Exact on acyclic components (the DFS never skips an arc there);
-    # values feeding through a cycle are unused (cyclic flag wins).
+    # Exact on a DAG: the DFS never skips an arc there.
     tree = [1.0] * n
     emit = intra_counts.astype(np.float64).tolist()
     clip = _EST_CLIP
@@ -222,12 +221,7 @@ def build_plan(csr: CSRGraph, order_nodes: Iterable[Node]) -> MiningPlan:
     est_emit = np.zeros(n_components, dtype=np.float64)
     np.add.at(est_tree, comp_id[roots], tree_arr[roots])
     np.add.at(est_emit, comp_id[roots], emit_arr[roots])
-    # Cyclic components: the DP does not apply; fall back to a coarse
-    # size proxy (nodes + arcs) for the plan span's estimated_work.
-    infl_by_comp = np.bincount(comp_id[infl_tgts], minlength=n_components)
-    fallback = (comp_sizes + infl_by_comp + trading_by_comp).astype(np.float64)
-    est_tree = np.where(cyclic, fallback, est_tree)
-    est_work = np.where(cyclic, fallback, est_tree + est_emit)
+    est_work = est_tree + est_emit
 
     return MiningPlan(
         n_nodes=n,
@@ -238,7 +232,6 @@ def build_plan(csr: CSRGraph, order_nodes: Iterable[Node]) -> MiningPlan:
         intra_offsets=intra_offsets,
         intra_targets=intra_targets,
         cross_count=cross_count,
-        cyclic=cyclic,
         est_tree=est_tree,
         est_work=est_work,
     )
@@ -260,7 +253,7 @@ class CompactMine:
     rebuild in one forward pass.  ``emit_tree``/``emit_target`` list the
     first-trading-arc emissions as ``(tree index, target node id)``.
     ``rule1_by_comp`` counts the pure-influence trails per component
-    (Rule 1 fires), which the kernels tally directly.
+    (Rule 1 fires), which the kernel tallies directly.
     """
 
     parent: np.ndarray
@@ -269,47 +262,6 @@ class CompactMine:
     emit_tree: np.ndarray
     emit_target: np.ndarray
     rule1_by_comp: np.ndarray
-
-    @classmethod
-    def empty(cls, n_components: int) -> "CompactMine":
-        zero = np.zeros(0, dtype=np.int64)
-        return cls(
-            parent=zero,
-            node=zero.copy(),
-            root=zero.copy(),
-            emit_tree=zero.copy(),
-            emit_target=zero.copy(),
-            rule1_by_comp=np.zeros(n_components, dtype=np.int64),
-        )
-
-    @classmethod
-    def merge(cls, parts: Sequence["CompactMine"], n_components: int) -> "CompactMine":
-        """Concatenate mines over disjoint components (tree indices shifted).
-
-        Joins the frontier and stack kernels' outputs in
-        :func:`~repro.mining.csr_engine.mine_components`.
-        """
-        if not parts:
-            return cls.empty(n_components)
-        if len(parts) == 1:
-            return parts[0]
-        parents: list[np.ndarray] = []
-        emit_trees: list[np.ndarray] = []
-        offset = 0
-        rule1 = np.zeros(n_components, dtype=np.int64)
-        for part in parts:
-            parents.append(np.where(part.parent < 0, -1, part.parent + offset))
-            emit_trees.append(part.emit_tree + offset)
-            rule1 += part.rule1_by_comp
-            offset += len(part.node)
-        return cls(
-            parent=np.concatenate(parents),
-            node=np.concatenate([p.node for p in parts]),
-            root=np.concatenate([p.root for p in parts]),
-            emit_tree=np.concatenate(emit_trees),
-            emit_target=np.concatenate([p.emit_target for p in parts]),
-            rule1_by_comp=rule1,
-        )
 
 
 def _circle_flags(mine: CompactMine) -> np.ndarray:
@@ -557,19 +509,13 @@ def _materialize(
     return by_comp
 
 
-def _rebuild_lazy_groups(items: list[SuspiciousGroup]) -> "LazyGroups":
-    """Unpickle target: a pre-materialized :class:`LazyGroups`."""
-    return LazyGroups.from_list(items)
-
-
 class LazyGroups(Sequence[SuspiciousGroup]):
     """A sized, lazily-materialized sequence of suspicious groups.
 
     ``len`` is O(1) (the counts come from :func:`count_mine`); the group
     objects are decoded from the compact arrays on first element access
     and cached.  ``tail`` carries eager extras appended after the mined
-    groups (the SCS groups on the top-level view).  Pickling
-    materializes, so it only happens when a caller stores results.
+    groups (the SCS groups on the top-level view).
     """
 
     __slots__ = ("_store", "_comp", "_length", "_tail", "_items")
@@ -581,25 +527,14 @@ class LazyGroups(Sequence[SuspiciousGroup]):
         mined_count: int,
         tail: Sequence[SuspiciousGroup] = (),
     ) -> None:
-        self._store: _GroupStore | None = store
+        self._store = store
         self._comp = comp
         self._tail = list(tail)
         self._length = mined_count + len(self._tail)
         self._items: list[SuspiciousGroup] | None = None
 
-    @classmethod
-    def from_list(cls, items: list[SuspiciousGroup]) -> "LazyGroups":
-        view = cls.__new__(cls)
-        view._store = None
-        view._comp = None
-        view._tail = []
-        view._length = len(items)
-        view._items = items
-        return view
-
     def _materialized(self) -> list[SuspiciousGroup]:
         if self._items is None:
-            assert self._store is not None
             items = self._store.groups_for(self._comp)
             if self._tail:
                 items = items + self._tail
@@ -619,9 +554,6 @@ class LazyGroups(Sequence[SuspiciousGroup]):
 
     def __iter__(self) -> Iterator[SuspiciousGroup]:
         return iter(self._materialized())
-
-    def __reduce__(self) -> tuple[Any, ...]:
-        return (_rebuild_lazy_groups, (self._materialized(),))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "pending" if self._items is None else "materialized"

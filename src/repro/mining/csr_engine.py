@@ -1,20 +1,15 @@
-"""Compact mining kernels over a frozen CSR graph.
+"""The compact mining kernel over a frozen CSR graph.
 
-These are the kernels the ``parallel`` engine
-(:mod:`repro.mining.parallel`) runs in-process.  They walk Algorithm 2's
+:func:`mine_frontier_compact` is the kernel the ``parallel`` engine
+(:mod:`repro.mining.parallel`) runs in-process.  It walks Algorithm 2's
 patterns tree over a :class:`~repro.graph.csr.CSRGraph` of the *whole*
 TPIIN, restricted to the components a
-:class:`~repro.mining.compact.MiningPlan` selects, and record the DFS
+:class:`~repro.mining.compact.MiningPlan` selects, and records the DFS
 prefix forest plus the first-trading-arc emissions as flat arrays
-(:class:`~repro.mining.compact.CompactMine`)
-instead of building group objects:
-
-* :func:`mine_frontier_compact` — batched, level-synchronous frontier
-  expansion for large acyclic components;
-* :func:`mine_stack_compact` — the guarded stack DFS for everything
-  else (cyclic, or too small to amortize vectorization);
-* :func:`mine_components` — picks the kernel per component and merges
-  the records.
+(:class:`~repro.mining.compact.CompactMine`) instead of building group
+objects.  The walk is a batched, level-synchronous frontier expansion;
+it needs an acyclic antecedent network (Property 1), which
+:func:`~repro.mining.compact.build_plan` checks.
 
 Counting and lazy group materialization over those records live in
 :mod:`repro.mining.compact`; equality with the faithful engine is
@@ -29,16 +24,7 @@ from repro.graph.csr import CSRGraph
 from repro.mining.compact import CompactMine, MiningPlan, as_int64
 from repro.model.colors import EColor
 
-__all__ = [
-    "mine_components",
-    "mine_frontier_compact",
-    "mine_stack_compact",
-]
-
-#: Acyclic components whose predicted DFS tree is at least this large
-#: take the vectorized frontier kernel; smaller (or cyclic) ones stay
-#: on the guarded python stack kernel, whose per-node constant is lower.
-_FRONTIER_MIN_TREE = 256.0
+__all__ = ["mine_frontier_compact"]
 
 
 def _selected_roots(
@@ -64,7 +50,7 @@ def _grown(buffer: np.ndarray, used: int, needed: int) -> np.ndarray:
 def mine_frontier_compact(
     csr: CSRGraph, plan: MiningPlan, comps: np.ndarray
 ) -> CompactMine:
-    """Batched frontier expansion of the patterns tree (acyclic comps).
+    """Batched frontier expansion of the patterns tree.
 
     One level-synchronous sweep grows the DFS prefix forest of *every*
     selected component at once: each step gathers the influence
@@ -73,10 +59,11 @@ def mine_frontier_compact(
     array slots instead of a python stack frame.  Trading emissions are
     collected the same way as each level enters the tree.
 
-    Only valid on acyclic components (no ``on_path`` guard is applied;
-    influence DAGs cannot revisit a node).  The tree arrays are
-    preallocated from the plan's path-count estimate — exact below the
-    clip — with doubling as the fallback.
+    No ``on_path`` guard is applied: the plan exists only for an acyclic
+    antecedent network, where a walk cannot revisit a node.  An empty
+    ``comps`` yields an empty mine.  The tree arrays are preallocated
+    from the plan's path-count estimate — exact below the clip — with
+    doubling as the fallback.
     """
     infl_offs = as_int64(csr.out_adjacency(EColor.INFLUENCE)[0])
     infl_tgts = as_int64(csr.out_adjacency(EColor.INFLUENCE)[1])
@@ -149,121 +136,3 @@ def mine_frontier_compact(
         emit_target=emit_target,
         rule1_by_comp=rule1,
     )
-
-
-def mine_stack_compact(
-    csr: CSRGraph, plan: MiningPlan, comps: np.ndarray
-) -> CompactMine:
-    """Guarded stack DFS recording the compact tree (any components).
-
-    The cyclic-safe twin of :func:`mine_frontier_compact`: Algorithm
-    2's DFS (``on_path`` guard included, as in the faithful walk)
-    recording ``parent``/``node``/``root`` rows and raw emissions
-    instead of building groups.  Trading arcs are emitted when a frame
-    is *pushed* rather than interleaved with its influence arcs — the
-    path is identical at both moments, so the emission set (and the
-    Rule-1 condition: no trading arc, no pushed child) is unchanged.
-    """
-    infl_offs = as_int64(csr.out_adjacency(EColor.INFLUENCE)[0]).tolist()
-    infl_tgts = as_int64(csr.out_adjacency(EColor.INFLUENCE)[1]).tolist()
-    intra_offs = plan.intra_offsets.tolist()
-    intra_tgts = plan.intra_targets.tolist()
-    comp_of = plan.comp_id.tolist()
-    roots = _selected_roots(csr, plan, comps)
-
-    node_rec: list[int] = []
-    parent_rec: list[int] = []
-    root_rec: list[int] = []
-    emit_tree: list[int] = []
-    emit_target: list[int] = []
-    append_node = node_rec.append
-    append_parent = parent_rec.append
-    append_root = root_rec.append
-    append_emit_tree = emit_tree.append
-    append_emit_target = emit_target.append
-    rule1 = np.zeros(plan.n_components, dtype=np.int64)
-
-    for start in roots.tolist():
-        fires = 0
-        tree_idx = len(node_rec)
-        append_node(start)
-        append_parent(-1)
-        append_root(start)
-        e_lo = intra_offs[start]
-        e_hi = intra_offs[start + 1]
-        emitted = e_hi > e_lo
-        while e_lo < e_hi:
-            append_emit_tree(tree_idx)
-            append_emit_target(intra_tgts[e_lo])
-            e_lo += 1
-        stack_node = [start]
-        stack_tree = [tree_idx]
-        stack_cursor = [infl_offs[start]]
-        stack_end = [infl_offs[start + 1]]
-        stack_emitted = [emitted]
-        on_path = {start}
-        while stack_node:
-            i = stack_cursor[-1]
-            if i == stack_end[-1]:
-                if not stack_emitted[-1]:
-                    fires += 1
-                on_path.discard(stack_node.pop())
-                stack_tree.pop()
-                stack_cursor.pop()
-                stack_end.pop()
-                stack_emitted.pop()
-                continue
-            stack_cursor[-1] = i + 1
-            succ = infl_tgts[i]
-            if succ in on_path:
-                # Malformed (cyclic) input guard, as in the faithful DFS.
-                continue
-            stack_emitted[-1] = True
-            tree_idx = len(node_rec)
-            append_node(succ)
-            append_parent(stack_tree[-1])
-            append_root(start)
-            e_lo = intra_offs[succ]
-            e_hi = intra_offs[succ + 1]
-            emitted = e_hi > e_lo
-            while e_lo < e_hi:
-                append_emit_tree(tree_idx)
-                append_emit_target(intra_tgts[e_lo])
-                e_lo += 1
-            stack_node.append(succ)
-            stack_tree.append(tree_idx)
-            stack_cursor.append(infl_offs[succ])
-            stack_end.append(infl_offs[succ + 1])
-            stack_emitted.append(emitted)
-            on_path.add(succ)
-        rule1[comp_of[start]] += fires
-
-    return CompactMine(
-        parent=np.asarray(parent_rec, dtype=np.int64),
-        node=np.asarray(node_rec, dtype=np.int64),
-        root=np.asarray(root_rec, dtype=np.int64),
-        emit_tree=np.asarray(emit_tree, dtype=np.int64),
-        emit_target=np.asarray(emit_target, dtype=np.int64),
-        rule1_by_comp=rule1,
-    )
-
-
-def mine_components(
-    csr: CSRGraph, plan: MiningPlan, comps: np.ndarray
-) -> CompactMine:
-    """Mine a set of components with the best kernel for each.
-
-    Acyclic components with a large predicted tree take one shared
-    frontier batch; everything else (cyclic, or too small to amortize
-    the vectorization overhead) runs the stack kernel.
-    """
-    comps = np.asarray(comps, dtype=np.int64)
-    if not comps.size:
-        return CompactMine.empty(plan.n_components)
-    frontier_ok = ~plan.cyclic[comps] & (plan.est_tree[comps] >= _FRONTIER_MIN_TREE)
-    parts: list[CompactMine] = []
-    if bool(frontier_ok.any()):
-        parts.append(mine_frontier_compact(csr, plan, comps[frontier_ok]))
-    if not bool(frontier_ok.all()):
-        parts.append(mine_stack_compact(csr, plan, comps[~frontier_ok]))
-    return CompactMine.merge(parts, plan.n_components)

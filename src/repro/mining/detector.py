@@ -12,7 +12,7 @@ Three engines implement identical semantics:
 
 * ``"faithful"`` — the paper's algorithm literally: materializes the
   pattern base and matches it (this module); the reference oracle;
-* ``"parallel"`` — count-first compact kernels over one frozen CSR
+* ``"parallel"`` — a count-first compact kernel over one frozen CSR
   graph, in-process (:mod:`repro.mining.parallel`);
 * ``"incremental"`` — the streaming per-arc detector
   (:mod:`repro.mining.incremental`) replayed over the whole arc set.
@@ -232,9 +232,12 @@ def detect(
         literally and is the reference the others are tested against
         (subTPIINs without a trading arc are skipped, as they cannot
         host a group);
-        ``"parallel"`` runs the compact kernels over one frozen
+        ``"parallel"`` runs the compact kernel over one frozen
         :class:`~repro.graph.csr.CSRGraph` in this process (same
-        groups, much faster; see docs/PERFORMANCE.md);
+        groups, much faster; see docs/PERFORMANCE.md).  It needs an
+        acyclic antecedent network (Property 1) and raises
+        :class:`~repro.errors.NotADagError` on a cyclic one, which
+        the faithful engine's guarded walk still accepts;
         ``"incremental"`` streams the trading arcs through
         :class:`~repro.mining.incremental.IncrementalDetector` (useful
         to validate the streaming path against the batch engines).

@@ -8,13 +8,14 @@ subTPIIN:
 * the whole TPIIN is frozen **once** into a
   :class:`~repro.graph.csr.CSRGraph`; nothing is sliced into
   per-component graphs;
-* the :class:`~repro.mining.compact.MiningPlan` labels components and
-  estimates each one's mining work (the path-count tree size), which
-  picks the kernel per component;
-* the compact kernels
-  (:func:`~repro.mining.csr_engine.mine_components`: batched frontier
-  expansion for large acyclic components, the guarded stack walk for
-  the rest) return flat count + tree arrays, never group objects;
+* the :class:`~repro.mining.compact.MiningPlan` labels components,
+  estimates each one's mining work (the path-count tree size) and
+  rejects a cyclic antecedent network with
+  :class:`~repro.errors.NotADagError`;
+* one compact kernel
+  (:func:`~repro.mining.csr_engine.mine_frontier_compact`, a batched
+  level-synchronous frontier expansion) mines every nontrivial
+  component at once and returns flat tree arrays, never group objects;
 * group objects materialize **lazily**
   (:class:`~repro.mining.compact.LazyGroups`), only if a caller
   actually reads them.
@@ -36,7 +37,7 @@ from repro.mining.compact import (
     make_group_store,
     unpack_arcs,
 )
-from repro.mining.csr_engine import mine_components
+from repro.mining.csr_engine import mine_frontier_compact
 from repro.mining.detector import DetectionResult, SubTPIINResult
 from repro.mining.groups import GroupKind
 from repro.mining.scs_groups import scs_suspicious_groups
@@ -49,10 +50,12 @@ __all__ = ["parallel_detect"]
 def parallel_detect(
     tpiin: TPIIN, *, tracer: TracerLike = NULL_TRACER
 ) -> DetectionResult:
-    """Detection over the compact CSR kernels, in this process.
+    """Detection over the compact CSR kernel, in this process.
 
     Results are identical to ``detect(engine="faithful")`` up to group
-    ordering; the property suite compares them as sets.
+    ordering; the property suite compares them as sets.  Raises
+    :class:`~repro.errors.NotADagError` on a cyclic antecedent network,
+    which the faithful engine's guarded walk still mines.
     """
     with tracer.span("freeze") as freeze_span:
         csr = CSRGraph.freeze(
@@ -72,7 +75,7 @@ def parallel_detect(
             )
 
     with tracer.span("mine"):
-        mine = mine_components(csr, plan, selected)
+        mine = mine_frontier_compact(csr, plan, selected)
         counts = count_mine(mine, plan)
 
     decode = csr.decode_table

@@ -140,6 +140,22 @@ class TestHotPathAllocation:
         kernel_end = 11
         assert all(d.line <= kernel_end for d in diags)
 
+    def test_stale_entry_in_a_linted_module_is_reported(self):
+        hot = self.HOT + ("repro.hot::deleted_kernel",)
+        diags = _run(HotPathAllocationRule(), "R015", hot_functions=hot)
+        stale = [d for d in diags if "deleted_kernel" in d.message]
+        assert _findings(stale) == [("hot.py", 1, "R015")]
+        assert "repro.hot::deleted_kernel" in stale[0].message
+        assert "[tool.reprolint.hot]" in stale[0].hint
+        # The live entry is still checked alongside the stale one.
+        assert len(diags) == 4
+
+    def test_entry_for_a_module_outside_the_run_is_silent(self):
+        # Like a lint of ``tests/`` alone: the listed module is not linted.
+        hot = ("repro.elsewhere::kernel",)
+        diags = _run(HotPathAllocationRule(), "R015", hot_functions=hot)
+        assert diags == ()
+
 
 class TestEndToEnd:
     def test_planted_violation_fails_the_cli(self, capsys):

@@ -12,7 +12,6 @@ from repro.io.results_io import (
     write_detection_json,
 )
 from repro.mining.detector import detect
-from repro.mining.detector import detect
 from repro.mining.groups import GroupKind, SuspiciousGroup
 
 
@@ -43,6 +42,29 @@ class TestGroupPayloads:
                 }
             )
 
+    def test_payload_breaking_group_invariants(self):
+        # Well-typed but not a group: the model's MiningError must not
+        # escape the reader.
+        with pytest.raises(SerializationError):
+            group_from_dict(
+                {"trading_trail": [], "support_trail": [], "kind": "matched"}
+            )
+
+    @pytest.mark.parametrize(
+        "trails",
+        [
+            (["a", 1, "t"], ["a", "t"]),
+            (["a", "x", "t"], [None, "t"]),
+            ("axt", ["a", "t"]),
+        ],
+    )
+    def test_trail_items_must_be_strings(self, trails):
+        trading, support = trails
+        with pytest.raises(SerializationError):
+            group_from_dict(
+                {"trading_trail": trading, "support_trail": support, "kind": "matched"}
+            )
+
 
 class TestDetectionJson:
     def test_roundtrip(self, fig8, tmp_path):
@@ -62,6 +84,17 @@ class TestDetectionJson:
         path = tmp_path / "bad.json"
         path.write_text("{nope")
         with pytest.raises(SerializationError):
+            read_detection_json(path)
+
+    @pytest.mark.parametrize(
+        "arc", ["AB", ["A"], ["A", "B", "C"], ["A", 2], {"A": "B"}, None]
+    )
+    def test_malformed_arc_entry(self, fig8, tmp_path, arc):
+        path = write_detection_json(detect(fig8), tmp_path / "out.json")
+        payload = json.loads(path.read_text())
+        payload["suspicious_trading_arcs"].append(arc)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SerializationError, match="two strings"):
             read_detection_json(path)
 
     def test_count_only_result_serializes(self, fig8, tmp_path):

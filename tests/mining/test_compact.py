@@ -7,26 +7,55 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.errors import NotADagError
+from repro.fusion.tpiin import TPIIN
 from repro.graph.csr import CSRGraph
 from repro.mining.compact import (
-    CompactMine,
     LazyGroups,
     build_plan,
     count_mine,
     make_group_store,
 )
-from repro.mining.csr_engine import (
-    _FRONTIER_MIN_TREE,
-    mine_components,
-    mine_frontier_compact,
-    mine_stack_compact,
-)
+from repro.mining.csr_engine import mine_frontier_compact
 from repro.mining.detector import detect
 from repro.model.colors import EColor
 
 
 def frozen(tpiin) -> CSRGraph:
     return CSRGraph.freeze(tpiin.graph, colors=(EColor.INFLUENCE, EColor.TRADING))
+
+
+def planned(tpiin):
+    csr = frozen(tpiin)
+    return csr, build_plan(csr, tpiin.graph.nodes())
+
+
+def mined_components(csr, plan, mine, comps):
+    """Per component: (nodes, trading arcs, trails, group-key set)."""
+    counts = count_mine(mine, plan)
+    store = make_group_store(mine, csr.decode_table, plan.comp_id)
+    return sorted(
+        (
+            int(plan.comp_sizes[comp]),
+            int(plan.trading_by_comp[comp]),
+            int(counts.trails_by_comp[comp]),
+            sorted(g.key() for g in store.groups_for(comp)),
+        )
+        for comp in comps
+    )
+
+
+def faithful_components(tpiin):
+    """The faithful engine's per-subTPIIN tuples, in the same shape."""
+    return sorted(
+        (
+            sub.node_count,
+            sub.trading_arc_count,
+            sub.pattern_trail_count,
+            sorted(g.key() for g in sub.groups),
+        )
+        for sub in detect(tpiin).sub_results
+    )
 
 
 class TestMiningPlan:
@@ -50,16 +79,14 @@ class TestMiningPlan:
         assert plan_shapes == faithful_shapes
 
     def test_estimate_is_exact_for_acyclic_components(self, small_province_tpiin):
-        csr = frozen(small_province_tpiin)
-        plan = build_plan(csr, small_province_tpiin.graph.nodes())
+        csr, plan = planned(small_province_tpiin)
         selected = plan.nontrivial()
-        acyclic = selected[~plan.cyclic[selected]]
-        assert acyclic.size > 0
-        mine = mine_components(csr, plan, acyclic)
+        assert selected.size > 0
+        mine = mine_frontier_compact(csr, plan, selected)
         per_comp = np.bincount(
             plan.comp_id[mine.node], minlength=plan.n_components
         )
-        assert np.array_equal(per_comp[acyclic], plan.est_tree[acyclic])
+        assert np.array_equal(per_comp[selected], plan.est_tree[selected])
 
     def test_nontrivial_requires_intra_trading(self, fig8):
         csr = frozen(fig8)
@@ -69,82 +96,73 @@ class TestMiningPlan:
         skipped = np.setdiff1d(np.arange(plan.n_components), selected)
         assert np.all(plan.trading_by_comp[skipped] == 0)
 
+    def test_cyclic_antecedent_network_is_rejected(self):
+        tpiin = TPIIN.build(
+            companies=("A", "B", "C"),
+            influence=[("A", "B"), ("B", "C"), ("C", "A")],
+            trading=[("A", "C")],
+        )
+        with pytest.raises(NotADagError, match="directed cycle"):
+            planned(tpiin)
+
 
 class TestKernels:
-    def test_frontier_equals_stack_on_acyclic(self, small_province_tpiin):
-        csr = frozen(small_province_tpiin)
-        plan = build_plan(csr, small_province_tpiin.graph.nodes())
+    def test_frontier_equals_faithful_per_component(self, small_province_tpiin):
+        csr, plan = planned(small_province_tpiin)
         selected = plan.nontrivial()
-        acyclic = selected[~plan.cyclic[selected]]
-        front = mine_frontier_compact(csr, plan, acyclic)
-        stack = mine_stack_compact(csr, plan, acyclic)
-        assert np.array_equal(front.rule1_by_comp, stack.rule1_by_comp)
-        front_counts = count_mine(front, plan)
-        stack_counts = count_mine(stack, plan)
-        assert np.array_equal(
-            front_counts.trails_by_comp, stack_counts.trails_by_comp
-        )
-        assert np.array_equal(
-            front_counts.matched_by_comp, stack_counts.matched_by_comp
-        )
-        assert np.array_equal(
-            front_counts.suspicious_arcs, stack_counts.suspicious_arcs
-        )
-        decode = csr.decode_table
-        front_groups = make_group_store(front, decode, plan.comp_id).groups_for(None)
-        stack_groups = make_group_store(stack, decode, plan.comp_id).groups_for(None)
-        assert {g.key() for g in front_groups} == {g.key() for g in stack_groups}
+        mine = mine_frontier_compact(csr, plan, selected)
+        assert mined_components(
+            csr, plan, mine, selected.tolist()
+        ) == faithful_components(small_province_tpiin)
 
-    def test_kernel_selection_prefers_frontier_for_big_trees(
+    def test_single_component_selections_equal_faithful(
         self, small_province_tpiin
     ):
-        csr = frozen(small_province_tpiin)
-        plan = build_plan(csr, small_province_tpiin.graph.nodes())
-        selected = plan.nontrivial()
-        frontier_mask = ~plan.cyclic[selected] & (
-            plan.est_tree[selected] >= _FRONTIER_MIN_TREE
-        )
-        merged = mine_components(csr, plan, selected)
-        counts = count_mine(merged, plan)
-        stack_only = mine_stack_compact(csr, plan, selected)
-        stack_counts = count_mine(stack_only, plan)
-        assert np.array_equal(counts.trails_by_comp, stack_counts.trails_by_comp)
-        assert np.array_equal(counts.suspicious_arcs, stack_counts.suspicious_arcs)
-        assert frontier_mask.dtype == np.bool_
+        # One kernel call per component, so every tree, however small,
+        # is mined on its own.
+        csr, plan = planned(small_province_tpiin)
+        per_call = []
+        for comp in plan.nontrivial().tolist():
+            mine = mine_frontier_compact(csr, plan, np.asarray([comp]))
+            per_call.extend(mined_components(csr, plan, mine, [comp]))
+        assert sorted(per_call) == faithful_components(small_province_tpiin)
 
     def test_counts_match_faithful(self, small_province_tpiin):
-        csr = frozen(small_province_tpiin)
-        plan = build_plan(csr, small_province_tpiin.graph.nodes())
-        mine = mine_components(csr, plan, plan.nontrivial())
+        csr, plan = planned(small_province_tpiin)
+        mine = mine_frontier_compact(csr, plan, plan.nontrivial())
         counts = count_mine(mine, plan)
         faithful = detect(small_province_tpiin)
         assert int(counts.trails_by_comp.sum()) == faithful.pattern_trail_count
 
-    def test_merge_shifts_parent_indices(self, small_province_tpiin):
-        csr = frozen(small_province_tpiin)
-        plan = build_plan(csr, small_province_tpiin.graph.nodes())
+    def test_disjoint_selections_add_up(self, small_province_tpiin):
+        csr, plan = planned(small_province_tpiin)
         selected = plan.nontrivial().tolist()
         assert len(selected) >= 2
         split = len(selected) // 2
-        left = mine_components(csr, plan, np.asarray(selected[:split]))
-        right = mine_components(csr, plan, np.asarray(selected[split:]))
-        merged = CompactMine.merge([left, right], plan.n_components)
-        whole = mine_components(csr, plan, np.asarray(selected))
-        merged_counts = count_mine(merged, plan)
-        whole_counts = count_mine(whole, plan)
-        assert np.array_equal(
-            merged_counts.trails_by_comp, whole_counts.trails_by_comp
-        )
-        assert np.array_equal(
-            merged_counts.suspicious_arcs, whole_counts.suspicious_arcs
-        )
+        halves = [selected[:split], selected[split:]]
+        per_half = []
+        for half in halves:
+            mine = mine_frontier_compact(csr, plan, np.asarray(half))
+            # A selection mines its own components and nothing else.
+            assert set(plan.comp_id[mine.node].tolist()) == set(half)
+            per_half.extend(mined_components(csr, plan, mine, half))
+        assert sorted(per_half) == faithful_components(small_province_tpiin)
+
+    def test_empty_selection_mines_nothing(self, fig8):
+        csr, plan = planned(fig8)
+        mine = mine_frontier_compact(csr, plan, np.zeros(0, dtype=np.int64))
+        counts = count_mine(mine, plan)
+        assert len(mine.node) == 0 and len(mine.emit_tree) == 0
+        assert int(counts.trails_by_comp.sum()) == 0
+        assert int((counts.matched_by_comp + counts.circle_by_comp).sum()) == 0
+        store = make_group_store(mine, csr.decode_table, plan.comp_id)
+        assert store.groups_for(None) == []
 
 
 class TestLazyGroups:
     def build_store(self, tpiin):
-        csr = frozen(tpiin)
-        plan = build_plan(csr, tpiin.graph.nodes())
-        mine = mine_components(csr, plan, plan.nontrivial())
+        csr, plan = planned(tpiin)
+        mine = mine_frontier_compact(csr, plan, plan.nontrivial())
         counts = count_mine(mine, plan)
         store = make_group_store(mine, csr.decode_table, plan.comp_id)
         return plan, counts, store

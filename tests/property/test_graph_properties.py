@@ -8,6 +8,7 @@ from repro.graph.dag import count_paths_from_roots, enumerate_paths_from, roots
 from repro.graph.edgelist import EdgeList
 from repro.graph.tarjan import strongly_connected_components
 from repro.graph.traversal import weakly_connected_components
+from repro.model.colors import EColor
 
 from .strategies import digraphs, tpiins
 
@@ -76,14 +77,23 @@ def test_edge_list_layout_invariant(tpiin):
 @settings(max_examples=120, deadline=None)
 @given(tpiin=tpiins())
 def test_freeze_thaw_round_trip(tpiin):
-    """freeze/thaw is the identity on nodes, colors and colored arcs."""
+    """freeze round-trips in id space: the decode table holds every node
+    in ``str`` order, and each decoded out/in row equals the source
+    graph's ``str``-sorted successors/predecessors for that color."""
     graph = tpiin.graph
-    csr = CSRGraph.freeze(graph)
-    thawed = csr.to_digraph()
-    assert set(thawed.nodes()) == set(graph.nodes())
-    assert set(thawed.arcs()) == set(graph.arcs())
-    for node in graph.nodes():
-        assert thawed.node_color(node) == graph.node_color(node)
-        for color in csr.arc_color_domain:
-            assert csr.out_degree(node, color) == graph.out_degree(node, color)
-            assert csr.in_degree(node, color) == graph.in_degree(node, color)
+    colors = (EColor.INFLUENCE, EColor.TRADING)
+    csr = CSRGraph.freeze(graph, colors=colors)
+    decode = csr.decode_table
+    assert list(decode) == sorted(graph.nodes(), key=str)
+    for color in colors:
+        out_offsets, out_targets = csr.out_adjacency(color)
+        in_offsets, in_targets = csr.in_adjacency(color)
+        assert csr.number_of_arcs(color) == graph.number_of_arcs(color)
+        for node in graph.nodes():
+            u = csr.encode(node)
+            assert [
+                decode[v] for v in out_targets[out_offsets[u] : out_offsets[u + 1]]
+            ] == sorted(graph.successors(node, color), key=str)
+            assert [
+                decode[v] for v in in_targets[in_offsets[u] : in_offsets[u + 1]]
+            ] == sorted(graph.predecessors(node, color), key=str)

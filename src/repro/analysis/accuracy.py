@@ -2,7 +2,7 @@
 
 Behind Table 1's 100% accuracy columns sits an agreement check between
 the proposed method and the baseline; this module generalizes it: run
-any subset of {faithful, parallel, incremental, global-traversal} plus the
+any subset of {faithful, parallel, global-traversal} plus the
 reachability oracle on the same TPIIN and report pairwise agreement on
 group sets and suspicious-arc sets.
 """

@@ -1,9 +1,9 @@
 """The paper's IAT group miner, behind the detector protocol.
 
 This is the *reference* detector of the plugin framework: it adapts
-:func:`repro.mining.detect` (Algorithm 1, any of its three engines) to
-the :class:`~repro.detectors.base.Detector` contract without changing
-its behavior — the property suite in
+:func:`repro.mining.detect` (Algorithm 1, either of its two engines)
+to the :class:`~repro.detectors.base.Detector` contract without
+changing its behavior — the property suite in
 ``tests/property/test_detector_equivalence.py`` holds the plugin path
 and the legacy call identical across every engine.
 
@@ -22,18 +22,23 @@ from dataclasses import dataclass
 from repro.detectors.base import DetectionContext, DetectorOutcome, Finding
 from repro.graph.digraph import Node
 from repro.mining.detector import IAT_DETECTOR_NAME, IAT_DETECTOR_VERSION, detect
+from repro.mining.options import Engine
 
 __all__ = ["IATConfig", "IATGroupDetector"]
 
 
 @dataclass(frozen=True, slots=True)
 class IATConfig:
-    """Tuning of the wrapped :func:`repro.mining.detect` run: the engine.
+    """Tuning of the wrapped :func:`repro.mining.detect` run: the engine,
+    checked on construction.
 
     Tracing is supplied by the portfolio runner.
     """
 
     engine: str = "faithful"
+
+    def __post_init__(self) -> None:
+        Engine.coerce(self.engine)
 
 
 class IATGroupDetector:

@@ -149,7 +149,7 @@ class TPIIN:
         provenance and saved SCS subgraphs but drops every trading arc
         (including the recorded intra-SCS trades).  Streaming consumers
         (:class:`~repro.mining.incremental.IncrementalDetector`, the
-        serving daemon) start from this view and replay trading arcs as
+        serving daemon) start from this view and load trading arcs as
         explicit updates.
         """
         return TPIIN(
@@ -160,6 +160,20 @@ class TPIIN:
             scs_subgraphs=dict(self.scs_subgraphs),
             arc_provenance=dict(self.arc_provenance),
         )
+
+    def with_trading_arcs(self, arcs: Iterable[tuple[Node, Node]]) -> "TPIIN":
+        """The :meth:`antecedent_view` plus ``arcs`` (original company ids,
+        unchecked): endpoints map through ``node_map``, and an arc inside
+        one syndicate goes to ``intra_scs_trades`` (Section 4.3)."""
+        view = self.antecedent_view()
+        for seller, buyer in arcs:
+            tail = view.node_map.get(seller, seller)
+            head = view.node_map.get(buyer, buyer)
+            if tail == head:
+                view.intra_scs_trades.append((seller, buyer))
+            else:
+                view.graph.add_arc(tail, head, EColor.TRADING)
+        return view
 
     def trading_graph(self) -> DiGraph:
         """The trading network: every node, only ``TR`` arcs."""

@@ -8,16 +8,16 @@
 3. match component patterns sharing an antecedent into suspicious
    groups, and add the intra-SCS trade groups.
 
-Three engines implement identical semantics:
+Two engines implement identical semantics:
 
 * ``"faithful"`` — the paper's algorithm literally: materializes the
   pattern base and matches it (this module); the reference oracle;
 * ``"parallel"`` — a count-first compact kernel over one frozen CSR
-  graph, in-process (:mod:`repro.mining.parallel`);
-* ``"incremental"`` — the streaming per-arc detector
-  (:mod:`repro.mining.incremental`) replayed over the whole arc set.
+  graph, in-process (:mod:`repro.mining.parallel`).
 
-Their outputs are cross-validated by property tests.
+Their outputs are cross-validated by property tests.  The streaming
+:class:`~repro.mining.incremental.IncrementalDetector` loads a whole
+arc set through the parallel engine and then updates it arc by arc.
 """
 
 from __future__ import annotations
@@ -207,8 +207,9 @@ class DetectionResult:
         """Write the paper's ``susGroup(i)`` / ``susTrade(i)`` output files.
 
         One pair of files per subTPIIN that produced any group (faithful
-        and parallel engines), or a single aggregated pair (incremental
-        engine).  Returns the written paths.
+        and parallel engines), or a single aggregated pair for a result
+        without per-subTPIIN data (the streaming detector's).  Returns
+        the written paths.
         """
         # io.results_io type-imports DetectionResult; stay function-local.
         from repro.io.results_io import write_sus_files  # reprolint: disable=R010
@@ -237,10 +238,7 @@ def detect(
         groups, much faster; see docs/PERFORMANCE.md).  It needs an
         acyclic antecedent network (Property 1) and raises
         :class:`~repro.errors.NotADagError` on a cyclic one, which
-        the faithful engine's guarded walk still accepts;
-        ``"incremental"`` streams the trading arcs through
-        :class:`~repro.mining.incremental.IncrementalDetector` (useful
-        to validate the streaming path against the batch engines).
+        the faithful engine's guarded walk still accepts.
     trace:
         ``True`` collects a span tree onto ``DetectionResult.trace``;
         a caller-owned :class:`~repro.obs.Tracer` nests the run under
@@ -263,18 +261,12 @@ def detect(
 
 
 def _run_engine(tpiin: TPIIN, engine: Engine, tracer: TracerLike) -> DetectionResult:
-    # The engine modules import DetectionResult from this module, so
-    # their imports must stay function-local to break the cycle.
+    # The parallel engine imports DetectionResult from this module, so
+    # its import must stay function-local to break the cycle.
     if engine is Engine.PARALLEL:
         from repro.mining.parallel import parallel_detect  # reprolint: disable=R010
 
         return parallel_detect(tpiin, tracer=tracer)
-    if engine is Engine.INCREMENTAL:
-        from repro.mining.incremental import (  # reprolint: disable=R010
-            IncrementalDetector,
-        )
-
-        return IncrementalDetector(tpiin, tracer=tracer).result()
     return _detect_faithful(tpiin, tracer)
 
 

@@ -15,9 +15,11 @@ network once — packed root-ancestor bitsets, a frozen
 every path walk across the detector's lifetime, which is what the
 serving daemon amortizes between requests), and lazy per-root path
 caches — and then processes trading-arc insertions and deletions in
-isolation.  After any sequence of updates its aggregate result equals a
-batch run over the same arc set — a property the hypothesis suite
-verifies.
+isolation.  A whole arc set (the TPIIN's own trades, a daemon's
+snapshot) is loaded once through :meth:`IncrementalDetector.seed`, one
+compact mine split into per-arc buckets.  After any sequence of updates
+the aggregate result equals a batch run over the same arc set — a
+property the hypothesis suite verifies.
 
 The groups behind one trading arc ``(c1, c2)`` are enumerated as
 ``paths(r, c1) x paths(r, c2)`` over the endpoints' common influence
@@ -28,8 +30,8 @@ roots ``r`` (matched groups) plus the influence paths ``c2 ~> c1``
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 
 from repro.errors import MiningError
 from repro.fusion.tpiin import TPIIN
@@ -39,12 +41,17 @@ from repro.graph.digraph import Node
 from repro.graph.traversal import weakly_connected_components
 from repro.mining.detector import DetectionResult
 from repro.mining.groups import GroupKind, SuspiciousGroup
-from repro.mining.scs_groups import shortest_path_in
+from repro.mining.parallel import parallel_detect
+from repro.mining.scs_groups import scs_group, scs_membership
 from repro.model.colors import EColor, VColor
 from repro.obs.registry import get_registry
 from repro.obs.tracing import NULL_TRACER, TracerLike
 
 __all__ = ["ArcUpdate", "IncrementalDetector", "PathCacheStats"]
+
+#: ``DetectionResult.engine`` of :meth:`IncrementalDetector.result`: the
+#: producer's name, not an engine :func:`repro.mining.detect` accepts.
+_RESULT_ENGINE = "incremental"
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,14 +98,11 @@ class ArcUpdate:
         return len(self.groups)
 
 
-@dataclass(slots=True)
-class _ArcState:
-    suspicious: bool
-    groups: list[SuspiciousGroup] = field(default_factory=list)
-
-
 class IncrementalDetector:
     """Streaming detector over a fixed antecedent network.
+
+    The antecedent network must be a DAG (Property 1): a cyclic one
+    raises :class:`~repro.errors.NotADagError` at construction.
 
     Parameters
     ----------
@@ -106,7 +110,8 @@ class IncrementalDetector:
         The fused TPIIN.  Its influence arcs, contraction provenance and
         saved SCS subgraphs define the static antecedent side; any
         trading arcs already present (including recorded intra-SCS
-        trades) are ingested as the initial stream.
+        trades) are loaded through :meth:`seed`.  Pass
+        :meth:`TPIIN.antecedent_view` to load arcs yourself.
     max_cached_roots:
         Upper bound on the number of roots whose influence-path
         enumerations are kept in the LRU cache.  ``None`` disables the
@@ -114,15 +119,9 @@ class IncrementalDetector:
         that batch-equivalent workloads never evict.
     tracer:
         Observability tracer for the construction phases (antecedent
-        indexing and initial-stream ingest); defaults to the null
-        tracer.  Long-lived callers (the daemon) trace per-mutation
-        with their own tracers instead.
-    ingest_baseline:
-        With ``False`` the TPIIN's own trading arcs (and recorded
-        intra-SCS trades) are *not* ingested at construction — the
-        caller owns the initial stream.  The serving daemon uses this:
-        it seeds the detector from its snapshot, or from the baseline
-        arcs on first boot, and then replays its write-ahead log.
+        indexing and the :meth:`seed` of the TPIIN's own trading arcs);
+        defaults to the null tracer.  Long-lived callers (the daemon)
+        trace per-mutation with their own tracers instead.
     """
 
     def __init__(
@@ -131,7 +130,6 @@ class IncrementalDetector:
         *,
         max_cached_roots: int | None = 4096,
         tracer: TracerLike = NULL_TRACER,
-        ingest_baseline: bool = True,
     ) -> None:
         if max_cached_roots is not None and max_cached_roots < 1:
             raise MiningError(
@@ -171,10 +169,7 @@ class IncrementalDetector:
             "repro_path_cache_evictions_total",
             help="Per-root influence-path cache LRU evictions.",
         )
-        self._member_to_scs = {}
-        for scs_id, subgraph in tpiin.scs_subgraphs.items():
-            for member in subgraph.nodes():
-                self._member_to_scs[member] = scs_id
+        self._member_to_scs = scs_membership(tpiin)
 
         self._component_of = {}
         for i, component in enumerate(
@@ -183,18 +178,55 @@ class IncrementalDetector:
             for node in component:
                 self._component_of[node] = i
 
-        self._arcs: dict[tuple[Node, Node], _ArcState] = {}
+        # Each live arc's groups; an arc is suspicious iff it has any.
+        self._arcs: dict[tuple[Node, Node], tuple[SuspiciousGroup, ...]] = {}
 
-        if ingest_baseline:
-            with tracer.span("ingest") as ingest_span:
-                for arc in tpiin.trading_arcs():
-                    self.add_trading_arc(*arc)
-                for arc in tpiin.intra_scs_trades:
-                    self.add_trading_arc(*arc)
-                if tracer.enabled:
-                    ingest_span.set(
-                        arcs=len(self._arcs), suspicious=len(self.suspicious_arcs)
-                    )
+        baseline = [*tpiin.trading_arcs(), *tpiin.intra_scs_trades]
+        if baseline:
+            self.seed(baseline, tracer=tracer)
+
+    def seed(
+        self, arcs: Iterable[tuple[Node, Node]], *, tracer: TracerLike = NULL_TRACER
+    ) -> None:
+        """Load a whole arc set into this empty detector with one batch mine.
+
+        Every arc is checked as :meth:`add_trading_arc` checks it before
+        anything changes; a repeated arc loads once, in first-seen order.
+        Groups are arc-decomposable (Definition 2), so one
+        :func:`~repro.mining.parallel.parallel_detect` over the
+        cross-node arcs is bucketed by trading arc; an intra-SCS arc gets
+        its witness group.  A bucket's group order may differ from the
+        streamed one.  Raises :class:`MiningError` on a non-empty
+        detector or an invalid arc (naming it; the detector stays empty).
+        """
+        if self._arcs:
+            raise MiningError(
+                f"seed needs an empty detector, this one holds {len(self._arcs)} arcs"
+            )
+        with tracer.span("seed") as span:
+            mapped: dict[tuple[Node, Node], tuple[Node, Node]] = {}
+            groups: dict[tuple[Node, Node], tuple[SuspiciousGroup, ...]] = {}
+            for seller, buyer in arcs:
+                arc = (seller, buyer)
+                if arc in mapped:
+                    continue
+                try:
+                    mapped[arc] = self._resolve_arc(seller, buyer)
+                    if mapped[arc][0] == mapped[arc][1]:
+                        groups[arc] = self._groups_for(seller, buyer, mapped[arc])
+                except MiningError as exc:
+                    raise MiningError(f"seed arc ({seller!r} -> {buyer!r}): {exc}") from None
+            cross = [arc for arc in mapped if arc not in groups]
+            if cross:
+                mined = parallel_detect(self._tpiin.with_trading_arcs(cross), tracer=tracer)
+                buckets: dict[tuple[Node, Node], list[SuspiciousGroup]] = {}
+                for group in mined.groups:
+                    buckets.setdefault(group.trading_arc, []).append(group)
+                for arc in cross:
+                    groups[arc] = tuple(buckets.get(mapped[arc], ()))
+            self._arcs = {arc: groups[arc] for arc in mapped}
+            if tracer.enabled:
+                span.set(arcs=len(self._arcs), suspicious=len(self.suspicious_arcs))
 
     # ------------------------------------------------------------------
     # stream operations
@@ -206,24 +238,21 @@ class IncrementalDetector:
         (this is what an online monitoring system would alert on).
         Duplicate insertions are idempotent (``applied=False``).
         """
-        arc = self._resolve_arc(seller, buyer)
+        mapped = self._resolve_arc(seller, buyer)
         key = (seller, buyer)
-        if key in self._arcs:
-            state = self._arcs[key]
-            return ArcUpdate(key, state.suspicious, tuple(state.groups), False)
-
-        groups = self._groups_for(seller, buyer, arc)
-        state = _ArcState(suspicious=bool(groups), groups=list(groups))
-        self._arcs[key] = state
-        return ArcUpdate(key, state.suspicious, tuple(groups), True)
+        groups = self._arcs.get(key)
+        if groups is not None:
+            return ArcUpdate(key, bool(groups), groups, False)
+        groups = self._arcs[key] = self._groups_for(seller, buyer, mapped)
+        return ArcUpdate(key, bool(groups), groups, True)
 
     def remove_trading_arc(self, seller: Node, buyer: Node) -> ArcUpdate:
         """Retract a trading relationship (e.g. a corrected filing)."""
         key = (seller, buyer)
-        state = self._arcs.pop(key, None)
-        if state is None:
+        groups = self._arcs.pop(key, None)
+        if groups is None:
             return ArcUpdate(key, False, (), False)
-        return ArcUpdate(key, state.suspicious, tuple(state.groups), True)
+        return ArcUpdate(key, bool(groups), groups, True)
 
     def __contains__(self, arc: tuple[Node, Node]) -> bool:
         return arc in self._arcs
@@ -244,7 +273,7 @@ class IncrementalDetector:
     # ------------------------------------------------------------------
     @property
     def suspicious_arcs(self) -> set[tuple[Node, Node]]:
-        return {arc for arc, state in self._arcs.items() if state.suspicious}
+        return {arc for arc, groups in self._arcs.items() if groups}
 
     @property
     def path_cache_stats(self) -> PathCacheStats:
@@ -258,13 +287,11 @@ class IncrementalDetector:
         )
 
     def groups_for_arc(self, seller: Node, buyer: Node) -> list[SuspiciousGroup]:
-        state = self._arcs.get((seller, buyer))
-        return list(state.groups) if state else []
+        return list(self._arcs.get((seller, buyer), ()))
 
     def is_suspicious_arc(self, seller: Node, buyer: Node) -> bool:
         """Whether the (present) arc backs at least one group — O(1)."""
-        state = self._arcs.get((seller, buyer))
-        return state.suspicious if state else False
+        return bool(self._arcs.get((seller, buyer)))
 
     @property
     def component_count(self) -> int:
@@ -286,11 +313,8 @@ class IncrementalDetector:
 
     def result(self) -> DetectionResult:
         """A :class:`DetectionResult` equal to a batch run over the arcs."""
-        groups: list[SuspiciousGroup] = []
-        for state in self._arcs.values():
-            groups.extend(state.groups)
         return DetectionResult(
-            groups=groups,
+            groups=[group for groups in self._arcs.values() for group in groups],
             total_trading_arcs=len(self._arcs),
             cross_component_trades=sum(
                 1
@@ -299,7 +323,7 @@ class IncrementalDetector:
                 != self._component_of[self._map(b)]
             ),
             subtpiin_count=self.component_count,
-            engine="incremental",
+            engine=_RESULT_ENGINE,
         )
 
     # ------------------------------------------------------------------
@@ -343,31 +367,13 @@ class IncrementalDetector:
 
     def _groups_for(
         self, seller: Node, buyer: Node, mapped: tuple[Node, Node]
-    ) -> list[SuspiciousGroup]:
+    ) -> tuple[SuspiciousGroup, ...]:
         c1, c2 = mapped
         if c1 == c2:
             # Both endpoints inside one contracted SCS: suspicious by
             # construction, witnessed by an investment trail.
-            scs_id = self._member_to_scs.get(seller)
-            if scs_id is None or self._member_to_scs.get(buyer) != scs_id:
-                raise MiningError(
-                    f"endpoints {seller!r}, {buyer!r} map to one node but are "
-                    "not members of a saved SCS"
-                )
-            witness = shortest_path_in(
-                self._tpiin.scs_subgraphs[scs_id], seller, buyer
-            )
-            return [
-                SuspiciousGroup(
-                    trading_trail=(seller, buyer),
-                    support_trail=witness,
-                    kind=GroupKind.SCS,
-                )
-            ]
-
-        return _enumerate_arc_groups(
-            self._csr, self._index, self._paths_of, c1, c2
-        )
+            return (scs_group(self._tpiin, self._member_to_scs, seller, buyer),)
+        return tuple(_enumerate_arc_groups(self._csr, self._index, self._paths_of, c1, c2))
 
 
 # ----------------------------------------------------------------------

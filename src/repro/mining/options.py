@@ -25,7 +25,6 @@ class Engine(str, Enum):
 
     FAITHFUL = "faithful"
     PARALLEL = "parallel"
-    INCREMENTAL = "incremental"
 
     def __str__(self) -> str:
         return self.value

@@ -22,7 +22,7 @@ from repro.fusion.tpiin import TPIIN
 from repro.graph.digraph import DiGraph, Node
 from repro.mining.groups import GroupKind, SuspiciousGroup
 
-__all__ = ["scs_suspicious_groups", "shortest_path_in"]
+__all__ = ["scs_group", "scs_membership", "scs_suspicious_groups", "shortest_path_in"]
 
 
 def shortest_path_in(graph: DiGraph, source: Node, target: Node) -> tuple[Node, ...]:
@@ -54,7 +54,7 @@ def shortest_path_in(graph: DiGraph, source: Node, target: Node) -> tuple[Node, 
 
 
 def scs_suspicious_groups(tpiin: TPIIN) -> list[SuspiciousGroup]:
-    """One simple suspicious group per intra-SCS trading arc.
+    """One simple suspicious group per distinct intra-SCS trading arc.
 
     The group pairs the trading arc ``(c1, c2)`` with the shortest
     investment trail ``c1 ~> c2`` inside the saved subgraph; BFS-shortest
@@ -62,29 +62,34 @@ def scs_suspicious_groups(tpiin: TPIIN) -> list[SuspiciousGroup]:
     """
     if not tpiin.intra_scs_trades:
         return []
-    member_to_scs: dict[Node, Node] = {}
-    for scs_id, subgraph in tpiin.scs_subgraphs.items():
-        for member in subgraph.nodes():
-            member_to_scs[member] = scs_id
+    member_to_scs = scs_membership(tpiin)
+    return [
+        scs_group(tpiin, member_to_scs, seller, buyer)
+        for seller, buyer in dict.fromkeys(tpiin.intra_scs_trades)
+    ]
 
-    groups: list[SuspiciousGroup] = []
-    seen: set[tuple[Node, Node]] = set()
-    for seller, buyer in tpiin.intra_scs_trades:
-        if (seller, buyer) in seen:
-            continue
-        seen.add((seller, buyer))
-        scs_id = member_to_scs.get(seller)
-        if scs_id is None or member_to_scs.get(buyer) != scs_id:
-            raise MiningError(
-                f"intra-SCS trade ({seller!r} -> {buyer!r}) does not lie inside "
-                "one saved strongly connected subgraph"
-            )
-        witness = shortest_path_in(tpiin.scs_subgraphs[scs_id], seller, buyer)
-        groups.append(
-            SuspiciousGroup(
-                trading_trail=(seller, buyer),
-                support_trail=witness,
-                kind=GroupKind.SCS,
-            )
+
+def scs_membership(tpiin: TPIIN) -> dict[Node, Node]:
+    """Member company -> id of the saved syndicate that contains it."""
+    return {
+        member: scs_id
+        for scs_id, subgraph in tpiin.scs_subgraphs.items()
+        for member in subgraph.nodes()
+    }
+
+
+def scs_group(
+    tpiin: TPIIN, member_to_scs: dict[Node, Node], seller: Node, buyer: Node
+) -> SuspiciousGroup:
+    """The witness group of one intra-SCS trade (``member_to_scs`` from
+    :func:`scs_membership`)."""
+    scs_id = member_to_scs.get(seller)
+    if scs_id is None or member_to_scs.get(buyer) != scs_id:
+        raise MiningError(
+            f"intra-SCS trade ({seller!r} -> {buyer!r}) does not lie inside "
+            "one saved strongly connected subgraph"
         )
-    return groups
+    witness = shortest_path_in(tpiin.scs_subgraphs[scs_id], seller, buyer)
+    return SuspiciousGroup(
+        trading_trail=(seller, buyer), support_trail=witness, kind=GroupKind.SCS
+    )

@@ -34,7 +34,6 @@ from repro.io.registry_io import ArcLine
 from repro.mining.detector import DetectionResult
 from repro.mining.groups import SuspiciousGroup
 from repro.mining.incremental import ArcUpdate, IncrementalDetector
-from repro.model.colors import EColor
 from repro.obs.tracing import NULL_TRACER, Tracer, TracerLike
 from repro.service.config import ServiceConfig
 from repro.service.locks import ReadWriteLock
@@ -339,9 +338,11 @@ class ShardedDetectionService:
         """Load (or initialize) durable state and return a ready service.
 
         Recovery seeds the detector from the snapshot — or, on first
-        boot, from the TPIIN's own trading arcs — then replays the WAL
-        records above the snapshot's floor.  Older layouts are brought
-        to shard 0's files first (see :func:`_prepare_state_dir`).
+        boot, from the TPIIN's own trading arcs — in one
+        :meth:`~repro.mining.incremental.IncrementalDetector.seed` call,
+        then replays the WAL records above the snapshot's floor one at a
+        time.  Older layouts are brought to shard 0's files first (see
+        :func:`_prepare_state_dir`).
         """
         tracer = Tracer()
         with tracer.span("recovery") as recovery_span:
@@ -350,7 +351,6 @@ class ShardedDetectionService:
                     tpiin.antecedent_view(),
                     max_cached_roots=config.max_cached_roots,
                     tracer=tracer,
-                    ingest_baseline=False,
                 )
                 span.set(components=detector.component_count)
             _prepare_state_dir(config, tpiin, detector.component_of)
@@ -359,24 +359,30 @@ class ShardedDetectionService:
             wal, replay = WriteAheadLog.open(
                 config.shard_wal_path(0), fsync=config.fsync, floor=floor
             )
-            with tracer.span("seed") as span:
-                source = "snapshot" if snapshot is not None else "baseline"
-                seed = snapshot.arcs if snapshot is not None else _baseline_arcs(tpiin)
-                for seller, buyer in seed:
-                    cls._recover_apply(detector, OP_ADD, seller, buyer, source=source)
-                span.set(arcs=len(seed))
+            seed = snapshot.arcs if snapshot is not None else _baseline_arcs(tpiin)
+            step = f"{'snapshot' if snapshot is not None else 'baseline'} seed"
             replayed = 0
-            with tracer.span("wal_replay") as span:
-                for record in replay.records:
-                    if record.seq <= floor:
-                        # Stale record from a crash between snapshot write
-                        # and WAL truncation; the snapshot has it already.
-                        continue
-                    cls._recover_apply(
-                        detector, record.op, record.seller, record.buyer, source="WAL"
-                    )
-                    replayed += 1
-                span.set(replayed=replayed)
+            try:
+                detector.seed(seed, tracer=tracer)
+                with tracer.span("wal_replay") as span:
+                    for record in replay.records:
+                        if record.seq <= floor:
+                            # Stale record from a crash between snapshot
+                            # write and WAL truncation; the snapshot has it.
+                            continue
+                        op, seller, buyer = record.op, record.seller, record.buyer
+                        step = f"WAL replay of {op} ({seller!r} -> {buyer!r})"
+                        if op == OP_ADD:
+                            detector.add_trading_arc(seller, buyer)
+                        else:
+                            detector.remove_trading_arc(seller, buyer)
+                        replayed += 1
+                    span.set(replayed=replayed)
+            except MiningError as exc:
+                raise ServiceError(
+                    f"{step} failed: {exc}; is the daemon serving the same TPIIN "
+                    "it was started with?"
+                ) from exc
             recovery_span.set(
                 from_snapshot=snapshot is not None, replayed=replayed, seeded=len(seed)
             )
@@ -394,28 +400,6 @@ class ShardedDetectionService:
                 recovery_record.to_dict() if recovery_record is not None else None
             ),
         )
-
-    @staticmethod
-    def _recover_apply(
-        detector: IncrementalDetector,
-        op: str,
-        seller: str,
-        buyer: str,
-        *,
-        source: str,
-    ) -> None:
-        try:
-            if op == OP_ADD:
-                detector.add_trading_arc(seller, buyer)
-            elif op == OP_REMOVE:
-                detector.remove_trading_arc(seller, buyer)
-            else:  # unreachable for records that passed WAL validation
-                raise ServiceError(f"unknown replayed operation {op!r}")
-        except MiningError as exc:
-            raise ServiceError(
-                f"{source} replay of {op} ({seller!r} -> {buyer!r}) failed: {exc}; "
-                "is the daemon serving the same TPIIN it was started with?"
-            ) from exc
 
     # ------------------------------------------------------------------
     # mutations
@@ -677,16 +661,8 @@ class ShardedDetectionService:
                 f"unknown detector {detector!r} (choices: {', '.join(DETECTORS)})"
             )
         with self._lock.read():
-            arcs = [(str(s), str(b)) for s, b in self._detector.trading_arcs()]
-        snapshot = self._tpiin.antecedent_view()
-        for seller, buyer in arcs:
-            mapped_seller = snapshot.node_map.get(seller, seller)
-            mapped_buyer = snapshot.node_map.get(buyer, buyer)
-            if mapped_seller == mapped_buyer:
-                snapshot.intra_scs_trades.append((seller, buyer))
-            else:
-                snapshot.graph.add_arc(mapped_seller, mapped_buyer, EColor.TRADING)
-        report = run_detectors(snapshot, [detector])
+            arcs = self._detector.trading_arcs()
+        report = run_detectors(self._tpiin.with_trading_arcs(arcs), [detector])
         return report[detector].to_dict()
 
     def arc_count(self) -> int:

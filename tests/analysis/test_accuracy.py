@@ -18,8 +18,8 @@ class TestCompareEngines:
         assert "faithful" in text
 
     def test_engine_subset(self, fig6):
-        report = compare_engines(fig6, engines=("faithful", "incremental"))
-        assert set(report.results) == {"faithful", "incremental"}
+        report = compare_engines(fig6, engines=("faithful", "global-traversal"))
+        assert set(report.results) == {"faithful", "global-traversal"}
         assert report.all_agree
 
     def test_oracle_arcs_populated(self, fig8):

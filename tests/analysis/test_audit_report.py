@@ -2,6 +2,7 @@
 
 from repro.analysis.audit_report import build_audit_report, write_audit_report
 from repro.mining.detector import detect
+from repro.mining.incremental import IncrementalDetector
 
 
 class TestAuditReport:
@@ -55,7 +56,7 @@ class TestAuditReport:
         from repro.fusion.tpiin import TPIIN
 
         untraded = TPIIN(graph=fig8.antecedent_graph())
-        result = detect(untraded, engine="incremental")
+        result = IncrementalDetector(untraded).result()
         assert result.groups == []
         report = build_audit_report(untraded, result)
         assert "## Distributions" not in report

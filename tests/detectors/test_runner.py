@@ -96,7 +96,7 @@ class TestRunDetectors:
     def test_options_configure_the_iat_detector(self):
         default = run_detectors(_portfolio_tpiin(), "iat-groups")
         assert default["iat-groups"].attributes["engine"] == "faithful"
-        for engine in ("parallel", "incremental"):
+        for engine in ("faithful", "parallel"):
             report = run_detectors(
                 _portfolio_tpiin(),
                 "iat-groups",
@@ -105,6 +105,12 @@ class TestRunDetectors:
             run = report["iat-groups"]
             assert run.attributes["engine"] == engine
             assert run.detection is not None and run.detection.engine == engine
+        with pytest.raises(MiningError, match=r"choices: faithful, parallel\)"):
+            run_detectors(
+                _portfolio_tpiin(),
+                "iat-groups",
+                configs={"iat-groups": {"engine": "incremental"}},
+            )
 
     def test_unknown_config_field_is_a_mining_error(self):
         with pytest.raises(

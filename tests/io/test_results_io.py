@@ -12,6 +12,7 @@ from repro.io.results_io import (
     write_detection_json,
 )
 from repro.mining.detector import detect
+from repro.mining.incremental import IncrementalDetector
 from repro.mining.groups import GroupKind, SuspiciousGroup
 
 
@@ -98,7 +99,7 @@ class TestDetectionJson:
             read_detection_json(path)
 
     def test_count_only_result_serializes(self, fig8, tmp_path):
-        result = detect(fig8, engine="incremental")
+        result = IncrementalDetector(fig8).result()
         path = write_detection_json(result, tmp_path / "counts.json")
         payload = json.loads(path.read_text())
         assert len(payload["groups"]) == result.group_count
@@ -113,7 +114,7 @@ class TestSusFiles:
         assert names == {"susGroup(0).txt", "susTrade(0).txt"}
 
     def test_incremental_writes_aggregate(self, fig8, tmp_path):
-        result = detect(fig8, engine="incremental")
+        result = IncrementalDetector(fig8).result()
         paths = result.write_files(tmp_path)
         names = {p.name for p in paths}
         assert names == {"susGroup(all).txt", "susTrade(all).txt"}

@@ -6,6 +6,7 @@ from repro.datagen.cases import FIG10_EXPECTED_GROUPS
 from repro.errors import MiningError
 from repro.mining.detector import detect
 from repro.mining.groups import GroupKind
+from repro.mining.incremental import IncrementalDetector
 
 
 class TestPaperFixtures:
@@ -147,9 +148,7 @@ class TestSubReport:
         assert "groups" in text
 
     def test_incremental_engine_has_no_sub_data(self, fig8):
-        from repro.mining.detector import detect
-
-        text = detect(fig8, engine="incremental").render_sub_report()
+        text = IncrementalDetector(fig8).result().render_sub_report()
         assert "did not segment" in text
 
     def test_truncation(self, small_province_tpiin):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import MiningError
+from repro.errors import MiningError, NotADagError
+from repro.fusion.pipeline import fuse
 from repro.fusion.tpiin import TPIIN
 from repro.graph.csr import CSRGraph
 from repro.mining.detector import detect
@@ -12,12 +13,39 @@ from repro.mining.incremental import (
     _enumerate_root_paths,
     _paths_between,
 )
-from repro.model.colors import EColor
+from repro.model.colors import EColor, InfluenceKind
+from repro.model.homogeneous import (
+    InfluenceGraph,
+    InterdependenceGraph,
+    InvestmentGraph,
+    TradingGraph,
+)
 
 
 def antecedent_only_fig8(fig8) -> TPIIN:
     """Fig. 8's antecedent network with no trading arcs yet."""
     return TPIIN(graph=fig8.antecedent_graph())
+
+
+def streamed_fig8(fig8, **kwargs) -> IncrementalDetector:
+    """Fig. 8's arcs added one at a time: the path that walks the cache."""
+    detector = IncrementalDetector(antecedent_only_fig8(fig8), **kwargs)
+    for arc in fig8.trading_arcs():
+        detector.add_trading_arc(*arc)
+    return detector
+
+
+def syndicate_tpiin() -> TPIIN:
+    """Companies a and b form one syndicate that invests in c."""
+    g2 = InfluenceGraph()
+    g2.add_influence("p1", "a", InfluenceKind.CEO_OF, legal_person=True)
+    g2.add_influence("p2", "b", InfluenceKind.CEO_OF, legal_person=True)
+    g2.add_influence("p3", "c", InfluenceKind.CEO_OF, legal_person=True)
+    gi = InvestmentGraph()
+    gi.add_investment("a", "b")
+    gi.add_investment("b", "a")
+    gi.add_investment("a", "c")
+    return fuse(InterdependenceGraph(), g2, gi, TradingGraph()).tpiin
 
 
 def diamond_influence() -> CSRGraph:
@@ -128,20 +156,21 @@ class TestPathCache:
         assert payload["hit_rate"] == second.hit_rate
 
     def test_lru_cap_evicts_oldest(self, fig8):
-        detector = IncrementalDetector(fig8, max_cached_roots=1)
+        detector = streamed_fig8(fig8, max_cached_roots=1)
         stats = detector.path_cache_stats
         assert stats.capacity == 1
         assert stats.size <= 1
         assert stats.evictions >= 1  # fig8 touches several distinct roots
 
     def test_unbounded_cache(self, fig8):
-        detector = IncrementalDetector(fig8, max_cached_roots=None)
+        detector = streamed_fig8(fig8, max_cached_roots=None)
         stats = detector.path_cache_stats
         assert stats.capacity is None
+        assert stats.size >= 2
         assert stats.evictions == 0
 
     def test_capped_detector_still_matches_batch(self, fig8):
-        capped = IncrementalDetector(fig8, max_cached_roots=1)
+        capped = streamed_fig8(fig8, max_cached_roots=1)
         batch = detect(fig8, engine="faithful")
         assert {g.key() for g in capped.result().groups} == {
             g.key() for g in batch.groups
@@ -218,15 +247,6 @@ class TestSpecialShapes:
         assert update.groups[0].kind is GroupKind.CIRCLE
 
     def test_intra_scs_arc(self):
-        from repro.fusion.pipeline import fuse
-        from repro.model.colors import InfluenceKind
-        from repro.model.homogeneous import (
-            InfluenceGraph,
-            InterdependenceGraph,
-            InvestmentGraph,
-            TradingGraph,
-        )
-
         g2 = InfluenceGraph()
         g2.add_influence("p1", "a", InfluenceKind.CEO_OF, legal_person=True)
         g2.add_influence("p2", "b", InfluenceKind.CEO_OF, legal_person=True)
@@ -253,3 +273,50 @@ class TestSpecialShapes:
         assert {g.key() for g in detector.result().groups} == {
             g.key() for g in batch.groups
         }
+
+
+class TestSeed:
+    def test_seed_on_non_empty_detector_raises(self, fig8):
+        detector = IncrementalDetector(fig8)
+        with pytest.raises(MiningError, match="empty detector"):
+            detector.seed([("C8", "C3")])
+        assert len(detector) == 5
+
+    def test_unknown_endpoint_names_the_arc_and_leaves_detector_empty(self, fig8):
+        detector = IncrementalDetector(antecedent_only_fig8(fig8))
+        with pytest.raises(MiningError, match=r"seed arc \('C5' -> 'C99'\)"):
+            detector.seed([("C3", "C5"), ("C5", "C99"), ("C5", "C6")])
+        assert len(detector) == 0
+        detector.seed([("C3", "C5")])
+        assert detector.suspicious_arcs == {("C3", "C5")}
+
+    def test_repeated_arcs_load_once_in_first_seen_order(self, fig8):
+        arcs = list(fig8.trading_arcs())
+        detector = IncrementalDetector(antecedent_only_fig8(fig8))
+        detector.seed([*reversed(arcs), *arcs])
+        assert detector.trading_arcs() == list(reversed(arcs))
+
+    def test_two_originals_on_one_contracted_arc_share_its_groups(self):
+        tpiin = syndicate_tpiin()
+        syndicate = tpiin.node_map["a"]
+        assert tpiin.node_map["b"] == syndicate
+        detector = IncrementalDetector(tpiin)
+        detector.seed([("a", "c"), ("b", "c"), ("a", "b")])
+        streamed = IncrementalDetector(tpiin)
+        expected = {g.key() for g in streamed.add_trading_arc("a", "c").groups}
+        assert expected
+        for seller in ("a", "b"):
+            groups = detector.groups_for_arc(seller, "c")
+            assert {g.trading_arc for g in groups} == {(syndicate, "c")}
+            assert {g.key() for g in groups} == expected
+        (scs,) = detector.groups_for_arc("a", "b")
+        assert scs.kind is GroupKind.SCS
+
+    def test_cyclic_antecedent_network_is_rejected(self):
+        cyclic = TPIIN.build(
+            persons=["p"],
+            companies=["a", "b", "c"],
+            influence=[("p", "a"), ("a", "b"), ("b", "a"), ("a", "c")],
+        )
+        with pytest.raises(NotADagError):
+            IncrementalDetector(cyclic)

@@ -14,12 +14,12 @@ from repro.obs.tracing import NULL_TRACER, Tracer, resolve_tracer
 class TestEngine:
     def test_is_a_string(self):
         assert Engine.PARALLEL == "parallel"
-        assert str(Engine.INCREMENTAL) == "incremental"
+        assert str(Engine.PARALLEL) == "parallel"
         assert f"{Engine.FAITHFUL}" == "faithful"
 
     def test_coerce_accepts_names_and_members(self):
         assert Engine.coerce("parallel") is Engine.PARALLEL
-        assert Engine.coerce(Engine.INCREMENTAL) is Engine.INCREMENTAL
+        assert Engine.coerce(Engine.FAITHFUL) is Engine.FAITHFUL
 
     def test_coerce_rejects_typos_with_choices(self):
         with pytest.raises(MiningError, match="unknown engine 'fastt'"):
@@ -27,18 +27,14 @@ class TestEngine:
         with pytest.raises(MiningError, match="choices: faithful, parallel"):
             Engine.coerce("nope")
 
-    @pytest.mark.parametrize("removed", ["fast", "csr"])
+    @pytest.mark.parametrize("removed", ["fast", "csr", "incremental"])
     def test_removed_engines_are_rejected(self, removed):
-        assert [engine.value for engine in Engine] == [
-            "faithful",
-            "parallel",
-            "incremental",
-        ]
-        with pytest.raises(
-            MiningError,
-            match=rf"unknown engine '{removed}' \(choices: faithful, parallel, incremental\)",
-        ):
+        assert [engine.value for engine in Engine] == ["faithful", "parallel"]
+        choices = rf"unknown engine '{removed}' \(choices: faithful, parallel\)"
+        with pytest.raises(MiningError, match=choices):
             Engine.coerce(removed)
+        with pytest.raises(MiningError, match=choices):
+            IATConfig(engine=removed)
 
 
 class TestDetect:

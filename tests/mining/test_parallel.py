@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.mining.compact import LazyGroups
 from repro.mining.detector import detect
+from repro.mining.incremental import IncrementalDetector
 from repro.mining.parallel import parallel_detect
 from repro.obs.tracing import Tracer
 
@@ -31,11 +32,14 @@ class TestParallel:
         result = detect(fig8, engine="parallel")
         assert result.engine == "parallel"
 
-    def test_incremental_engine_dispatch(self, fig8):
-        faithful = detect(fig8)
-        result = detect(fig8, engine="incremental")
-        assert result.engine == "incremental"
-        assert {g.key() for g in result.groups} == {g.key() for g in faithful.groups}
+    def test_seeds_the_incremental_detector(self, small_province_tpiin):
+        faithful = detect(small_province_tpiin)
+        seeded = IncrementalDetector(small_province_tpiin).result()
+        assert seeded.engine == "incremental"
+        assert {g.key() for g in seeded.groups} == {
+            g.key() for g in faithful.groups
+        }
+        assert seeded.suspicious_trading_arcs == faithful.suspicious_trading_arcs
 
     def test_sub_results_sorted_by_index(self, small_province_tpiin):
         result = parallel_detect(small_province_tpiin)

@@ -4,13 +4,16 @@ This is the library's keystone invariant (DESIGN.md, item 3): the
 faithful Algorithm 1/2, the streaming detector, the naive Appendix-B
 matcher and the paper's global-traversal baseline all produce the same
 group set, and the suspicious-arc set equals both reachability oracles.
+The streaming detector's bulk seed equals its one-arc-at-a-time path.
 The parallel engine has its own suite (test_parallel_equivalence).
 """
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baseline.global_traversal import global_traversal_detect
 from repro.mining.detector import detect
+from repro.mining.incremental import IncrementalDetector
 from repro.mining.matching import match_component_patterns, match_pairs_naive
 from repro.mining.oracle import suspicious_arc_oracle, suspicious_arc_oracle_closure
 from repro.mining.patterns import build_patterns_tree
@@ -61,7 +64,6 @@ def test_all_mode_baseline_is_superset_with_same_arcs(tpiin):
 def test_incremental_equals_batch_after_add_remove(tpiin):
     """Streaming adds/removes converge to the batch result."""
     from repro.fusion.tpiin import TPIIN
-    from repro.mining.incremental import IncrementalDetector
 
     arcs = sorted(tpiin.trading_arcs())
     antecedent = TPIIN(graph=tpiin.antecedent_graph())
@@ -82,12 +84,35 @@ def test_incremental_equals_batch_after_add_remove(tpiin):
     assert streamed.complex_group_count == batch.complex_group_count
 
 
+@settings(max_examples=60, deadline=None)
+@given(tpiin=tpiins(), data=st.data())
+def test_seed_equals_streamed_adds(tpiin, data):
+    """One bulk seed loads the same arcs and groups as per-arc adds."""
+    arcs = sorted(tpiin.trading_arcs())
+    repeats = data.draw(st.lists(st.sampled_from(arcs), max_size=4)) if arcs else []
+    stream = data.draw(st.permutations(arcs + repeats))
+    antecedent = tpiin.antecedent_view()
+    seeded = IncrementalDetector(antecedent)
+    seeded.seed(stream)
+    streamed = IncrementalDetector(antecedent)
+    for arc in stream:
+        streamed.add_trading_arc(*arc)
+
+    assert seeded.trading_arcs() == streamed.trading_arcs()
+    for arc in seeded.trading_arcs():
+        assert {g.key() for g in seeded.groups_for_arc(*arc)} == {
+            g.key() for g in streamed.groups_for_arc(*arc)
+        }
+    assert seeded.suspicious_arcs == streamed.suspicious_arcs
+    assert sorted(g.key() for g in seeded.result().groups) == sorted(
+        g.key() for g in streamed.result().groups
+    )
+
+
 @settings(max_examples=40, deadline=None)
-@given(tpiin=tpiins(), data=__import__("hypothesis").strategies.data())
+@given(tpiin=tpiins(), data=st.data())
 def test_sliding_windows_match_batch(tpiin, data):
     """Every temporal window equals batch detection on its active arcs."""
-    from hypothesis import strategies as st
-
     from repro.fusion.tpiin import TPIIN
     from repro.mining.temporal import TimedTrade, active_in, sliding_window_detect
     from repro.model.colors import EColor

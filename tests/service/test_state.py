@@ -8,7 +8,7 @@ from repro.fusion.tpiin import TPIIN
 from repro.mining.detector import detect
 from repro.service.config import ServiceConfig
 from repro.service.sharding import ShardedDetectionService
-from repro.service.snapshot import read_snapshot
+from repro.service.snapshot import Snapshot, read_snapshot, write_snapshot
 from repro.service.wal import read_wal
 
 
@@ -106,6 +106,18 @@ class TestRestart:
         with pytest.raises(ServiceError, match="replay"):
             ShardedDetectionService.open(stranger, config)
 
+    def test_snapshot_against_wrong_tpiin_raises(self, fig8, tmp_path):
+        config = config_for(tmp_path)
+        config.ensure_state_dir()
+        write_snapshot(
+            config.shard_snapshot_path(0),
+            Snapshot(last_seq=3, arcs=(("C3", "C5"), ("C5", "C99"))),
+        )
+        with pytest.raises(
+            ServiceError, match=r"^snapshot seed failed: seed arc \('C5' -> 'C99'\)"
+        ):
+            ShardedDetectionService.open(fig8, config)
+
 
 class TestCompaction:
     def test_auto_compaction_after_threshold(self, fig8, tmp_path):
@@ -167,12 +179,15 @@ class TestCompaction:
 class TestMetricsAndQueries:
     def test_path_cache_hits_on_rework(self, fig8, tmp_path):
         with ShardedDetectionService.open(fig8, config_for(tmp_path)) as service:
-            service.remove_arc("C3", "C5")
-            service.add_arc("C3", "C5")  # recomputes against warm caches
+            # The seed mines in one batch, so the first rework warms the
+            # cache and the second one hits it.
+            for _ in range(2):
+                service.remove_arc("C3", "C5")
+                service.add_arc("C3", "C5")
             payload = service.metrics_payload()
             assert payload["path_cache"]["hits"] >= 1
-            assert payload["arcs_added"] == 1
-            assert payload["arcs_removed"] == 1
+            assert payload["arcs_added"] == 2
+            assert payload["arcs_removed"] == 2
 
     def test_arc_status(self, fig8, tmp_path):
         with ShardedDetectionService.open(fig8, config_for(tmp_path)) as service:

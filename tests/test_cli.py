@@ -21,27 +21,20 @@ class TestParser:
         ):
             assert parser.parse_args(argv).command == argv[0]
 
-    def test_engine_choices_include_incremental(self):
-        parser = build_parser()
-        for command in ("mine", "ingest"):
-            args = parser.parse_args(
-                [command, "a.csv", "--engine", "incremental"]
-                if command == "ingest"
-                else [command, "a.csv", "n.csv", "--engine", "incremental"]
-            )
-            assert args.engine == "incremental"
-
     def test_engine_defaults_to_parallel(self):
         parser = build_parser()
         assert parser.parse_args(["mine", "a.csv", "n.csv"]).engine == "parallel"
         assert parser.parse_args(["ingest", "a.csv"]).engine == "parallel"
 
-    @pytest.mark.parametrize("removed", ["fast", "csr"])
+    @pytest.mark.parametrize("removed", ["fast", "csr", "incremental"])
     def test_removed_engines_exit_with_usage_error(self, removed, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["mine", "a.csv", "n.csv", "--engine", removed])
-        assert excinfo.value.code == 2
-        assert "faithful, parallel, incremental" in capsys.readouterr().err.replace("'", "")
+        for argv in (["mine", "a.csv", "n.csv"], ["ingest", "a.csv"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main([*argv, "--engine", removed])
+            assert excinfo.value.code == 2
+            assert "(choose from faithful, parallel)" in capsys.readouterr().err.replace(
+                "'", ""
+            )
 
     @pytest.mark.parametrize("command", ["mine", "ingest"])
     def test_processes_flag_is_gone(self, command, capsys):
@@ -122,15 +115,15 @@ class TestCommands:
                 str(arcs),
                 str(nodes),
                 "--engine",
-                "incremental",
+                "faithful",
                 "--out-dir",
-                str(tmp_path / "out-inc"),
+                str(tmp_path / "out-faithful"),
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "engine=incremental" in out
-        assert (tmp_path / "out-inc" / "detection.json").exists()
+        assert "engine=faithful" in out
+        assert (tmp_path / "out-faithful" / "detection.json").exists()
 
     def test_mine_detector_portfolio(self, tmp_path, capsys, monkeypatch):
         import json

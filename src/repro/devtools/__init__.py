@@ -29,8 +29,7 @@ Run it as ``repro-lint src`` (console script) or programmatically::
         print(diag.render())
 """
 
-from repro.devtools.baseline import apply_baseline, load_baseline, write_baseline
-from repro.devtools.config import LintConfig, discover_config, load_config
+from repro.devtools.config import LintConfig, discover_config
 from repro.devtools.diagnostics import Diagnostic
 from repro.devtools.project import ProjectIndex, build_index, module_name_for
 from repro.devtools.render import render_human, render_json
@@ -42,8 +41,7 @@ from repro.devtools.rulebase import (
     all_rules,
     get_rule,
 )
-from repro.devtools.sarif import render_sarif
-from repro.devtools.walker import LintReport, lint_file, lint_paths, lint_project
+from repro.devtools.walker import LintReport, lint_file, lint_project
 
 __all__ = [
     "Diagnostic",
@@ -55,18 +53,12 @@ __all__ = [
     "Rule",
     "all_project_rules",
     "all_rules",
-    "apply_baseline",
     "build_index",
     "discover_config",
     "get_rule",
     "lint_file",
-    "lint_paths",
     "lint_project",
-    "load_baseline",
-    "load_config",
     "module_name_for",
     "render_human",
     "render_json",
-    "render_sarif",
-    "write_baseline",
 ]

@@ -1,35 +1,20 @@
 """``repro-lint`` console script.
 
 Exit codes: 0 clean, 1 findings, 2 usage error (argparse).  The human
-renderer is the default; ``--format json`` emits the stable machine
-form used by CI annotations and editor integrations, ``--format sarif``
-the SARIF 2.1.0 log GitHub code scanning ingests.  By default both
-analysis phases run (per-file rules plus the whole-program passes);
-``--no-project`` restricts to the historical per-file pass.
-
-A checked-in baseline (``--baseline``, default from
-``[tool.reprolint]``) absorbs known findings so only *new* debt fails;
-``--update-baseline`` rewrites it from the current findings.
+renderer is the default; ``--json`` emits the stable machine form used
+by CI annotations and editor integrations.  Every run is the one
+two-phase lint (per-file rules plus the whole-program passes);
+``--select`` narrows the rule set of either phase.
 """
 
 from __future__ import annotations
 
 import argparse
 from collections.abc import Sequence
-from dataclasses import replace
-from pathlib import Path
 
-from repro.devtools.baseline import (
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.devtools.config import discover_config
 from repro.devtools.render import render_human, render_json
 from repro.devtools.rulebase import ProjectRule, Rule, all_project_rules, all_rules
-from repro.devtools.sarif import render_sarif
-from repro.devtools.walker import lint_paths, lint_project
+from repro.devtools.walker import lint_project
 
 __all__ = ["build_parser", "main"]
 
@@ -50,41 +35,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
-        "--format",
-        choices=("human", "json", "sarif"),
-        default="human",
-        help="output format (default: human)",
-    )
-    parser.add_argument(
         "--json",
         action="store_true",
-        help="shorthand for --format json",
+        help="print the machine-readable JSON report instead of the human one",
     )
     parser.add_argument(
         "--select",
         metavar="RULES",
         help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--no-project",
-        action="store_true",
-        help="per-file rules only; skip the whole-program passes",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="baseline file absorbing known findings "
-        "(default: [tool.reprolint] baseline next to pyproject.toml)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue and exit"
@@ -115,7 +73,6 @@ def _select_rules(
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    fmt = "json" if args.json else args.format
 
     if args.list_rules:
         for rule in (*all_rules(), *all_project_rules()):
@@ -123,42 +80,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     rules, project_rules = _select_rules(args.select, parser)
-    config = discover_config(Path(args.paths[0] if args.paths else "."))
     try:
-        if args.no_project:
-            report = lint_paths(args.paths, rules)
-        else:
-            report = lint_project(
-                args.paths, rules, project_rules=project_rules, config=config
-            )
+        report = lint_project(args.paths, rules, project_rules=project_rules)
     except OSError as exc:
         parser.error(str(exc))
-
-    baseline_path = (
-        Path(args.baseline) if args.baseline else config.default_baseline()
-    )
-    if args.update_baseline:
-        write_baseline(report.diagnostics, baseline_path)
-        print(
-            f"reprolint: wrote baseline with {len(report.diagnostics)} "
-            f"finding(s) to {baseline_path}"
-        )
-        return 0
-    if not args.no_baseline:
-        try:
-            baseline = load_baseline(baseline_path)
-        except BaselineError as exc:
-            parser.error(str(exc))
-        if baseline:
-            kept, absorbed = apply_baseline(report.diagnostics, baseline)
-            report = replace(report, diagnostics=kept, baselined=absorbed)
-
-    if fmt == "sarif":
-        print(render_sarif(report))
-    elif fmt == "json":
-        print(render_json(report))
-    else:
-        print(render_human(report))
+    print(render_json(report) if args.json else render_human(report))
     return 0 if report.ok else 1
 
 

@@ -44,9 +44,9 @@ def _package_key(module: str) -> str:
 class LayeringRule:
     """R012 - the import graph must respect the declared layers.
 
-    The architecture lives in ``pyproject.toml`` as
-    ``[tool.reprolint.layers] order``: an ordered list of layers, lowest
-    first, each naming top-level ``repro`` packages.  A module may
+    The architecture is declared as ``LintConfig.layers`` (the
+    ``_DEFAULT_LAYERS`` constant in :mod:`repro.devtools.config`): an
+    ordered list of layers, lowest first, each naming top-level ``repro`` packages.  A module may
     import from its own layer or below — ``graph``/``model`` import
     nothing above them, ``service`` is importable by nothing below it —
     and every package must be assigned, so a new subsystem cannot ship
@@ -75,8 +75,9 @@ class LayeringRule:
                     None,
                     self.rule_id,
                     f"package '{subject_key}' is not assigned to a layer in "
-                    "[tool.reprolint.layers]",
-                    "declare the new package's layer in pyproject.toml",
+                    "the declared architecture",
+                    "declare the new package's layer in _DEFAULT_LAYERS "
+                    "(repro/devtools/config.py)",
                 )
                 continue
             for edge in info.imports:
@@ -95,7 +96,8 @@ class LayeringRule:
                         self.rule_id,
                         f"imports '{edge.target}' from package '{target_key}', "
                         "which is not assigned to a layer",
-                        "declare the package's layer in pyproject.toml",
+                        "declare the package's layer in _DEFAULT_LAYERS "
+                        "(repro/devtools/config.py)",
                     )
                 elif target_layer > subject_layer:
                     yield info.diagnostic(
@@ -518,7 +520,7 @@ class _LockFlowWalker:
 class HotPathAllocationRule:
     """R015 - innermost loops of hot functions stay allocation-lean.
 
-    Functions marked hot in ``[tool.reprolint.hot] functions`` (the
+    Functions marked hot in ``LintConfig.hot_functions`` (the
     compact mining kernel and its circle walk) are the per-node/per-arc
     loops the benchmarks gate.  Inside their innermost ``for``/``while``
     loops the rule flags:
@@ -565,8 +567,8 @@ class HotPathAllocationRule:
                     self.rule_id,
                     f"hot-list entry '{info.module}::{qualname}' names no "
                     "function in this module, so nothing is checked",
-                    "update or remove the entry in [tool.reprolint.hot] "
-                    "functions",
+                    "update or remove the entry in _DEFAULT_HOT_FUNCTIONS "
+                    "(repro/devtools/config.py)",
                 )
 
     def _check_function(

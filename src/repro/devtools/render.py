@@ -13,14 +13,9 @@ def render_human(report: LintReport) -> str:
     """One diagnostic per line plus a summary footer."""
     lines = [diag.render() for diag in report.diagnostics]
     if report.ok:
-        extras = []
-        if report.suppressed:
-            extras.append(f"{report.suppressed} suppressed")
-        if report.baselined:
-            extras.append(f"{report.baselined} baselined")
         lines.append(
             f"reprolint: {report.files_checked} file(s) clean"
-            + (f" ({', '.join(extras)})" if extras else "")
+            + (f" ({report.suppressed} suppressed)" if report.suppressed else "")
         )
     else:
         by_rule = ", ".join(
@@ -38,7 +33,6 @@ def render_json(report: LintReport) -> str:
     payload = {
         "files_checked": report.files_checked,
         "suppressed": report.suppressed,
-        "baselined": report.baselined,
         "count": len(report.diagnostics),
         "by_rule": report.by_rule(),
         "diagnostics": [diag.to_dict() for diag in report.diagnostics],

@@ -5,17 +5,16 @@ Suppression is per line and per rule: a trailing
 ``all``) silences matching diagnostics anchored on that line — or
 anywhere on the anchored statement's physical span, so the comment can
 trail the closing paren of a multi-line call or sit on a decorator
-line.  Files that fail to parse yield a single ``R000`` parse-error
-diagnostic so a broken tree can never slip through as "clean".
+line.  Files that fail to decode or parse yield a single ``R000``
+parse-error diagnostic so a broken tree can never slip through as
+"clean".
 
-Two entry points:
-
-* :func:`lint_paths` — the historical per-file pass (rules R001-R010).
-* :func:`lint_project` — the two-phase whole-program analysis: phase 1
-  parses the linted files *plus* the configured reference roots into a
-  :class:`~repro.devtools.project.ProjectIndex`; phase 2 runs the
-  per-file rules on the linted files and the project rules (R012-R015)
-  over the index.
+:func:`lint_project` is the one lint run: phase 1 parses the linted
+files *plus* the configured reference roots into a
+:class:`~repro.devtools.project.ProjectIndex`; phase 2 runs the
+per-file rules on the linted files and the project rules (R012-R015)
+over the index.  With no project rule chosen the index phase is
+skipped.  :func:`lint_file` runs per-file rules on one file.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ __all__ = [
     "LintReport",
     "iter_python_files",
     "lint_file",
-    "lint_paths",
     "lint_project",
     "suppressed_rules",
 ]
@@ -59,8 +57,6 @@ class LintReport:
     diagnostics: tuple[Diagnostic, ...]
     files_checked: int
     suppressed: int = 0
-    #: Findings absorbed by the checked-in baseline (still debt, not new).
-    baselined: int = 0
 
     @property
     def ok(self) -> bool:
@@ -126,24 +122,39 @@ def _is_silenced(diag: Diagnostic, table: dict[int, frozenset[str]]) -> bool:
 class _FileResult:
     diagnostics: tuple[Diagnostic, ...]
     suppressed: int
+    text: str = ""
     tree: ast.Module | None = None
 
 
-def _lint_source(
-    display_path: str, text: str, rules: Sequence[Rule]
+_SYNTAX_HINT = "fix the syntax error; unparseable files are never clean"
+_BYTES_HINT = "save the file as UTF-8 text without NUL bytes"
+
+
+def _parse_error(
+    display_path: str, line: int, col: int, reason: str, hint: str = _SYNTAX_HINT
 ) -> _FileResult:
+    diag = Diagnostic(
+        path=display_path,
+        line=line,
+        col=col,
+        rule_id=PARSE_ERROR_ID,
+        message=f"file does not parse: {reason}",
+        hint=hint,
+    )
+    return _FileResult((diag,), 0)
+
+
+def _lint_source(path: Path, display_path: str, rules: Sequence[Rule]) -> _FileResult:
     try:
+        text = path.read_text(encoding="utf-8")
         tree = ast.parse(text)
     except SyntaxError as exc:
-        diag = Diagnostic(
-            path=display_path,
-            line=exc.lineno or 1,
-            col=(exc.offset or 0) or 1,
-            rule_id=PARSE_ERROR_ID,
-            message=f"file does not parse: {exc.msg}",
-            hint="fix the syntax error; unparseable files are never clean",
-        )
-        return _FileResult((diag,), 0)
+        return _parse_error(display_path, exc.lineno or 1, exc.offset or 1, exc.msg)
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        return _parse_error(display_path, line, 1, f"not UTF-8 ({exc.reason})", _BYTES_HINT)
+    except ValueError as exc:  # Python 3.10: a NUL byte in the source
+        return _parse_error(display_path, 1, 1, str(exc), _BYTES_HINT)
 
     ctx = FileContext(display_path=display_path, text=text, tree=tree)
     table = suppressed_rules(text)
@@ -156,35 +167,13 @@ def _lint_source(
             else:
                 kept.append(diag)
     kept.sort(key=Diagnostic.sort_key)
-    return _FileResult(tuple(kept), dropped, tree)
+    return _FileResult(tuple(kept), dropped, text, tree)
 
 
 def lint_file(path: str | Path, rules: Sequence[Rule] | None = None) -> list[Diagnostic]:
     """Lint one file and return its (suppression-filtered) diagnostics."""
     chosen = all_rules() if rules is None else tuple(rules)
-    text = Path(path).read_text(encoding="utf-8")
-    display = Path(path).as_posix()
-    return list(_lint_source(display, text, chosen).diagnostics)
-
-
-def lint_paths(
-    paths: Iterable[str | Path], rules: Sequence[Rule] | None = None
-) -> LintReport:
-    """Lint files and directory trees; directories are walked recursively."""
-    chosen = all_rules() if rules is None else tuple(rules)
-    diagnostics: list[Diagnostic] = []
-    files = 0
-    suppressed = 0
-    for path in iter_python_files(paths):
-        files += 1
-        text = path.read_text(encoding="utf-8")
-        result = _lint_source(path.as_posix(), text, chosen)
-        diagnostics.extend(result.diagnostics)
-        suppressed += result.suppressed
-    diagnostics.sort(key=Diagnostic.sort_key)
-    return LintReport(
-        diagnostics=tuple(diagnostics), files_checked=files, suppressed=suppressed
-    )
+    return list(_lint_source(Path(path), Path(path).as_posix(), chosen).diagnostics)
 
 
 def _display_for(path: Path) -> str:
@@ -204,65 +193,63 @@ def lint_project(
     """Two-phase whole-program lint over ``paths``.
 
     Phase 1 parses every linted file plus every file under the
-    configured ``reference-roots`` (so cross-module references from
+    configured ``reference_roots`` (so cross-module references from
     tests and benchmarks count) into a project index.  Phase 2 runs the
     per-file rules over the linted files and the project rules over the
     index; project diagnostics honour the same per-line suppression
     comments.  Reference-only files contribute references but never
-    diagnostics, and a reference file that fails to parse is skipped
-    (its own lint run will report R000).
+    diagnostics, and a reference file that fails to decode or parse is
+    skipped (its own lint run will report R000).  With
+    ``project_rules=()`` only the per-file pass runs.
     """
     chosen = all_rules() if rules is None else tuple(rules)
     chosen_project = all_project_rules() if project_rules is None else tuple(project_rules)
 
     subject_files = list(iter_python_files(paths))
-    if config is None:
-        anchor = subject_files[0] if subject_files else Path.cwd()
-        config = discover_config(Path(anchor))
-
     diagnostics: list[Diagnostic] = []
     suppressed = 0
     indexed: list[tuple[str, str, ast.Module]] = []
-    tables: dict[str, dict[int, frozenset[str]]] = {}
     subject_displays: list[str] = []
-    seen_resolved: set[Path] = set()
 
     for path in subject_files:
-        seen_resolved.add(path.resolve())
         display = path.as_posix()
         subject_displays.append(display)
-        text = path.read_text(encoding="utf-8")
-        result = _lint_source(display, text, chosen)
+        result = _lint_source(path, display, chosen)
         diagnostics.extend(result.diagnostics)
         suppressed += result.suppressed
         if result.tree is not None:
-            indexed.append((display, text, result.tree))
-            tables[display] = suppressed_rules(text)
+            indexed.append((display, result.text, result.tree))
 
-    for root_name in config.reference_roots:
-        root = config.root / root_name
-        if not root.is_dir():
-            continue
-        for path in iter_python_files([root]):
-            resolved = path.resolve()
-            if resolved in seen_resolved:
+    if chosen_project:
+        tables = {display: suppressed_rules(text) for display, text, _ in indexed}
+        if config is None:
+            anchor = subject_files[0] if subject_files else Path.cwd()
+            config = discover_config(Path(anchor))
+        seen_resolved = {path.resolve() for path in subject_files}
+        for root_name in config.reference_roots:
+            root = config.root / root_name
+            if not root.is_dir():
                 continue
-            seen_resolved.add(resolved)
-            try:
-                text = path.read_text(encoding="utf-8")
-                tree = ast.parse(text)
-            except (OSError, SyntaxError):
-                continue
-            indexed.append((_display_for(path), text, tree))
+            for path in iter_python_files([root]):
+                resolved = path.resolve()
+                if resolved in seen_resolved:
+                    continue
+                seen_resolved.add(resolved)
+                try:
+                    text = path.read_text(encoding="utf-8")
+                    tree = ast.parse(text)
+                except (OSError, SyntaxError, ValueError):  # ValueError: bad bytes
+                    continue
+                indexed.append((_display_for(path), text, tree))
 
-    index = build_index(indexed, subject_displays)
-    for rule in chosen_project:
-        for diag in rule.check_project(index, config):
-            table = tables.get(diag.path)
-            if table is not None and _is_silenced(diag, table):
-                suppressed += 1
-            else:
-                diagnostics.append(diag)
+        index = build_index(indexed, subject_displays)
+        for rule in chosen_project:
+            for diag in rule.check_project(index, config):
+                table = tables.get(diag.path)
+                if table is not None and _is_silenced(diag, table):
+                    suppressed += 1
+                else:
+                    diagnostics.append(diag)
 
     diagnostics.sort(key=Diagnostic.sort_key)
     return LintReport(

@@ -26,13 +26,25 @@ class TestBuildParser:
     def test_defaults(self):
         args = build_parser().parse_args([])
         assert args.paths == ["src"]
-        assert args.format == "human"
-        assert not args.no_project and not args.update_baseline
+        assert not args.json and not args.list_rules
+        assert args.select is None
 
-    def test_sarif_format_is_accepted(self):
-        args = build_parser().parse_args(["--format", "sarif", "src", "tests"])
-        assert args.format == "sarif"
-        assert args.paths == ["src", "tests"]
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--format", "sarif"],
+            ["--format", "json"],
+            ["--baseline", "x"],
+            ["--no-baseline"],
+            ["--update-baseline"],
+            ["--no-project"],
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*flags, str(FIXTURES / "R007" / "good.py")])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestMain:

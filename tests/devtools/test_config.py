@@ -1,100 +1,40 @@
-"""``[tool.reprolint]`` parsing and the pyproject/defaults sync contract."""
+"""``LintConfig``: root discovery, the layer table, the entry-point sync."""
 
 from pathlib import Path
 
 import pytest
 
-from repro.devtools import load_config
 from repro.devtools.config import LintConfig, discover_config
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-class TestLoadConfig:
-    def test_explicit_tables_override_defaults(self, tmp_path):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text(
-            """
-[tool.reprolint]
-reference-roots = ["lib"]
-baseline = "debt.json"
-
-[tool.reprolint.layers]
-order = [["base"], ["top"]]
-
-[tool.reprolint.hot]
-functions = ["repro.x::f"]
-
-[tool.reprolint.lock]
-blocking-calls = ["self.sock.send"]
-
-[project.scripts]
-tool-a = "repro.x:main"
-""",
-            encoding="utf-8",
-        )
-        config = load_config(pyproject)
-        assert config.root == tmp_path.resolve()
-        assert config.layers == (("base",), ("top",))
+class TestLintConfig:
+    def test_layer_of_follows_the_declared_order(self, tmp_path):
+        config = LintConfig(root=tmp_path, layers=(("base",), ("top",)))
         assert config.layer_of("base") == 0
         assert config.layer_of("top") == 1
         assert config.layer_of("unknown") is None
-        assert config.hot_functions == ("repro.x::f",)
-        assert config.blocking_calls == ("self.sock.send",)
-        assert config.reference_roots == ("lib",)
-        assert config.entry_points == ("repro.x:main",)
-        assert config.default_baseline() == tmp_path.resolve() / "debt.json"
-
-    def test_bare_pyproject_yields_the_embedded_defaults(self, tmp_path):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text('[project]\nname = "x"\n', encoding="utf-8")
-        config = load_config(pyproject)
-        defaults = LintConfig(root=tmp_path)
-        assert config.layers == defaults.layers
-        assert config.hot_functions == defaults.hot_functions
-        assert config.blocking_calls == defaults.blocking_calls
-
-    @pytest.mark.parametrize(
-        "snippet",
-        [
-            "[tool.reprolint.layers]\norder = \"nope\"\n",
-            "[tool.reprolint.layers]\norder = [[1, 2]]\n",
-            "[tool.reprolint.hot]\nfunctions = [3]\n",
-            "[tool.reprolint]\nbaseline = 7\n",
-        ],
-    )
-    def test_malformed_tables_are_rejected(self, tmp_path, snippet):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text(snippet, encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_config(pyproject)
 
 
 class TestDiscover:
     def test_walks_up_to_the_nearest_pyproject(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(
-            '[tool.reprolint]\nbaseline = "found.json"\n', encoding="utf-8"
-        )
+        (tmp_path / "pyproject.toml").write_text('[project]\nname = "x"\n', encoding="utf-8")
         nested = tmp_path / "a" / "b"
         nested.mkdir(parents=True)
         config = discover_config(nested)
-        assert config.baseline_path == "found.json"
+        assert config.root == tmp_path.resolve()
 
     def test_no_pyproject_falls_back_to_defaults(self, tmp_path):
         config = discover_config(tmp_path)
         assert config.root == tmp_path.resolve()
-        assert config.baseline_path == "lint-baseline.json"
+        assert config == LintConfig(root=tmp_path.resolve())
 
 
-class TestDefaultsSync:
-    """The embedded fallback must mirror the repository's pyproject."""
-
-    def test_repo_pyproject_matches_embedded_defaults(self):
-        config = load_config(REPO_ROOT / "pyproject.toml")
-        defaults = LintConfig(root=REPO_ROOT)
-        assert config.layers == defaults.layers
-        assert config.hot_functions == defaults.hot_functions
-        assert config.blocking_calls == defaults.blocking_calls
-        assert config.reference_roots == defaults.reference_roots
-        assert config.entry_points == defaults.entry_points
-        assert config.baseline_path == defaults.baseline_path
+def test_pyproject_scripts_match_entry_points():
+    # R013 keeps the console-script targets alive; they must be the
+    # ones pyproject.toml actually installs.
+    tomllib = pytest.importorskip("tomllib")
+    data = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    scripts = data["project"]["scripts"]
+    assert tuple(sorted(scripts.values())) == LintConfig(root=REPO_ROOT).entry_points

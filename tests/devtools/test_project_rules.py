@@ -146,7 +146,7 @@ class TestHotPathAllocation:
         stale = [d for d in diags if "deleted_kernel" in d.message]
         assert _findings(stale) == [("hot.py", 1, "R015")]
         assert "repro.hot::deleted_kernel" in stale[0].message
-        assert "[tool.reprolint.hot]" in stale[0].hint
+        assert "_DEFAULT_HOT_FUNCTIONS" in stale[0].hint
         # The live entry is still checked alongside the stale one.
         assert len(diags) == 4
 
@@ -160,7 +160,7 @@ class TestHotPathAllocation:
 class TestEndToEnd:
     def test_planted_violation_fails_the_cli(self, capsys):
         bad = FIXTURES / "R014" / "repro" / "service" / "bad.py"
-        code = main(["--select", "R014", "--no-baseline", str(bad)])
+        code = main(["--select", "R014", str(bad)])
         out = capsys.readouterr().out
         assert code == 1
         assert "R014" in out

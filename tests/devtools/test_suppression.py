@@ -11,13 +11,13 @@ import ast
 import pytest
 
 from repro.devtools.diagnostics import node_suppress_lines
-from repro.devtools.walker import lint_paths
+from repro.devtools.walker import lint_project
 
 
 def _lint(tmp_path, source, name="mod.py"):
     path = tmp_path / name
     path.write_text(source, encoding="utf-8")
-    return lint_paths([path])
+    return lint_project([path], project_rules=())
 
 
 class TestNodeSuppressLines:

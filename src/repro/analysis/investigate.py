@@ -15,13 +15,18 @@ from dataclasses import dataclass, field
 from repro.errors import MiningError
 from repro.fusion.tpiin import TPIIN
 from repro.graph.digraph import Node
-from repro.graph.traversal import ancestors, descendants
+from repro.graph.traversal import ancestors
 from repro.mining.detector import DetectionResult
 from repro.mining.groups import SuspiciousGroup
 from repro.model.colors import EColor, VColor
 from repro.weights.scoring import WeightConfig, score_trading_arc
 
-__all__ = ["CompanyInvestigation", "investigate_company", "extract_neighborhood"]
+__all__ = [
+    "CompanyInvestigation",
+    "check_company",
+    "investigate_company",
+    "extract_neighborhood",
+]
 
 
 def extract_neighborhood(tpiin: TPIIN, center: Node, *, radius: int = 2) -> TPIIN:
@@ -146,6 +151,15 @@ class CompanyInvestigation:
         return "\n".join(lines)
 
 
+def check_company(tpiin: TPIIN, company: Node) -> None:
+    """Raise :class:`MiningError` unless ``company`` is a company node."""
+    graph = tpiin.graph
+    if not graph.has_node(company):
+        raise MiningError(f"company {company!r} is not in the TPIIN")
+    if graph.node_color(company) != VColor.COMPANY:
+        raise MiningError(f"node {company!r} is not a company")
+
+
 def investigate_company(
     tpiin: TPIIN,
     result: DetectionResult,
@@ -153,12 +167,13 @@ def investigate_company(
     *,
     weight_config: WeightConfig | None = None,
 ) -> CompanyInvestigation:
-    """Build the drill-down views for ``company``."""
+    """Build the drill-down views for ``company``.
+
+    Only ``result``'s groups that involve ``company`` are read, so the
+    result of the company's subTPIIN alone gives the same views.
+    """
+    check_company(tpiin, company)
     graph = tpiin.graph
-    if not graph.has_node(company):
-        raise MiningError(f"company {company!r} is not in the TPIIN")
-    if graph.node_color(company) != VColor.COMPANY:
-        raise MiningError(f"node {company!r} is not a company")
 
     influencers = [
         p
@@ -176,17 +191,24 @@ def investigate_company(
         if graph.node_color(h) == VColor.COMPANY
     ]
     # Affiliated companies: share an antecedent — i.e. companies in the
-    # ancestor/descendant cone of this company's antecedent closure.
+    # ancestor/descendant cone of this company's antecedent closure,
+    # found by one walk down from the whole cone at once.
     cone = ancestors(graph, company, EColor.INFLUENCE)
     affiliated: set[Node] = set()
-    for node in cone | {company}:
-        affiliated.update(descendants(graph, node, EColor.INFLUENCE))
+    stack = [*cone, company]
+    while stack:
+        for head in graph.successors(stack.pop(), EColor.INFLUENCE):
+            if head not in affiliated:
+                affiliated.add(head)
+                stack.append(head)
     affiliated.discard(company)
     affiliated_companies = sorted(
         (n for n in affiliated if graph.node_color(n) == VColor.COMPANY), key=str
     )
 
-    groups = [g for g in result.groups if company in g.members]
+    groups = [
+        g for g in result.groups if company in g.trading_trail or company in g.support_trail
+    ]
     by_arc: dict[tuple[Node, Node], list[SuspiciousGroup]] = {}
     for group in groups:
         by_arc.setdefault(group.trading_arc, []).append(group)

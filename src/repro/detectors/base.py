@@ -24,6 +24,7 @@ or the registry (the context is shared across the whole portfolio run).
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
@@ -31,7 +32,6 @@ from repro.errors import MiningError
 from repro.fusion.tpiin import TPIIN
 from repro.graph.digraph import Node
 from repro.mining.detector import DetectionResult
-from repro.model.colors import VColor
 from repro.obs.tracing import NULL_TRACER, Attr, SpanRecord, TracerLike
 
 __all__ = [
@@ -98,24 +98,25 @@ class FrozenTradingView:
 
     Every portfolio detector needs trading adjacency (cycle search, fan
     in/out profiling, intra-syndicate trade counting).  Freezing the
-    iterator-based :class:`~repro.graph.digraph.DiGraph` views into
-    tuple adjacency once — and sharing the result through the
-    :class:`DetectionContext` — keeps an N-detector run at one graph
-    scan instead of N.
+    arcs into tuple adjacency once — and sharing the result through the
+    :class:`DetectionContext` — keeps an N-detector run at one scan
+    instead of N.  ``arcs`` are fused trading arcs, each once: a TPIIN's
+    own :meth:`~repro.fusion.tpiin.TPIIN.trading_arcs`, or a live arc set
+    passed through :meth:`~repro.fusion.tpiin.TPIIN.map_trading_arcs`.
     """
 
     __slots__ = ("arcs", "_out", "_in", "companies")
 
-    def __init__(self, tpiin: TPIIN) -> None:
+    def __init__(
+        self, arcs: Iterable[tuple[Node, Node]], companies: Iterable[Node]
+    ) -> None:
         out: dict[Node, list[Node]] = {}
         incoming: dict[Node, list[Node]] = {}
-        arcs: list[tuple[Node, Node]] = []
-        for seller, buyer in tpiin.trading_arcs():
-            arcs.append((seller, buyer))
+        #: Every trading arc, in the given order.
+        self.arcs: tuple[tuple[Node, Node], ...] = tuple(arcs)
+        for seller, buyer in self.arcs:
             out.setdefault(seller, []).append(buyer)
             incoming.setdefault(buyer, []).append(seller)
-        #: Every trading arc, in graph iteration order.
-        self.arcs: tuple[tuple[Node, Node], ...] = tuple(arcs)
         self._out: dict[Node, tuple[Node, ...]] = {
             node: tuple(heads) for node, heads in out.items()
         }
@@ -123,7 +124,7 @@ class FrozenTradingView:
             node: tuple(tails) for node, tails in incoming.items()
         }
         #: Every company node of the TPIIN (traders and non-traders).
-        self.companies: tuple[Node, ...] = tuple(tpiin.graph.nodes(VColor.COMPANY))
+        self.companies: tuple[Node, ...] = tuple(companies)
 
     def buyers_of(self, seller: Node) -> tuple[Node, ...]:
         return self._out.get(seller, ())
@@ -146,13 +147,24 @@ class DetectionContext:
     """Shared, read-only state for one portfolio run.
 
     The context owns the lazily-built :class:`FrozenTradingView` (the
-    "one shared freeze" of a ``run_detectors`` call) and resolves
-    registry lookups detectors need (declared capital, industry).
-    Detectors must treat every part of the context as immutable.
+    "one shared freeze" of a portfolio run) and resolves registry
+    lookups detectors need (declared capital, industry).  By default
+    the view holds ``tpiin``'s own trading arcs and ``iat-groups`` mines
+    ``tpiin``.  A caller holding a live arc set over an antecedent view
+    (the serving daemon) passes its ``live_arcs`` and its ``iat_result``
+    instead, so no trading graph is built.  Detectors must treat every
+    part of the context as immutable.
     """
 
     tpiin: TPIIN
     tracer: TracerLike = NULL_TRACER
+    #: Live trading arcs in original company ids, frozen (through
+    #: :meth:`~repro.fusion.tpiin.TPIIN.map_trading_arcs`) in place of
+    #: ``tpiin.trading_arcs()``.
+    live_arcs: Sequence[tuple[Node, Node]] | None = None
+    #: A finished IAT result for ``iat-groups`` to report instead of
+    #: mining ``tpiin``.
+    iat_result: DetectionResult | None = None
     _trading: FrozenTradingView | None = field(default=None, repr=False)
 
     @property
@@ -160,7 +172,12 @@ class DetectionContext:
         """The frozen trading view (built on first access, then shared)."""
         if self._trading is None:
             with self.tracer.span("freeze_trading") as span:
-                view = FrozenTradingView(self.tpiin)
+                arcs = (
+                    self.tpiin.trading_arcs()
+                    if self.live_arcs is None
+                    else self.tpiin.map_trading_arcs(self.live_arcs)[0]
+                )
+                view = FrozenTradingView(arcs, self.tpiin.companies())
                 if self.tracer.enabled:
                     span.set(arcs=len(view), companies=len(view.companies))
             self._trading = view

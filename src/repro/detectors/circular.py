@@ -7,7 +7,8 @@ GST*) — is invisible to the IAT miner unless the ring shares an
 antecedent.  This detector finds it structurally: every non-trivial
 strongly connected component of the **trading** network (the same
 iterative Tarjan kernel the fusion pipeline runs over investment arcs)
-is a candidate ring, scored by *flow balance* — in a deliberate
+is a candidate ring (found over the frozen trading view, so a live arc
+set needs no trading graph), scored by *flow balance* — in a deliberate
 carousel each member passes on roughly what it receives, so the
 per-member ratio ``min(in, out) / max(in, out)`` over ring-internal
 trades sits near 1, while incidental SCCs in organic trading are lopsided.
@@ -15,6 +16,7 @@ trades sits near 1, while incidental SCCs in organic trading are lopsided.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.detectors.base import (
@@ -25,8 +27,7 @@ from repro.detectors.base import (
 )
 from repro.errors import MiningError
 from repro.graph.digraph import Node
-from repro.graph.tarjan import nontrivial_sccs
-from repro.model.colors import EColor
+from repro.graph.tarjan import tarjan_sccs
 
 __all__ = ["CircularTradingConfig", "CircularTradingDetector"]
 
@@ -71,7 +72,13 @@ class CircularTradingDetector:
 
     def run(self, context: DetectionContext) -> DetectorOutcome:
         trading = context.trading
-        components = nontrivial_sccs(context.tpiin.graph, EColor.TRADING)
+        # Every ring member sells, so the sellers are roots enough.
+        sellers = (seller for seller, _ in trading.arcs)
+        components = [
+            component
+            for component in tarjan_sccs(sellers, trading.buyers_of)
+            if len(component) > 1 or component[0] in trading.buyers_of(component[0])
+        ]
         findings: list[Finding] = []
         for component in components:
             if len(component) < self.config.min_cycle_size:
@@ -118,11 +125,15 @@ class CircularTradingDetector:
     def _flow_balance(
         component: list[Node], ring: set[Node], trading: FrozenTradingView
     ) -> float:
-        """Mean per-member ``min(in, out) / max(in, out)`` within the ring."""
-        total = 0.0
+        """Mean per-member ``min(in, out) / max(in, out)`` within the ring.
+
+        Summed exactly (``math.fsum``), so the score does not depend on
+        the order Tarjan emits the members in, which follows arc order.
+        """
+        ratios = []
         for node in component:
             out_internal = sum(1 for b in trading.buyers_of(node) if b in ring)
             in_internal = sum(1 for s in trading.sellers_to(node) if s in ring)
             high = max(out_internal, in_internal)
-            total += (min(out_internal, in_internal) / high) if high else 0.0
-        return total / len(component) if component else 0.0
+            ratios.append((min(out_internal, in_internal) / high) if high else 0.0)
+        return math.fsum(ratios) / len(component) if component else 0.0

@@ -7,6 +7,9 @@ changing its behavior — the property suite in
 ``tests/property/test_detector_equivalence.py`` holds the plugin path
 and the legacy call identical across every engine.
 
+A context that carries a finished result (the serving daemon's live
+one) is reported as is; the engine does not run.
+
 Findings are emitted per suspicious trading arc (the unit the paper's
 ``susTrade`` files report), scored by the number of independent proof
 chains (groups) certifying the arc; the raw group-level
@@ -56,12 +59,14 @@ class IATGroupDetector:
         self.config = config if config is not None else IATConfig()
 
     def run(self, context: DetectionContext) -> DetectorOutcome:
-        result = detect(
-            context.tpiin,
-            engine=self.config.engine,
-            # Nest the engine's spans under the portfolio runner's.
-            trace=context.tracer if context.tracer.enabled else False,
-        )
+        result = context.iat_result
+        if result is None:
+            result = detect(
+                context.tpiin,
+                engine=self.config.engine,
+                # Nest the engine's spans under the portfolio runner's.
+                trace=context.tracer if context.tracer.enabled else False,
+            )
         certifying: dict[tuple[Node, Node], int] = {}
         for group in result.groups:
             arc = group.trading_arc

@@ -6,11 +6,14 @@ table, builds **one** shared :class:`~repro.detectors.base.DetectionContext`
 supporting indexes are computed once, not per detector), executes each
 detector under its own trace span, meters every run through
 :mod:`repro.obs`, and merges the outcomes into a per-detector-keyed
-:class:`~repro.detectors.base.FindingsReport`.
+:class:`~repro.detectors.base.FindingsReport`.  :func:`run_in_context`
+is the same run over a context the caller built (the serving daemon's
+live state).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import Iterable, Mapping
 
@@ -21,7 +24,7 @@ from repro.fusion.tpiin import TPIIN
 from repro.obs.registry import get_registry
 from repro.obs.tracing import TraceSpec, resolve_tracer
 
-__all__ = ["run_detectors"]
+__all__ = ["run_detectors", "run_in_context"]
 
 _RUN_BUCKETS_MS = (1.0, 5.0, 25.0, 100.0, 250.0, 1000.0, 5000.0, 30000.0)
 
@@ -51,6 +54,23 @@ def run_detectors(
         ``True`` collects a span tree onto ``FindingsReport.trace``;
         a caller-owned tracer nests the run under its spans.
     """
+    return run_in_context(
+        DetectionContext(tpiin=tpiin), detectors, configs=configs, trace=trace
+    )
+
+
+def run_in_context(
+    context: DetectionContext,
+    detectors: "str | Iterable[str]" = "all",
+    *,
+    configs: Mapping[str, Mapping[str, object]] | None = None,
+    trace: TraceSpec = False,
+) -> FindingsReport:
+    """:func:`run_detectors` over a caller-built ``context``.
+
+    The run uses a copy of ``context`` carrying the tracer ``trace``
+    resolves to; the parameters are :func:`run_detectors`'s.
+    """
     names = resolve_detectors(detectors)
     configs = configs or {}
     for name in configs:
@@ -63,7 +83,7 @@ def run_detectors(
     metrics = get_registry()
     runs: dict[str, DetectorRun] = {}
     with tracer.span("run_detectors") as root:
-        context = DetectionContext(tpiin=tpiin, tracer=tracer)
+        context = dataclasses.replace(context, tracer=tracer)
         for name in names:
             detector = create_detector(name, configs.get(name))
             started = time.perf_counter()

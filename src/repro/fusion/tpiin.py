@@ -166,14 +166,31 @@ class TPIIN:
         unchecked): endpoints map through ``node_map``, and an arc inside
         one syndicate goes to ``intra_scs_trades`` (Section 4.3)."""
         view = self.antecedent_view()
-        for seller, buyer in arcs:
-            tail = view.node_map.get(seller, seller)
-            head = view.node_map.get(buyer, buyer)
-            if tail == head:
-                view.intra_scs_trades.append((seller, buyer))
-            else:
-                view.graph.add_arc(tail, head, EColor.TRADING)
+        graph_arcs, view.intra_scs_trades = self.map_trading_arcs(arcs)
+        view.graph.add_arcs(graph_arcs, EColor.TRADING)
         return view
+
+    def map_trading_arcs(
+        self, arcs: Iterable[tuple[Node, Node]]
+    ) -> tuple[list[tuple[Node, Node]], list[tuple[Node, Node]]]:
+        """Split original-id trading arcs as :meth:`with_trading_arcs` files them.
+
+        Returns ``(graph_arcs, intra_scs_trades)``: the fused arcs, with
+        endpoints mapped through ``node_map`` and duplicates collapsed in
+        first-seen order, and the arcs whose endpoints fused into one
+        syndicate, in their original ids.
+        """
+        graph_arcs: dict[tuple[Node, Node], None] = {}
+        intra: list[tuple[Node, Node]] = []
+        node_map = self.node_map
+        for seller, buyer in arcs:
+            tail = node_map.get(seller, seller)
+            head = node_map.get(buyer, buyer)
+            if tail == head:
+                intra.append((seller, buyer))
+            else:
+                graph_arcs[(tail, head)] = None
+        return list(graph_arcs), intra
 
     def trading_graph(self) -> DiGraph:
         """The trading network: every node, only ``TR`` arcs."""

@@ -11,15 +11,21 @@ stack translation so that arbitrarily deep investment chains (thousands of
 holding layers in a synthetic stress test) cannot overflow the interpreter
 stack.  Components are emitted in reverse topological order of the
 condensation, which is the order Tarjan's algorithm naturally produces.
+
+The kernel, :func:`tarjan_sccs`, takes a node iterable and a successor
+callable, so the circular-trading detector runs it over a frozen
+trading view as the fusion pipeline runs it over a
+:class:`~repro.graph.digraph.DiGraph`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator
 from typing import Any
 
 from repro.graph.digraph import DiGraph, Node
 
-__all__ = ["strongly_connected_components", "nontrivial_sccs"]
+__all__ = ["strongly_connected_components", "nontrivial_sccs", "tarjan_sccs"]
 
 
 def strongly_connected_components(graph: DiGraph, color: Any = None) -> list[list[Node]]:
@@ -30,6 +36,18 @@ def strongly_connected_components(graph: DiGraph, color: Any = None) -> list[lis
     that color are followed, which lets the caller run SCC detection on
     the investment arcs of a mixed-color graph directly.
     """
+    return tarjan_sccs(graph.nodes(), lambda node: list(graph.successors(node, color)))
+
+
+def tarjan_sccs(
+    nodes: Iterable[Node], successors: Callable[[Node], Iterable[Node]]
+) -> list[list[Node]]:
+    """Strongly connected components of the graph ``successors`` spans.
+
+    Roots are tried in ``nodes`` order and each node's successors in the
+    order ``successors(node)`` yields them; a successor outside ``nodes``
+    is still visited.  Every reached node lands in exactly one component.
+    """
     index_of: dict[Node, int] = {}
     lowlink: dict[Node, int] = {}
     on_stack: set[Node] = set()
@@ -37,25 +55,25 @@ def strongly_connected_components(graph: DiGraph, color: Any = None) -> list[lis
     components: list[list[Node]] = []
     counter = 0
 
-    for root in graph.nodes():
+    for root in nodes:
         if root in index_of:
             continue
         # Each work item is (node, iterator over its successors).
-        work: list[tuple[Node, Any]] = [(root, iter(list(graph.successors(root, color))))]
+        work: list[tuple[Node, Iterator[Node]]] = [(root, iter(successors(root)))]
         index_of[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
         on_stack.add(root)
         while work:
-            node, successors = work[-1]
+            node, pending = work[-1]
             advanced = False
-            for nxt in successors:
+            for nxt in pending:
                 if nxt not in index_of:
                     index_of[nxt] = lowlink[nxt] = counter
                     counter += 1
                     stack.append(nxt)
                     on_stack.add(nxt)
-                    work.append((nxt, iter(list(graph.successors(nxt, color)))))
+                    work.append((nxt, iter(successors(nxt))))
                     advanced = True
                     break
                 if nxt in on_stack:

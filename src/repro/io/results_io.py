@@ -119,6 +119,8 @@ def detection_to_dict(result: "DetectionResult") -> dict[str, Any]:
     and two lists per group, all acyclic and garbage once serialized.
     """
     with gc_paused():
+        # One classification pass serves both counts.
+        simple = result.simple_group_count
         return {
             "detector": result.detector,
             "detector_version": result.detector_version,
@@ -127,8 +129,8 @@ def detection_to_dict(result: "DetectionResult") -> dict[str, Any]:
             "total_trading_arcs": result.total_trading_arcs,
             "cross_component_trades": result.cross_component_trades,
             "pattern_trail_count": result.pattern_trail_count,
-            "simple_group_count": result.simple_group_count,
-            "complex_group_count": result.complex_group_count,
+            "simple_group_count": simple,
+            "complex_group_count": result.group_count - simple,
             "suspicious_trading_arcs": sorted(
                 [str(a), str(b)] for a, b in result.suspicious_trading_arcs
             ),

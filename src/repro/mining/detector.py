@@ -127,7 +127,9 @@ class DetectionResult:
 
     @property
     def complex_group_count(self) -> int:
-        return sum(1 for g in self.groups if g.is_complex)
+        """Complex groups: every group that is not simple (one
+        classification pass, shared with :attr:`simple_group_count`'s)."""
+        return self.group_count - self.simple_group_count
 
     @property
     def group_count(self) -> int:

@@ -19,7 +19,10 @@ isolation.  A whole arc set (the TPIIN's own trades, a daemon's
 snapshot) is loaded once through :meth:`IncrementalDetector.seed`, one
 compact mine split into per-arc buckets.  After any sequence of updates
 the aggregate result equals a batch run over the same arc set — a
-property the hypothesis suite verifies.
+property the hypothesis suite verifies.  The live arcs are also
+bucketed by antecedent component (the paper's subTPIINs), so a read
+about one company touches one bucket
+(:meth:`IncrementalDetector.component_result`).
 
 The groups behind one trading arc ``(c1, c2)`` are enumerated as
 ``paths(r, c1) x paths(r, c2)`` over the endpoints' common influence
@@ -135,8 +138,16 @@ class IncrementalDetector:
             raise MiningError(
                 f"max_cached_roots must be positive or None, got {max_cached_roots}"
             )
-        self._tpiin = tpiin
         self._graph = tpiin.antecedent_graph()
+        # The trading-free view every read shares: never copied, never
+        # mutated, so it may be read without the owner's lock.
+        self._tpiin = TPIIN(
+            graph=self._graph,
+            registry=tpiin.registry,
+            node_map=tpiin.node_map,
+            scs_subgraphs=tpiin.scs_subgraphs,
+            arc_provenance=tpiin.arc_provenance,
+        )
         with tracer.span("index_antecedent") as index_span:
             self._index = RootAncestorIndex(self._graph, EColor.INFLUENCE)
             # The antecedent side is immutable for the detector's
@@ -171,15 +182,21 @@ class IncrementalDetector:
         )
         self._member_to_scs = scs_membership(tpiin)
 
-        self._component_of = {}
-        for i, component in enumerate(
-            weakly_connected_components(self._graph, EColor.INFLUENCE)
-        ):
+        self._component_of: dict[Node, int] = {}
+        components = weakly_connected_components(self._graph, EColor.INFLUENCE)
+        for i, component in enumerate(components):
             for node in component:
                 self._component_of[node] = i
+        self._component_count = len(components)
 
         # Each live arc's groups; an arc is suspicious iff it has any.
         self._arcs: dict[tuple[Node, Node], tuple[SuspiciousGroup, ...]] = {}
+        # The arcs inside one component (subTPIIN), bucketed by it in
+        # arc order.  Every group lies inside one component, so a bucket
+        # holds all of its subTPIIN's groups.
+        self._buckets: dict[int, dict[tuple[Node, Node], tuple[SuspiciousGroup, ...]]] = {}
+        # Live arcs between two components: no subTPIIN holds them.
+        self._cross_trades = 0
 
         baseline = [*tpiin.trading_arcs(), *tpiin.intra_scs_trades]
         if baseline:
@@ -224,7 +241,8 @@ class IncrementalDetector:
                     buckets.setdefault(group.trading_arc, []).append(group)
                 for arc in cross:
                     groups[arc] = tuple(buckets.get(mapped[arc], ()))
-            self._arcs = {arc: groups[arc] for arc in mapped}
+            for arc, ends in mapped.items():
+                self._file(arc, ends, groups[arc])
             if tracer.enabled:
                 span.set(arcs=len(self._arcs), suspicious=len(self.suspicious_arcs))
 
@@ -243,7 +261,8 @@ class IncrementalDetector:
         groups = self._arcs.get(key)
         if groups is not None:
             return ArcUpdate(key, bool(groups), groups, False)
-        groups = self._arcs[key] = self._groups_for(seller, buyer, mapped)
+        groups = self._groups_for(seller, buyer, mapped)
+        self._file(key, mapped, groups)
         return ArcUpdate(key, bool(groups), groups, True)
 
     def remove_trading_arc(self, seller: Node, buyer: Node) -> ArcUpdate:
@@ -252,6 +271,11 @@ class IncrementalDetector:
         groups = self._arcs.pop(key, None)
         if groups is None:
             return ArcUpdate(key, False, (), False)
+        tail, head = self._component_of[self._map(seller)], self._component_of[self._map(buyer)]
+        if tail == head:
+            del self._buckets[tail][key]
+        else:
+            self._cross_trades -= 1
         return ArcUpdate(key, bool(groups), groups, True)
 
     def __contains__(self, arc: tuple[Node, Node]) -> bool:
@@ -296,7 +320,17 @@ class IncrementalDetector:
     @property
     def component_count(self) -> int:
         """Number of antecedent components (subTPIINs)."""
-        return len(set(self._component_of.values()))
+        return self._component_count
+
+    @property
+    def antecedent(self) -> TPIIN:
+        """The antecedent network as a trading-free TPIIN.
+
+        Every node, the influence arcs, the registry and the contraction
+        provenance; shared, not copied.  It never changes during the
+        detector's lifetime, so it may be read without the owner's lock.
+        """
+        return self._tpiin
 
     def component_of(self, node: Node) -> int:
         """The antecedent-component (subTPIIN) index of ``node``.
@@ -312,17 +346,63 @@ class IncrementalDetector:
             raise MiningError(f"node {node!r} is unknown to the TPIIN") from None
 
     def result(self) -> DetectionResult:
-        """A :class:`DetectionResult` equal to a batch run over the arcs."""
+        """Every live arc's groups, in arc order, with the live counts.
+
+        Equal to a batch run over the arcs unless two live arcs fuse onto
+        one graph arc; :meth:`batch_result` covers that case.
+        """
         return DetectionResult(
             groups=[group for groups in self._arcs.values() for group in groups],
             total_trading_arcs=len(self._arcs),
-            cross_component_trades=sum(
-                1
-                for (s, b) in self._arcs
-                if self._component_of[self._map(s)]
-                != self._component_of[self._map(b)]
-            ),
-            subtpiin_count=self.component_count,
+            cross_component_trades=self._cross_trades,
+            subtpiin_count=self._component_count,
+            engine=_RESULT_ENGINE,
+        )
+
+    def component_result(self, node: Node) -> DetectionResult:
+        """:meth:`result` restricted to ``node``'s subTPIIN: ``susGroup(i)``.
+
+        Holds the live arcs with both mapped endpoints in ``node``'s
+        antecedent component, in :meth:`result`'s order.  A group never
+        leaves its component, so these carry all of the component's
+        groups.  Raises :class:`MiningError` for a node the TPIIN lacks.
+        """
+        bucket = self._buckets.get(self.component_of(node), {})
+        return DetectionResult(
+            groups=[group for groups in bucket.values() for group in groups],
+            total_trading_arcs=len(bucket),
+            cross_component_trades=0,
+            subtpiin_count=1,
+            engine=_RESULT_ENGINE,
+        )
+
+    def batch_result(self) -> DetectionResult:
+        """A :class:`DetectionResult` equal to a batch run over the live arcs.
+
+        Live arcs whose endpoints fuse onto one graph arc (their sellers,
+        or their buyers, contracted into one syndicate) each hold that
+        arc's groups in :meth:`result`.  A batch run over
+        :meth:`~repro.fusion.tpiin.TPIIN.with_trading_arcs` mines the
+        fused arc once, so here only its first live arc contributes.
+        """
+        fused: set[tuple[Node, Node]] = set()
+        groups: list[SuspiciousGroup] = []
+        intra = cross = 0
+        for (seller, buyer), arc_groups in self._arcs.items():
+            tail, head = self._map(seller), self._map(buyer)
+            if tail == head:
+                intra += 1
+            elif (tail, head) in fused:
+                continue
+            else:
+                fused.add((tail, head))
+                cross += self._component_of[tail] != self._component_of[head]
+            groups.extend(arc_groups)
+        return DetectionResult(
+            groups=groups,
+            total_trading_arcs=len(fused) + intra,
+            cross_component_trades=cross,
+            subtpiin_count=self._component_count,
             engine=_RESULT_ENGINE,
         )
 
@@ -344,6 +424,20 @@ class IncrementalDetector:
             if self._graph.node_color(node) != VColor.COMPANY:
                 raise MiningError(f"trading endpoint {original!r} is not a company")
         return mapped
+
+    def _file(
+        self,
+        arc: tuple[Node, Node],
+        mapped: tuple[Node, Node],
+        groups: tuple[SuspiciousGroup, ...],
+    ) -> None:
+        """Record a new live arc in the arc table and its component's bucket."""
+        self._arcs[arc] = groups
+        tail, head = self._component_of[mapped[0]], self._component_of[mapped[1]]
+        if tail == head:
+            self._buckets.setdefault(tail, {})[arc] = groups
+        else:
+            self._cross_trades += 1
 
     def _paths_of(self, root: Node) -> dict[Node, list[tuple[Node, ...]]]:
         cached = self._path_cache.get(root)

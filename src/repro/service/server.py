@@ -37,6 +37,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, cast
 from urllib.parse import parse_qs, unquote
 
+from repro.detectors.registry import DETECTORS
 from repro.errors import BackpressureError, MiningError, ServiceError
 from repro.io.registry_io import parse_arc_ndjson
 from repro.io.results_io import detection_to_dict, group_to_dict
@@ -218,10 +219,17 @@ class _DetectionRequestHandler(BaseHTTPRequestHandler):
             )
         if parts == ["result"]:
             self._endpoint_hint = "result"
-            names = parse_qs(query).get("detector", [])
-            if names:
+            # Blank values kept: ``?detector=`` names no detector, it
+            # does not ask for the whole result.
+            names = parse_qs(query, keep_blank_values=True).get("detector")
+            if names is not None:
                 # Portfolio detector requested: answer with its findings
                 # payload instead of the legacy IAT group dump.
+                if len(names) != 1:
+                    raise MiningError(
+                        f"give one detector, not {len(names)} "
+                        f"(choices: {', '.join(DETECTORS)})"
+                    )
                 return (
                     "result",
                     200,

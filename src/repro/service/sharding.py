@@ -25,13 +25,18 @@ from collections.abc import Callable, Iterator, Sequence
 from pathlib import Path
 from typing import TypeVar
 
-from repro.analysis.investigate import CompanyInvestigation, investigate_company
+from repro.analysis.investigate import (
+    CompanyInvestigation,
+    check_company,
+    investigate_company,
+)
+from repro.detectors.base import DetectionContext
 from repro.detectors.registry import DETECTORS, detector_info
-from repro.detectors.runner import run_detectors
+from repro.detectors.runner import run_in_context
 from repro.errors import BackpressureError, MiningError, ServiceError
 from repro.fusion.tpiin import TPIIN
 from repro.io.registry_io import ArcLine
-from repro.mining.detector import DetectionResult
+from repro.mining.detector import IAT_DETECTOR_NAME, DetectionResult
 from repro.mining.groups import SuspiciousGroup
 from repro.mining.incremental import ArcUpdate, IncrementalDetector
 from repro.obs.tracing import NULL_TRACER, Tracer, TracerLike
@@ -309,6 +314,7 @@ class ShardedDetectionService:
         self._ops_since_snapshot = 0
         self._snapshot_path = config.shard_snapshot_path(0)
         self._subtpiin_count = detector.component_count
+        self._antecedent = detector.antecedent
         self.metrics = ServiceMetrics()
         self.metrics.count_wal_replay(recovered_records, torn_tail=healed_torn_tail)
         self.metrics.set_queue_depth(0, config.ingest_queue_limit)
@@ -648,22 +654,36 @@ class ShardedDetectionService:
             return self._detector.result()
 
     def investigate(self, company: str) -> CompanyInvestigation:
-        return investigate_company(self._tpiin, self.result(), company)
+        """The drill-down for one company, read from its subTPIIN only.
+
+        A company's groups all lie in its antecedent component, so the
+        component's live result holds every one of them.
+        """
+        check_company(self._tpiin, company)
+        with self._lock.read():
+            scoped = self._detector.component_result(company)
+        return investigate_company(self._tpiin, scoped, company)
 
     def detectors_payload(self) -> dict[str, object]:
         """The ``GET /v1/detectors`` listing (name, version, config schema)."""
         return {"detectors": [detector_info(name).to_dict() for name in DETECTORS]}
 
     def detector_findings(self, detector: str) -> dict[str, object]:
-        """Run one portfolio detector over the live arc set."""
+        """Run one portfolio detector over the live arc set.
+
+        Only the copy of the live arcs (and, for ``iat-groups``, of their
+        groups) is taken under the read lock; the detector runs after it,
+        over the immutable antecedent view plus those arcs.
+        """
         if detector not in DETECTORS:
             raise MiningError(
                 f"unknown detector {detector!r} (choices: {', '.join(DETECTORS)})"
             )
         with self._lock.read():
             arcs = self._detector.trading_arcs()
-        report = run_detectors(self._tpiin.with_trading_arcs(arcs), [detector])
-        return report[detector].to_dict()
+            iat = self._detector.batch_result() if detector == IAT_DETECTOR_NAME else None
+        context = DetectionContext(tpiin=self._antecedent, live_arcs=arcs, iat_result=iat)
+        return run_in_context(context, [detector])[detector].to_dict()
 
     def arc_count(self) -> int:
         with self._lock.read():

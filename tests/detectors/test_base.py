@@ -1,5 +1,7 @@
 """Finding/context/report vocabulary of the detector framework."""
 
+import random
+
 import pytest
 
 from repro.detectors import (
@@ -8,11 +10,14 @@ from repro.detectors import (
     DetectorRun,
     Finding,
     FindingsReport,
+    FrozenTradingView,
     SharedHouseholdConfig,
     config_schema,
 )
 from repro.errors import MiningError
 from repro.fusion.tpiin import TPIIN
+from repro.graph.tarjan import strongly_connected_components, tarjan_sccs
+from repro.model.colors import EColor
 from repro.model.entities import Company, EntityRegistry
 from repro.obs.tracing import Tracer
 
@@ -76,6 +81,34 @@ class TestFrozenTradingView:
             assert len(context.trading) == 3
         names = [child.name for child in root.record.children]
         assert names == ["freeze_trading"]
+
+    def test_live_arcs_freeze_as_with_trading_arcs_files_them(self):
+        # C1 and C2 fused into S: their twin sales to C3 become one arc,
+        # and the trade between them no graph arc at all.
+        antecedent = TPIIN.build(companies=["S", "C3"], influence=[("S", "C3")])
+        antecedent.node_map = {"C1": "S", "C2": "S"}
+        live = [("C1", "C3"), ("C2", "C3"), ("C1", "C2"), ("C3", "C2")]
+        view = DetectionContext(tpiin=antecedent, live_arcs=live).trading
+        rebuilt = antecedent.with_trading_arcs(live)
+        assert set(view.arcs) == set(rebuilt.trading_arcs()) == {("S", "C3"), ("C3", "S")}
+        assert len(view) == 2
+        assert view.companies == ("S", "C3")
+
+    def test_view_sccs_equal_the_digraph_sccs_in_order(self):
+        # Influence arcs inserted first put some heads ahead of others in
+        # the DiGraph's rows; the view, built from the graph's trading
+        # arcs, must walk them in the same order.
+        rng = random.Random(5)
+        for _ in range(20):
+            companies = [f"C{i}" for i in range(12)]
+            pairs = [tuple(rng.sample(companies, 2)) for _ in range(30)]
+            tpiin = TPIIN.build(
+                companies=companies, influence=pairs[:6], trading=pairs[3:]
+            )
+            view = FrozenTradingView(tpiin.trading_arcs(), tpiin.companies())
+            assert tarjan_sccs(view.companies, view.buyers_of) == (
+                strongly_connected_components(tpiin.graph, EColor.TRADING)
+            )
 
 
 class TestContextRegistryLookups:

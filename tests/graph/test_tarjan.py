@@ -3,9 +3,10 @@
 import random
 
 import networkx as nx
+import pytest
 
 from repro.graph.digraph import DiGraph
-from repro.graph.tarjan import nontrivial_sccs, strongly_connected_components
+from repro.graph.tarjan import nontrivial_sccs, strongly_connected_components, tarjan_sccs
 
 
 class TestHandCases:
@@ -57,6 +58,56 @@ class TestHandCases:
             g.add_arc(i, i + 1, "I")
         comps = strongly_connected_components(g)
         assert len(comps) == n
+
+
+def _investment_graph(pairs):
+    g = DiGraph()
+    for u, v in pairs:
+        g.add_arc(u, v, "Investment")
+    return g
+
+
+def _mutual_investment():
+    """The contraction tests' fixture: p -> a; a <-> b; b -> c."""
+    g = DiGraph()
+    for node in ("p", "a", "b", "c"):
+        g.add_node(node)
+    g.add_arc("p", "a", "Influence")
+    for u, v in [("a", "b"), ("b", "a"), ("b", "c")]:
+        g.add_arc(u, v, "Investment")
+    return g
+
+
+class TestGenericKernel:
+    """The node-iterable/successor-callable kernel keeps the component
+    order the DiGraph walk had before it was factored out."""
+
+    FIXTURES = [
+        (_mutual_investment(), "Investment", [["p"], ["c"], ["b", "a"]]),
+        (_mutual_investment(), None, [["c"], ["b", "a"], ["p"]]),
+        (
+            _investment_graph([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "c")]),
+            "Investment",
+            [["d", "c", "b", "a"]],
+        ),
+        (
+            _investment_graph(
+                [("a", "b"), ("b", "a"), ("b", "c"), ("c", "d"), ("d", "c"), ("e", "a"),
+                 ("d", "e")]
+            ),
+            "Investment",
+            [["e", "d", "c", "b", "a"]],
+        ),
+    ]
+
+    @pytest.mark.parametrize("graph, color, expected", FIXTURES)
+    def test_fusion_fixtures_keep_their_order(self, graph, color, expected):
+        assert strongly_connected_components(graph, color) == expected
+        successors = {node: list(graph.successors(node, color)) for node in graph.nodes()}
+        assert tarjan_sccs(graph.nodes(), successors.__getitem__) == expected
+
+    def test_successor_outside_the_roots_is_visited(self):
+        assert tarjan_sccs(["a"], {"a": ["b"], "b": ["a"]}.__getitem__) == [["b", "a"]]
 
 
 class TestNontrivial:

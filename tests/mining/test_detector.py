@@ -154,3 +154,18 @@ class TestSubReport:
     def test_truncation(self, small_province_tpiin):
         text = detect(small_province_tpiin).render_sub_report(max_rows=2)
         assert "more subTPIINs" in text
+
+
+@pytest.mark.parametrize(
+    "fixture", ["fig8", "case1", "case2", "case3", "small_province_tpiin"]
+)
+def test_simple_and_complex_counts_partition_the_groups(fixture, request):
+    tpiin = request.getfixturevalue(fixture)
+    results = [
+        detect(tpiin, engine="faithful"),
+        detect(tpiin, engine="parallel"),
+        IncrementalDetector(tpiin).result(),
+    ]
+    for result in results:
+        assert result.simple_group_count + result.complex_group_count == result.group_count
+        assert result.complex_group_count == sum(g.is_complex for g in result.groups)

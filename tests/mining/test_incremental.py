@@ -320,3 +320,69 @@ class TestSeed:
         )
         with pytest.raises(NotADagError):
             IncrementalDetector(cyclic)
+
+
+class TestLiveViews:
+    def test_component_result_holds_the_groups_of_its_component(self, fig8):
+        tpiin = syndicate_tpiin()
+        cases = [
+            (IncrementalDetector(fig8), list(fig8.companies())),
+            (IncrementalDetector(tpiin), ["a", "b", "c"]),
+        ]
+        cases[1][0].seed([("a", "c"), ("b", "c"), ("a", "b"), ("c", "a")])
+        for detector, companies in cases:
+            result = detector.result()
+            assert result.groups
+            for company in companies:
+                component = detector.component_of(company)
+                scoped = detector.component_result(company)
+                assert scoped.groups == [
+                    g
+                    for g in result.groups
+                    if detector.component_of(g.trading_arc[0]) == component
+                ]
+                assert scoped.subtpiin_count == 1
+
+    def test_component_result_of_an_unknown_node_raises(self, fig8):
+        with pytest.raises(MiningError, match="unknown"):
+            IncrementalDetector(fig8).component_result("C99")
+
+    def test_cross_component_tally_follows_adds_and_removes(self):
+        # Two subTPIINs: {p, a, b} and {q, c, d}.
+        tpiin = TPIIN.build(
+            persons=["p", "q"],
+            companies=["a", "b", "c", "d"],
+            influence=[("p", "a"), ("p", "b"), ("q", "c"), ("q", "d")],
+            trading=[("a", "b"), ("a", "c")],
+        )
+        detector = IncrementalDetector(tpiin)
+        assert detector.component_count == 2
+        assert detector.result().cross_component_trades == 1
+        detector.add_trading_arc("d", "b")
+        detector.add_trading_arc("c", "d")
+        assert detector.result().cross_component_trades == 2
+        detector.remove_trading_arc("a", "c")
+        detector.remove_trading_arc("a", "c")  # absent: no change
+        assert detector.result().cross_component_trades == 1
+        assert detector.component_result("a").total_trading_arcs == 1
+        assert detector.component_result("q").total_trading_arcs == 1
+
+    def test_batch_result_mines_a_fused_arc_once(self):
+        tpiin = syndicate_tpiin()
+        arcs = [("a", "c"), ("b", "c"), ("a", "b")]
+        detector = IncrementalDetector(tpiin)
+        detector.seed(arcs)
+        batch = detect(tpiin.with_trading_arcs(arcs), engine="faithful")
+        live = detector.batch_result()
+        assert sorted(g.key() for g in live.groups) == sorted(g.key() for g in batch.groups)
+        assert live.total_trading_arcs == batch.total_trading_arcs == 2
+        assert live.cross_component_trades == batch.cross_component_trades
+        # result() keeps one bucket per live arc: the fused arc's groups twice.
+        assert detector.result().group_count == 2 * live.group_count - 1
+
+    def test_antecedent_is_shared_and_trading_free(self, fig8):
+        detector = IncrementalDetector(fig8)
+        assert detector.antecedent is detector.antecedent
+        assert list(detector.antecedent.trading_arcs()) == []
+        assert detector.antecedent.graph.number_of_nodes() == fig8.graph.number_of_nodes()
+

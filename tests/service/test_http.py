@@ -167,6 +167,17 @@ class TestDetectorsAPI:
         assert err.value.status == 400
         assert "choices" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "query", ["detector=", "detector=iat-groups&detector=circular-trading"]
+    )
+    def test_blank_or_repeated_detector_is_400(self, served_fig8, query):
+        client, _ = served_fig8
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(f"{client._base}/v1/result?{query}", timeout=5.0)
+        assert err.value.code == 400
+        error = json.loads(err.value.read())["error"]
+        assert "choices: circular-trading, iat-groups" in error
+
 
 class TestErrorMapping:
     def test_unknown_endpoint_is_400(self, served_fig8):

@@ -4,22 +4,39 @@ Algorithm 1 emits per-subTPIIN files ``susGroup(i)`` (all suspicious
 groups mined from the i-th subTPIIN) and ``susTrade(i)`` (the suspicious
 trading arcs).  :func:`write_sus_files` reproduces that layout for the
 faithful and parallel engines, which both keep per-subTPIIN results,
-and writes a single aggregated pair for the incremental engine, which
-does not.  :func:`write_detection_json` /
-:func:`read_detection_json` round-trip the full result for downstream
-tooling.
+and writes a single aggregated pair for a result without per-subTPIIN
+data (the streaming :class:`~repro.mining.incremental.IncrementalDetector`'s).
+:func:`write_detection_json` / :func:`read_detection_json` round-trip
+the full result for downstream tooling.
+
+Both file writers stream: they walk the groups once as rows (trading
+trail, support trail, kind) and write pre-rendered text to the open
+file in chunks, never holding the whole document.
+:func:`write_detection_json`'s bytes equal
+``json.dumps(detection_to_dict(result), indent=2)``; CPython encodes
+that call with its pure-Python encoder (the C one only serves
+``indent=None``), which made it the costliest stage of a batch audit.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator
+from itertools import islice
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import IO, TYPE_CHECKING, Any
 
 from repro.errors import MiningError, SerializationError
+from repro.graph.digraph import Node
 from repro.graph.gcpause import gc_paused
-from repro.mining.groups import GroupKind, SuspiciousGroup
+from repro.mining.groups import (
+    GroupKind,
+    SuspiciousGroup,
+    render_trails,
+    trails_are_simple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mining.detector import DetectionResult
@@ -33,43 +50,70 @@ __all__ = [
     "group_from_dict",
 ]
 
+#: One group as the file writers read it.
+_GroupRow = tuple[tuple[Node, ...], tuple[Node, ...], GroupKind]
+
+#: Rows rendered per ``write`` call.
+_CHUNK_ROWS = 2048
+
+_row_of = attrgetter("trading_trail", "support_trail", "kind")
+
+
+def _group_rows(groups: Iterable[SuspiciousGroup]) -> Iterator[_GroupRow]:
+    """The ``(trading_trail, support_trail, kind)`` row of each group, in order."""
+    return map(_row_of, groups)
+
 
 def write_sus_files(result: "DetectionResult", directory: Path) -> list[Path]:
     """Write ``susGroup(i)`` / ``susTrade(i)`` files; returns the paths.
 
-    Runs with the cyclic collector paused: the rendered lines and arc
-    sets are acyclic and garbage once each file is written.
+    Each group line is :meth:`SuspiciousGroup.render`'s, rendered from
+    the group's row with one simple/complex classification.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    def dump(index: str, groups: Sequence[SuspiciousGroup]) -> None:
+    def dump(index: str, rows: Iterable[_GroupRow]) -> None:
         group_path = directory / f"susGroup({index}).txt"
         trade_path = directory / f"susTrade({index}).txt"
+        arcs: set[tuple[Node, Node]] = set()
+        lines: list[str] = []
         with group_path.open("w") as handle:
-            for group in groups:
-                handle.write(group.render() + "\n")
+            for trading, support, kind in rows:
+                arcs.add((trading[-2], trading[-1]))
+                simple = trails_are_simple(trading, support, kind)
+                lines.append(render_trails(trading, support, kind, simple))
+                if len(lines) == _CHUNK_ROWS:
+                    _write_lines(handle, lines)
+            _write_lines(handle, lines)
         with trade_path.open("w") as handle:
-            for tail, head in sorted(
-                {g.trading_arc for g in groups}, key=lambda a: (str(a[0]), str(a[1]))
-            ):
-                handle.write(f"{tail} -> {head}\n")
+            _write_lines(
+                handle,
+                [
+                    f"{tail} -> {head}"
+                    for tail, head in sorted(arcs, key=lambda a: (str(a[0]), str(a[1])))
+                ],
+            )
         written.extend([group_path, trade_path])
 
-    with gc_paused():
-        if result.sub_results:
-            for sub in result.sub_results:
-                if sub.groups:
-                    dump(str(sub.index), sub.groups)
-            extras = [
-                g for g in result.groups if g.kind in (GroupKind.SCS,)
-            ]
-            if extras:
-                dump("scs", extras)
-        else:
-            dump("all", result.groups)
+    if result.sub_results:
+        for sub in result.sub_results:
+            if sub.groups:
+                dump(str(sub.index), _group_rows(sub.groups))
+        extras = [row for row in _group_rows(result.groups) if row[2] is GroupKind.SCS]
+        if extras:
+            dump("scs", extras)
+    else:
+        dump("all", _group_rows(result.groups))
     return written
+
+
+def _write_lines(handle: IO[str], lines: list[str]) -> None:
+    """Write ``lines`` newline-terminated and empty the list."""
+    if lines:
+        handle.write("\n".join(lines) + "\n")
+        lines.clear()
 
 
 def group_to_dict(group: SuspiciousGroup) -> dict[str, Any]:
@@ -110,39 +154,118 @@ def _is_str_list(value: Any) -> bool:
     )
 
 
+def _header(result: "DetectionResult") -> list[tuple[str, Any]]:
+    """The scalar entries of :func:`detection_to_dict`, in key order."""
+    # One classification pass serves both counts.
+    simple = result.simple_group_count
+    return [
+        ("detector", result.detector),
+        ("detector_version", result.detector_version),
+        ("engine", result.engine),
+        ("subtpiin_count", result.subtpiin_count),
+        ("total_trading_arcs", result.total_trading_arcs),
+        ("cross_component_trades", result.cross_component_trades),
+        ("pattern_trail_count", result.pattern_trail_count),
+        ("simple_group_count", simple),
+        ("complex_group_count", result.group_count - simple),
+    ]
+
+
+def _sorted_arcs(result: "DetectionResult") -> list[tuple[str, str]]:
+    return sorted((str(a), str(b)) for a, b in result.suspicious_trading_arcs)
+
+
 def detection_to_dict(result: "DetectionResult") -> dict[str, Any]:
     """The JSON-ready payload for a detection result.
 
-    Shared by :func:`write_detection_json` and the serving daemon's
-    ``GET /result`` endpoint so the on-disk and over-the-wire formats
-    cannot drift.  Builds with the cyclic collector paused: one dict
-    and two lists per group, all acyclic and garbage once serialized.
+    The serving daemon's ``GET /result`` body; :func:`write_detection_json`
+    streams the same document.  Builds with the cyclic collector
+    paused: one dict and two lists per group, all acyclic and garbage
+    once serialized.
     """
     with gc_paused():
-        # One classification pass serves both counts.
-        simple = result.simple_group_count
-        return {
-            "detector": result.detector,
-            "detector_version": result.detector_version,
-            "engine": result.engine,
-            "subtpiin_count": result.subtpiin_count,
-            "total_trading_arcs": result.total_trading_arcs,
-            "cross_component_trades": result.cross_component_trades,
-            "pattern_trail_count": result.pattern_trail_count,
-            "simple_group_count": simple,
-            "complex_group_count": result.group_count - simple,
-            "suspicious_trading_arcs": sorted(
-                [str(a), str(b)] for a, b in result.suspicious_trading_arcs
-            ),
-            "groups": [group_to_dict(g) for g in result.groups],
-        }
+        payload = dict(_header(result))
+        payload["suspicious_trading_arcs"] = [list(arc) for arc in _sorted_arcs(result)]
+        payload["groups"] = [group_to_dict(g) for g in result.groups]
+        return payload
+
+
+class _Labels(dict[Node, str]):
+    """Node -> its JSON string literal, encoded on first use."""
+
+    def __missing__(self, node: Node) -> str:
+        encoded = self[node] = encode_basestring_ascii(str(node))
+        return encoded
+
+
+# ``json.dumps(..., indent=2)``'s layout for an arc and a group entry.
+_ARC_OPEN = "    [\n      "
+_ARC_SEP = ",\n      "
+_ARC_CLOSE = "\n    ]"
+_GROUP_OPEN = '    {\n      "trading_trail": [\n        '
+_TRAIL_SEP = ",\n        "
+_GROUP_SUPPORT = '\n      ],\n      "support_trail": [\n        '
+_GROUP_KIND = '\n      ],\n      "kind": '
+_GROUP_CLOSE = "\n    }"
+_KIND_JSON = {kind: json.dumps(kind.value) for kind in GroupKind}
 
 
 def write_detection_json(result: "DetectionResult", path: str | Path) -> Path:
-    """Serialize a detection result (groups, counts, metadata) as JSON."""
+    """Serialize a detection result (groups, counts, metadata) as JSON.
+
+    Streams the bytes of ``json.dumps(detection_to_dict(result),
+    indent=2)``: the header value by value, then each arc and group as
+    pre-indented text, written in chunks.  Each distinct node label is
+    encoded once.  Group trails are never empty (the
+    :class:`SuspiciousGroup` invariants), so only the two top-level
+    arrays take ``json``'s empty form ``[]``.
+    """
     path = Path(path)
-    path.write_text(json.dumps(detection_to_dict(result), indent=2))
+    label = _Labels().__getitem__
+    with path.open("w") as handle:
+        handle.write("{\n")
+        for key, value in _header(result):
+            handle.write(f'  "{key}": {json.dumps(value)},\n')
+        handle.write('  "suspicious_trading_arcs": ')
+        _write_array(
+            handle,
+            (
+                _ARC_OPEN + label(tail) + _ARC_SEP + label(head) + _ARC_CLOSE
+                for tail, head in _sorted_arcs(result)
+            ),
+        )
+        handle.write(',\n  "groups": ')
+        _write_array(
+            handle,
+            (
+                _GROUP_OPEN
+                + _TRAIL_SEP.join(map(label, trading))
+                + _GROUP_SUPPORT
+                + _TRAIL_SEP.join(map(label, support))
+                + _GROUP_KIND
+                + _KIND_JSON[kind]
+                + _GROUP_CLOSE
+                for trading, support, kind in _group_rows(result.groups)
+            ),
+        )
+        handle.write("\n}")
     return path
+
+
+def _write_array(handle: IO[str], items: Iterator[str]) -> None:
+    """Write a top-level array of pre-indented ``items`` as ``json`` would."""
+    chunk = list(islice(items, _CHUNK_ROWS))
+    if not chunk:
+        handle.write("[]")
+        return
+    handle.write("[\n")
+    while True:
+        handle.write(",\n".join(chunk))
+        chunk = list(islice(items, _CHUNK_ROWS))
+        if not chunk:
+            break
+        handle.write(",\n")
+    handle.write("\n  ]")
 
 
 def read_detection_json(path: str | Path) -> dict[str, Any]:

@@ -134,7 +134,7 @@ class DetectionResult:
     @property
     def group_count(self) -> int:
         """Total groups: ``len(groups)``, never a simple/complex
-        classification pass, which costs two full interior-set scans and
+        classification pass, which scans every group's interiors and
         would materialize lazy group sequences.
         """
         return len(self.groups)
@@ -210,8 +210,9 @@ class DetectionResult:
 
         One pair of files per subTPIIN that produced any group (faithful
         and parallel engines), or a single aggregated pair for a result
-        without per-subTPIIN data (the streaming detector's).  Returns
-        the written paths.
+        without per-subTPIIN data
+        (:meth:`~repro.mining.incremental.IncrementalDetector.result`'s).
+        Returns the written paths.
         """
         # io.results_io type-imports DetectionResult; stay function-local.
         from repro.io.results_io import write_sus_files  # reprolint: disable=R010

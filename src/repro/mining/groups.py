@@ -28,7 +28,13 @@ from typing import Iterator
 from repro.errors import MiningError
 from repro.graph.digraph import Node
 
-__all__ = ["GroupKind", "SuspiciousGroup", "minimal_groups"]
+__all__ = [
+    "GroupKind",
+    "SuspiciousGroup",
+    "minimal_groups",
+    "render_trails",
+    "trails_are_simple",
+]
 
 
 class GroupKind(str, enum.Enum):
@@ -126,11 +132,7 @@ class SuspiciousGroup:
         witnesses are chosen as shortest — hence interior-disjoint —
         investment paths).
         """
-        if self.kind in (GroupKind.CIRCLE, GroupKind.SCS):
-            return True
-        trading_interior = set(self.trading_trail[1:-1])
-        support_interior = set(self.support_trail[1:-1])
-        return not (trading_interior & support_interior)
+        return trails_are_simple(self.trading_trail, self.support_trail, self.kind)
 
     @property
     def is_complex(self) -> bool:
@@ -147,11 +149,9 @@ class SuspiciousGroup:
 
     def render(self) -> str:
         """Human-readable form, e.g. ``{L1, C1, C3 -> C5} + {L1, C2, C5}``."""
-        lead = self.trading_trail
-        trading = ", ".join(str(n) for n in lead[:-1]) + f" -> {lead[-1]}"
-        support = ", ".join(str(n) for n in self.support_trail)
-        flavor = "simple" if self.is_simple else "complex"
-        return f"[{flavor}/{self.kind.value}] {{{trading}}} + {{{support}}}"
+        return render_trails(
+            self.trading_trail, self.support_trail, self.kind, self.is_simple
+        )
 
     def __iter__(self) -> Iterator[Node]:
         return iter(sorted(self.members, key=str))
@@ -162,6 +162,39 @@ class SuspiciousGroup:
 _SET_TRADING = SuspiciousGroup.__dict__["trading_trail"].__set__
 _SET_SUPPORT = SuspiciousGroup.__dict__["support_trail"].__set__
 _SET_KIND = SuspiciousGroup.__dict__["kind"].__set__
+
+
+def trails_are_simple(
+    trading_trail: tuple[Node, ...], support_trail: tuple[Node, ...], kind: GroupKind
+) -> bool:
+    """:attr:`SuspiciousGroup.is_simple` for a group given as its trails."""
+    if kind in (GroupKind.CIRCLE, GroupKind.SCS):
+        return True
+    return set(trading_trail[1:-1]).isdisjoint(support_trail[1:-1])
+
+
+#: ``render_trails``' line head per (kind, simple), e.g. ``[simple/circle] {``.
+_LINE_PREFIX = {
+    (kind, simple): f"[{'simple' if simple else 'complex'}/{kind.value}] {{"
+    for kind in GroupKind
+    for simple in (True, False)
+}
+
+
+def render_trails(
+    trading_trail: tuple[Node, ...],
+    support_trail: tuple[Node, ...],
+    kind: GroupKind,
+    simple: bool,
+) -> str:
+    """One ``susGroup(i)`` line (without its newline): :meth:`SuspiciousGroup.render`.
+
+    The file writer renders its rows through this too, so the line
+    format lives here only.
+    """
+    trading = ", ".join(map(str, trading_trail[:-1]))
+    support = ", ".join(map(str, support_trail))
+    return f"{_LINE_PREFIX[kind, simple]}{trading} -> {trading_trail[-1]}}} + {{{support}}}"
 
 
 def minimal_groups(groups: list[SuspiciousGroup]) -> list[SuspiciousGroup]:

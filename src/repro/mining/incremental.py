@@ -346,15 +346,20 @@ class IncrementalDetector:
             raise MiningError(f"node {node!r} is unknown to the TPIIN") from None
 
     def result(self) -> DetectionResult:
-        """Every live arc's groups, in arc order, with the live counts.
+        """A :class:`DetectionResult` equal to a batch run over the live arcs.
 
-        Equal to a batch run over the arcs unless two live arcs fuse onto
-        one graph arc; :meth:`batch_result` covers that case.
+        Groups come in live-arc order.  Live arcs whose endpoints fuse
+        onto one graph arc (their sellers, or their buyers, contracted
+        into one syndicate) each hold that arc's groups; a batch run over
+        :meth:`~repro.fusion.tpiin.TPIIN.with_trading_arcs` mines the
+        fused arc once, so only its first live arc contributes, and the
+        arc counts are of fused arcs.
         """
+        groups, total, cross = self._fused(self._arcs, self._cross_trades)
         return DetectionResult(
-            groups=[group for groups in self._arcs.values() for group in groups],
-            total_trading_arcs=len(self._arcs),
-            cross_component_trades=self._cross_trades,
+            groups=groups,
+            total_trading_arcs=total,
+            cross_component_trades=cross,
             subtpiin_count=self._component_count,
             engine=_RESULT_ENGINE,
         )
@@ -363,48 +368,55 @@ class IncrementalDetector:
         """:meth:`result` restricted to ``node``'s subTPIIN: ``susGroup(i)``.
 
         Holds the live arcs with both mapped endpoints in ``node``'s
-        antecedent component, in :meth:`result`'s order.  A group never
-        leaves its component, so these carry all of the component's
-        groups.  Raises :class:`MiningError` for a node the TPIIN lacks.
+        antecedent component, in :meth:`result`'s order and with its
+        per-fused-arc dedup.  A group never leaves its component, so
+        these carry all of the component's groups.  Raises
+        :class:`MiningError` for a node the TPIIN lacks.
         """
         bucket = self._buckets.get(self.component_of(node), {})
+        groups, total, _ = self._fused(bucket, 0)
         return DetectionResult(
-            groups=[group for groups in bucket.values() for group in groups],
-            total_trading_arcs=len(bucket),
+            groups=groups,
+            total_trading_arcs=total,
             cross_component_trades=0,
             subtpiin_count=1,
             engine=_RESULT_ENGINE,
         )
 
-    def batch_result(self) -> DetectionResult:
-        """A :class:`DetectionResult` equal to a batch run over the live arcs.
+    def _fused(
+        self,
+        arcs: dict[tuple[Node, Node], tuple[SuspiciousGroup, ...]],
+        cross_trades: int,
+    ) -> tuple[list[SuspiciousGroup], int, int]:
+        """The groups of ``arcs`` (the arc table or one bucket), each
+        fused graph arc's taken once, with the fused trading-arc count
+        and how many of those cross two components.
 
-        Live arcs whose endpoints fuse onto one graph arc (their sellers,
-        or their buyers, contracted into one syndicate) each hold that
-        arc's groups in :meth:`result`.  A batch run over
-        :meth:`~repro.fusion.tpiin.TPIIN.with_trading_arcs` mines the
-        fused arc once, so here only its first live arc contributes.
+        ``cross_trades`` is that last count for ``arcs`` as they are
+        (the running tally, or 0 for a bucket); it holds as is when
+        nothing is contracted.
         """
-        fused: set[tuple[Node, Node]] = set()
         groups: list[SuspiciousGroup] = []
+        node_map = self._tpiin.node_map
+        if not node_map:
+            # Nothing is contracted: each live arc is its own graph arc.
+            for arc_groups in arcs.values():
+                groups.extend(arc_groups)
+            return groups, len(arcs), cross_trades
+        component_of = self._component_of
+        fused: set[tuple[Node, Node]] = set()
         intra = cross = 0
-        for (seller, buyer), arc_groups in self._arcs.items():
-            tail, head = self._map(seller), self._map(buyer)
+        for (seller, buyer), arc_groups in arcs.items():
+            tail, head = node_map.get(seller, seller), node_map.get(buyer, buyer)
             if tail == head:
                 intra += 1
             elif (tail, head) in fused:
                 continue
             else:
                 fused.add((tail, head))
-                cross += self._component_of[tail] != self._component_of[head]
+                cross += component_of[tail] != component_of[head]
             groups.extend(arc_groups)
-        return DetectionResult(
-            groups=groups,
-            total_trading_arcs=len(fused) + intra,
-            cross_component_trades=cross,
-            subtpiin_count=self._component_count,
-            engine=_RESULT_ENGINE,
-        )
+        return groups, len(fused) + intra, cross
 
     # ------------------------------------------------------------------
     # internals

@@ -1,7 +1,7 @@
 """Long-lived detection daemon: durable state, JSON API, Python client.
 
 The paper frames MSG detection as an offline batch over NTICS data;
-this package turns the arc-decomposable incremental engine
+this package turns the arc-decomposable streaming detector
 (:mod:`repro.mining.incremental`) into an online service.  The daemon
 loads a TPIIN once, then serves arc updates and detection queries over
 a stdlib HTTP/JSON API with write-ahead-logged durability: a restarted

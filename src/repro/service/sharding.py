@@ -681,7 +681,7 @@ class ShardedDetectionService:
             )
         with self._lock.read():
             arcs = self._detector.trading_arcs()
-            iat = self._detector.batch_result() if detector == IAT_DETECTOR_NAME else None
+            iat = self._detector.result() if detector == IAT_DETECTOR_NAME else None
         context = DetectionContext(tpiin=self._antecedent, live_arcs=arcs, iat_result=iat)
         return run_in_context(context, [detector])[detector].to_dict()
 

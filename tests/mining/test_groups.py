@@ -101,6 +101,28 @@ class TestAccessors:
         assert "a, x -> t" in text
         assert "simple" in text
 
+    @pytest.mark.parametrize(
+        "group, line",
+        [
+            (matched(), "[simple/matched] {a, x -> t} + {a, t}"),
+            (
+                matched(trading=("a", "x", "t"), support=("a", "x", "t")),
+                "[complex/matched] {a, x -> t} + {a, x, t}",
+            ),
+            (
+                SuspiciousGroup(("c", 4, "c"), ("c",), GroupKind.CIRCLE),
+                "[simple/circle] {c, 4 -> c} + {c}",
+            ),
+            (
+                SuspiciousGroup(("s", "u"), ("s", "u"), GroupKind.SCS),
+                "[simple/scs] {s -> u} + {s, u}",
+            ),
+        ],
+    )
+    def test_render_lines(self, group, line):
+        # The exact susGroup(i) line format; the file writer shares it.
+        assert group.render() == line
+
     def test_iteration_sorted(self):
         g = matched(trading=("a", "z", "t"), support=("a", "b", "t"))
         assert list(g) == sorted(["a", "b", "t", "z"])

@@ -373,12 +373,14 @@ class TestLiveViews:
         detector = IncrementalDetector(tpiin)
         detector.seed(arcs)
         batch = detect(tpiin.with_trading_arcs(arcs), engine="faithful")
-        live = detector.batch_result()
+        live = detector.result()
         assert sorted(g.key() for g in live.groups) == sorted(g.key() for g in batch.groups)
         assert live.total_trading_arcs == batch.total_trading_arcs == 2
         assert live.cross_component_trades == batch.cross_component_trades
-        # result() keeps one bucket per live arc: the fused arc's groups twice.
-        assert detector.result().group_count == 2 * live.group_count - 1
+        # One fused arc, one subTPIIN: the scoped read mines it once too.
+        scoped = detector.component_result("c")
+        assert scoped.group_count == live.group_count == batch.group_count
+        assert scoped.total_trading_arcs == batch.total_trading_arcs
 
     def test_antecedent_is_shared_and_trading_free(self, fig8):
         detector = IncrementalDetector(fig8)

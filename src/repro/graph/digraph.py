@@ -14,6 +14,13 @@ every other subsystem builds on:
 
 Both classes are deliberately dependency-free: ``networkx`` is only used in
 the test suite as an independent reference implementation.
+
+Both store an arc's colors as a shared ``frozenset`` taken from one
+module-level intern table, so every arc with the same color combination
+holds the same object, and each keeps a node id once, as the first
+object seen for it: a million single-color arcs cost no set each, and a
+CSV row's fresh id strings are dropped for the stored ones.  Mutations
+swap a row's entry for another interned set instead of editing a set.
 """
 
 from __future__ import annotations
@@ -26,6 +33,25 @@ from repro.errors import ArcNotFoundError, NodeNotFoundError
 Node = Hashable
 
 __all__ = ["DiGraph", "UnGraph", "Node"]
+
+#: The one intern table of arc color sets that every graph draws from.
+#: Its size is the number of distinct color combinations ever stored on
+#: one arc, a handful in the paper's model.
+_COLOR_SETS: dict[frozenset[Any], frozenset[Any]] = {}
+_NO_COLORS: frozenset[Any] = frozenset()
+
+
+def _interned(colors: frozenset[Any]) -> frozenset[Any]:
+    """The shared frozenset equal to ``colors``."""
+    return _COLOR_SETS.setdefault(colors, colors)
+
+
+def _reintern(rows: dict[Node, dict[Node, frozenset[Any]]]) -> None:
+    """Point every entry of ``rows`` at the intern table's set (after
+    unpickling, which builds its own copies)."""
+    for row in rows.values():
+        for other, colors in row.items():
+            row[other] = _interned(colors)
 
 
 class DiGraph:
@@ -53,6 +79,7 @@ class DiGraph:
     __slots__ = (
         "_succ",
         "_pred",
+        "_ids",
         "_node_color",
         "_node_attrs",
         "_arc_count",
@@ -60,9 +87,12 @@ class DiGraph:
     )
 
     def __init__(self) -> None:
-        # _succ[u][v] -> set of colors; _pred mirrors it for reverse walks.
-        self._succ: dict[Node, dict[Node, set[Any]]] = {}
-        self._pred: dict[Node, dict[Node, set[Any]]] = {}
+        # _succ[u][v] -> the interned frozenset of colors on u -> v; _pred
+        # holds the same object at _pred[v][u] for reverse walks.  _ids[n]
+        # is the stored object for node n: every row key is that object.
+        self._succ: dict[Node, dict[Node, frozenset[Any]]] = {}
+        self._pred: dict[Node, dict[Node, frozenset[Any]]] = {}
+        self._ids: dict[Node, Node] = {}
         self._node_color: dict[Node, Any] = {}
         self._node_attrs: dict[Node, dict[str, Any]] = {}
         self._arc_count = 0
@@ -86,6 +116,7 @@ class DiGraph:
         if node not in self._succ:
             self._succ[node] = {}
             self._pred[node] = {}
+            self._ids[node] = node
             self._node_color[node] = color
             self._node_attrs[node] = dict(attrs)
             return
@@ -147,8 +178,17 @@ class DiGraph:
                 del self._succ[tail][node]
         del self._succ[node]
         del self._pred[node]
+        del self._ids[node]
         del self._node_color[node]
         del self._node_attrs[node]
+
+    def _stored(self, node: Node) -> Node:
+        """The stored object for ``node``, adding it uncolored if new."""
+        stored = self._ids.get(node)
+        if stored is None:
+            self.add_node(node)
+            return node
+        return stored
 
     # ------------------------------------------------------------------
     # arc API
@@ -163,13 +203,18 @@ class DiGraph:
         """
         if color is None:
             raise ValueError("arc color must not be None")
-        self.add_node(tail)
-        self.add_node(head)
-        colors = self._succ[tail].setdefault(head, set())
-        if color in colors:
+        tail = self._stored(tail)
+        head = self._stored(head)
+        row = self._succ[tail]
+        colors = row.get(head)
+        if colors is None:
+            colors = _interned(frozenset((color,)))
+        elif color in colors:
             return False
-        colors.add(color)
-        self._pred[head].setdefault(tail, set()).add(color)
+        else:
+            colors = _interned(colors | {color})
+        row[head] = colors
+        self._pred[head][tail] = colors
         self._arc_count += 1
         self._color_counts[color] = self._color_counts.get(color, 0) + 1
         return True
@@ -185,17 +230,29 @@ class DiGraph:
             raise ValueError("arc color must not be None")
         succ = self._succ
         pred = self._pred
+        stored = self._ids.get
+        single = _interned(frozenset((color,)))
         added = 0
         for tail, head in pairs:
-            if tail not in succ:
+            tail_id = stored(tail)
+            if tail_id is None:
                 self.add_node(tail)
-            if head not in succ:
+                tail_id = tail
+            head_id = stored(head)
+            if head_id is None:
                 self.add_node(head)
-            colors = succ[tail].setdefault(head, set())
-            if color not in colors:
-                colors.add(color)
-                pred[head].setdefault(tail, set()).add(color)
-                added += 1
+                head_id = head
+            row = succ[tail_id]
+            colors = row.get(head_id)
+            if colors is None:
+                colors = single
+            elif color in colors:
+                continue
+            else:
+                colors = _interned(colors | single)
+            row[head_id] = colors
+            pred[head_id][tail_id] = colors
+            added += 1
         self._arc_count += added
         if added:
             self._color_counts[color] = self._color_counts.get(color, 0) + added
@@ -209,7 +266,7 @@ class DiGraph:
 
     def arc_colors(self, tail: Node, head: Node) -> frozenset[Any]:
         """Return the (possibly empty) set of colors on ``tail -> head``."""
-        return frozenset(self._succ.get(tail, {}).get(head, ()))
+        return self._succ.get(tail, {}).get(head, _NO_COLORS)
 
     def remove_arc(self, tail: Node, head: Node, color: Any = None) -> None:
         """Remove one colored arc, or all arcs ``tail -> head`` if no color."""
@@ -224,9 +281,12 @@ class DiGraph:
             del self._pred[head][tail]
             self._arc_count -= removed
             return
-        colors.discard(color)
-        self._pred[head][tail].discard(color)
-        if not colors:
+        remaining = colors - {color}
+        if remaining:
+            remaining = _interned(remaining)
+            self._succ[tail][head] = remaining
+            self._pred[head][tail] = remaining
+        else:
             del self._succ[tail][head]
             del self._pred[head][tail]
         self._arc_count -= 1
@@ -380,6 +440,8 @@ class DiGraph:
     def __setstate__(self, state: dict[str, Any]) -> None:
         for slot, value in state.items():
             object.__setattr__(self, slot, value)
+        _reintern(self._succ)
+        _reintern(self._pred)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -397,16 +459,20 @@ class UnGraph:
     needed: add/query/iterate and neighborhood access.
     """
 
-    __slots__ = ("_adj", "_node_color", "_edge_count")
+    __slots__ = ("_adj", "_ids", "_node_color", "_edge_count")
 
     def __init__(self) -> None:
-        self._adj: dict[Node, dict[Node, set[Any]]] = {}
+        # _adj[u][v] and _adj[v][u] hold the same interned color set;
+        # _ids[n] is the stored object for node n, as in DiGraph.
+        self._adj: dict[Node, dict[Node, frozenset[Any]]] = {}
+        self._ids: dict[Node, Node] = {}
         self._node_color: dict[Node, Any] = {}
         self._edge_count = 0
 
     def add_node(self, node: Node, color: Any = None) -> None:
         if node not in self._adj:
             self._adj[node] = {}
+            self._ids[node] = node
             self._node_color[node] = color
         elif color is not None:
             existing = self._node_color[node]
@@ -445,11 +511,18 @@ class UnGraph:
             raise ValueError(f"self-loop on {u!r}: interdependence links join distinct persons")
         self.add_node(u)
         self.add_node(v)
-        colors = self._adj[u].setdefault(v, set())
-        if color in colors:
+        u = self._ids[u]
+        v = self._ids[v]
+        row = self._adj[u]
+        colors = row.get(v)
+        if colors is None:
+            colors = _interned(frozenset((color,)))
+        elif color in colors:
             return False
-        colors.add(color)
-        self._adj[v].setdefault(u, set()).add(color)
+        else:
+            colors = _interned(colors | {color})
+        row[v] = colors
+        self._adj[v][u] = colors
         self._edge_count += 1
         return True
 
@@ -460,7 +533,7 @@ class UnGraph:
         return True if color is None else color in colors
 
     def edge_colors(self, u: Node, v: Node) -> frozenset[Any]:
-        return frozenset(self._adj.get(u, {}).get(v, ()))
+        return self._adj.get(u, {}).get(v, _NO_COLORS)
 
     def edges(self, color: Any = None) -> Iterator[tuple[Node, Node, Any]]:
         """Iterate each undirected edge once as ``(u, v, color)``."""
@@ -516,6 +589,7 @@ class UnGraph:
     def __setstate__(self, state: dict[str, Any]) -> None:
         for slot, value in state.items():
             object.__setattr__(self, slot, value)
+        _reintern(self._adj)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -18,9 +18,18 @@ The pause nests and is thread-safe: a depth counter under a lock
 disables the collector at the outermost entry and re-enables it at the
 outermost exit, and only if it was enabled at that entry, so a caller
 that switched the collector off itself finds it still off afterwards.
-Entering and leaving allocate nothing the collector tracks, so the
-collection owed for the builder's allocations runs after the ``with``
-block, not inside it.
+
+At the outermost exit the pause also promotes every tracked object,
+the builder's output included, straight into the oldest generation
+(``gc.freeze()`` then ``gc.unfreeze()``, two list splices).  Without
+that, the young-generation collections owed for the builder's
+allocations would run right after the ``with`` block and walk all of
+its output, once per generation, before it settles in the oldest one.
+Objects promoted this way do not count towards the next full
+collection either.  The promotion is skipped while
+``gc.get_freeze_count()`` is non-zero: ``gc.unfreeze()`` would release
+what a caller froze on purpose, so a caller's own freeze is left alone
+(and the owed collections then run as before).
 """
 
 from __future__ import annotations
@@ -56,8 +65,12 @@ class _Pause:
     def __exit__(self, *exc_info: object) -> None:
         with self._lock:
             self._depth -= 1
-            if self._depth == 0 and self._restore:
-                gc.enable()
+            if self._depth == 0:
+                if not gc.get_freeze_count():
+                    gc.freeze()
+                    gc.unfreeze()
+                if self._restore:
+                    gc.enable()
 
 
 _PAUSE = _Pause()

@@ -57,13 +57,15 @@ def match_component_patterns(
     component patterns.
     """
     trails = list(trails)
-    # Index: antecedent -> node -> set of influence prefixes reaching it.
-    prefix_index: dict[Node, dict[Node, set[tuple[Node, ...]]]] = {}
+    # Index: antecedent -> node -> influence prefixes reaching it, kept
+    # as an insertion-ordered dict so the groups come out in trail
+    # order whatever the string hash seed.
+    prefix_index: dict[Node, dict[Node, dict[tuple[Node, ...], None]]] = {}
     for trail in trails:
         per_root = prefix_index.setdefault(trail.antecedent, {})
         nodes = trail.nodes
         for i, node in enumerate(nodes):
-            per_root.setdefault(node, set()).add(nodes[: i + 1])
+            per_root.setdefault(node, {})[nodes[: i + 1]] = None
 
     groups: list[SuspiciousGroup] = []
     seen_keys: set[tuple[tuple[Node, ...], tuple[Node, ...]]] = set()

@@ -172,15 +172,3 @@ class TestPickle:
             assert clone.in_adjacency(color) == csr.in_adjacency(color)
         assert clone.encode("C1") == csr.encode("C1")
         assert out_row(clone, "C1", EColor.INFLUENCE) == ["C2", "C3"]
-
-    def test_pickle_is_smaller_than_digraph(self):
-        # Frozen buffers beat dict-of-dict pickles.
-        g = DiGraph()
-        for i in range(300):
-            g.add_node(f"C{i:04d}", VColor.COMPANY)
-        for i in range(299):
-            g.add_arc(f"C{i:04d}", f"C{i + 1:04d}", EColor.INFLUENCE)
-            g.add_arc(f"C{i + 1:04d}", f"C{i:04d}", EColor.TRADING)
-        frozen = pickle.dumps(CSRGraph.freeze(g))
-        loose = pickle.dumps(g)
-        assert len(frozen) < len(loose)

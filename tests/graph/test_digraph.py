@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ArcNotFoundError, NodeNotFoundError
 from repro.graph.digraph import DiGraph
-from repro.model.colors import VColor
+from repro.model.colors import EColor, VColor
 
 
 def build_sample() -> DiGraph:
@@ -210,6 +210,31 @@ class TestDerivedGraphs:
         assert clone.node_color("P") == VColor.PERSON
         clone.add_arc("B", "C", "TR")
         assert not g.has_node("C")
+
+    def test_pickle_round_trip_shares_colors_and_node_ids_again(self):
+        g = DiGraph()
+        for i in range(300):
+            g.add_node(f"C{i:04d}", VColor.COMPANY)
+        for i in range(299):
+            g.add_arc(f"C{i:04d}", f"C{i + 1:04d}", EColor.INFLUENCE)
+            g.add_arc(f"C{i + 1:04d}", f"C{i:04d}", EColor.TRADING)
+        g.add_arc("C0000", "C0001", EColor.TRADING)
+        clone = pickle.loads(pickle.dumps(g))
+        assert sorted(clone.arcs(), key=str) == sorted(g.arcs(), key=str)
+        for tail, head, _color in g.arcs():
+            # The loaded rows hold the intern table's sets, not copies.
+            assert clone.arc_colors(tail, head) is g.arc_colors(tail, head)
+        both = g.arc_colors("C0000", "C0001")
+        assert both == {EColor.INFLUENCE, EColor.TRADING}
+        # A fresh id string equal to a loaded node resolves to that node.
+        fresh = "".join(["C", "0002"])
+        clone.add_arc(fresh, "C0001", EColor.INFLUENCE)
+        assert clone.arc_colors("C0002", "C0001") is both
+        (stored,) = (n for n in clone.nodes() if n == fresh)
+        assert stored is not fresh
+        assert [n for n in clone.predecessors("C0001") if n == fresh][0] is stored
+        clone.add_arc("C0299", "C0300", EColor.TRADING)
+        assert clone.arc_colors("C0299", "C0300") is g.arc_colors("C0001", "C0000")
 
 
 class TestReAddAfterRemoval:

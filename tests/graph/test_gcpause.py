@@ -114,3 +114,36 @@ def test_many_threads_never_lose_a_depth_update():
     assert not enabled_inside
     assert gcpause._PAUSE._depth == 0
     assert gc.isenabled()
+
+
+def _in_generation(obj: object, generation: int) -> bool:
+    return any(o is obj for o in gc.get_objects(generation))
+
+
+def test_outermost_exit_promotes_the_builders_output_to_the_oldest_generation():
+    with gc_paused():
+        with gc_paused():
+            built = [[i] for i in range(100)]
+        # An inner exit neither re-enables nor promotes.
+        assert not gc.isenabled()
+        assert _in_generation(built, 0)
+    assert gc.isenabled()
+    assert _in_generation(built, 2)
+    assert not _in_generation(built, 0)
+
+
+def test_caller_freeze_survives_a_pause():
+    # With the collector off, only the pause could move ``built`` out of
+    # the youngest generation.
+    gc.disable()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen
+        with gc_paused():
+            with gc_paused():
+                built = [[i] for i in range(100)]
+        assert gc.get_freeze_count() == frozen
+        assert _in_generation(built, 0)
+    finally:
+        gc.unfreeze()

@@ -11,7 +11,8 @@ rebuild gives:
 * each structural detector's findings equal a :func:`run_detectors` run
   over ``tpiin.with_trading_arcs(arcs)``;
 * ``iat-groups`` findings equal a faithful run's;
-* ``cross_component_trades`` equals a fresh recount.
+* ``cross_component_trades`` equals a batch :func:`detect` over the
+  rebuilt network (both count fused arcs, not original ones).
 
 The streams mix contracted-syndicate arcs (both endpoints in one
 syndicate, or one syndicate member trading out), repeated ops, and the
@@ -25,7 +26,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.investigate import investigate_company
@@ -39,6 +40,7 @@ from repro.datagen.province import generate_province
 from repro.detectors import run_detectors
 from repro.fusion.pipeline import fuse
 from repro.graph.traversal import weakly_connected_components
+from repro.mining.detector import detect
 from repro.model.colors import EColor, VColor
 from repro.service.config import ServiceConfig
 from repro.service.sharding import ShardedDetectionService
@@ -151,6 +153,10 @@ def test_fixture_exercises_each_detector(name):
 
 @settings(max_examples=25, deadline=None)
 @given(steps=st.lists(_step, min_size=1, max_size=12))
+# C00018 fuses into a syndicate whose arc to C00075 is already in the
+# baseline: the live and batch results count that fused arc once, while
+# a recount over original arcs counts it twice.
+@example(steps=[("add", ("C00018", "C00075"))])
 def test_live_reads_equal_batch_rebuilds(steps):
     live = dict.fromkeys(BASELINE)
     with tempfile.TemporaryDirectory() as tmp:
@@ -180,7 +186,7 @@ def test_live_reads_equal_batch_rebuilds(steps):
             faithful = batch["iat-groups"].to_dict()
             assert iat["findings"] == faithful["findings"]
             assert iat["attributes"] == {**faithful["attributes"], "engine": "incremental"}
-            assert result.cross_component_trades == sum(
-                COMPONENT[_fused(seller)] != COMPONENT[_fused(buyer)]
-                for seller, buyer in arcs
+            assert (
+                result.cross_component_trades
+                == detect(rebuilt).cross_component_trades
             )

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -124,6 +126,43 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "engine=faithful" in out
         assert (tmp_path / "out-faithful" / "detection.json").exists()
+
+    def test_faithful_mine_output_does_not_follow_the_hash_seed(self, tmp_path, capsys):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        prefix = tmp_path / "net"
+        argv = ["--companies", "80", "--seed", "11", "--probability", "0.02"]
+        assert main(["generate", "--out", str(prefix), *argv]) == 0
+        capsys.readouterr()
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out_dir = tmp_path / f"out-{hash_seed}"
+            subprocess.run(
+                [
+                    sys.executable,
+                    "-m",
+                    "repro.cli",
+                    "mine",
+                    f"{prefix}.arcs.csv",
+                    f"{prefix}.nodes.csv",
+                    "--engine",
+                    "faithful",
+                    "--out-dir",
+                    str(out_dir),
+                ],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+                check=True,
+                capture_output=True,
+                timeout=120,
+            )
+            outputs.append({f.name: f.read_bytes() for f in sorted(out_dir.iterdir())})
+        assert len(outputs[0]) > 2
+        assert outputs[0] == outputs[1]
 
     def test_mine_detector_portfolio(self, tmp_path, capsys, monkeypatch):
         import json

@@ -15,7 +15,7 @@ pipeline end to end:
   comparators;
 * :mod:`repro.datagen` -- synthetic taxpayer networks, including the
   provincial-scale dataset behind Table 1 and the paper's case fixtures;
-* :mod:`repro.analysis` -- Table-1 metrics, accuracy harness and
+* :mod:`repro.analysis` -- Table-1 metrics, audit reports and
   per-company investigation;
 * :mod:`repro.graph` -- the from-scratch graph substrate.
 

@@ -1,8 +1,6 @@
-"""Experiment metrics, accuracy harness and investigation reports."""
+"""Experiment metrics, audit reports and investigation drill-downs."""
 
-from repro.analysis.accuracy import AccuracyReport, compare_engines
 from repro.analysis.audit_report import build_audit_report, write_audit_report
-from repro.analysis.crossborder import CrossBorderScreen, screen_cross_border
 from repro.analysis.explain import critical_evidence, explain_arc, explain_group
 from repro.analysis.distributions import (
     DetectionDistributions,
@@ -19,9 +17,7 @@ from repro.analysis.table1 import PAPER_TABLE1, Table1Result, run_table1
 from repro.analysis.trends import TrendPoint, render_trend, sparkline, suspicion_trend
 
 __all__ = [
-    "AccuracyReport",
     "CompanyInvestigation",
-    "CrossBorderScreen",
     "DetectionDistributions",
     "PAPER_TABLE1",
     "build_audit_report",
@@ -29,7 +25,6 @@ __all__ = [
     "write_audit_report",
     "Table1Result",
     "Table1Row",
-    "compare_engines",
     "compute_table1_row",
     "critical_evidence",
     "explain_arc",
@@ -37,7 +32,6 @@ __all__ = [
     "format_number",
     "investigate_company",
     "render_table",
-    "screen_cross_border",
     "run_table1",
     "TrendPoint",
     "extract_neighborhood",

@@ -35,7 +35,7 @@ def extract_neighborhood(tpiin: TPIIN, center: Node, *, radius: int = 2) -> TPII
     Collects every node within ``radius`` hops of ``center`` (following
     arcs in both directions, any color) and returns the induced TPIIN —
     the "partial influence graph of the companies monitored" view of
-    Fig. 18, ready for DOT/SVG rendering.  Provenance labels for the
+    Fig. 18, ready for SVG rendering.  Provenance labels for the
     surviving arcs are carried over.
     """
     if not tpiin.graph.has_node(center):

@@ -26,6 +26,7 @@ from repro.datagen.investment import build_investment
 from repro.datagen.people import make_director, make_legal_person
 from repro.datagen.rng import derive_rng
 from repro.datagen.trading import random_trading_arcs, random_trading_graph
+from repro.errors import DataGenError
 from repro.fusion.pipeline import FusionResult, fuse
 from repro.fusion.tpiin import TPIIN
 from repro.model.colors import EColor
@@ -177,6 +178,12 @@ def generate_province(config: ProvinceConfig | None = None) -> ProvincialDataset
         rng=plan_rng,
     )
     sizes.sort(reverse=True)
+    # Each cluster needs a legal person of its own: a small province can
+    # plan more singletons than it has legal persons, so fold the two
+    # smallest clusters together until the people fit.
+    while len(sizes) > config.legal_persons:
+        sizes[-2] += sizes.pop()
+        sizes.sort(reverse=True)
 
     clusters: list[ClusterPlan] = []
     company_counter = 0
@@ -274,7 +281,9 @@ def _allocate_people(clusters: list[ClusterPlan], config: ProvinceConfig) -> Non
     director_quota = [
         int(round(c.size * config.directors / n_companies)) for c in clusters
     ]
-    _rebalance(director_quota, config.directors, caps=[3 * c.size for c in clusters])
+    _rebalance(
+        director_quota, config.directors, caps=[3 * c.size for c in clusters], least=0
+    )
 
     lp_counter = 0
     director_counter = 0
@@ -288,9 +297,14 @@ def _allocate_people(clusters: list[ClusterPlan], config: ProvinceConfig) -> Non
         director_counter += d_n
 
 
-def _rebalance(quota: list[int], total: int, caps: list[int]) -> None:
-    """Adjust ``quota`` in place so it sums to ``total`` within ``caps``."""
+def _rebalance(quota: list[int], total: int, caps: list[int], *, least: int = 1) -> None:
+    """Adjust ``quota`` in place so it sums to ``total`` within ``caps``.
+
+    Lowering stops at 1 per cluster; only when that cannot reach
+    ``total`` does it go on down to ``least``.
+    """
     order = sorted(range(len(quota)), key=lambda i: -caps[i])
+    floor = 1
     guard = 0
     while sum(quota) != total:
         diff = total - sum(quota)
@@ -300,14 +314,16 @@ def _rebalance(quota: list[int], total: int, caps: list[int]) -> None:
                 quota[i] += 1
                 diff -= 1
                 moved = True
-            elif diff < 0 and quota[i] > 1:
+            elif diff < 0 and quota[i] > floor:
                 quota[i] -= 1
                 diff += 1
                 moved = True
             if diff == 0:
                 break
         guard += 1
-        if not moved or guard > 10_000:
-            raise RuntimeError(
+        if not moved and floor > least:
+            floor = least
+        elif not moved or guard > 10_000:
+            raise DataGenError(
                 "cannot rebalance people quotas: totals are infeasible for the caps"
             )

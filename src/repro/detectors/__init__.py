@@ -21,7 +21,6 @@ from repro.detectors.base import (
     config_schema,
 )
 from repro.detectors.circular import CircularTradingConfig, CircularTradingDetector
-from repro.detectors.evaluation import AccuracyReport, accuracy
 from repro.detectors.household import SharedHouseholdConfig, SharedHouseholdDetector
 from repro.detectors.iat import IATConfig, IATGroupDetector
 from repro.detectors.missing_trader import MissingTraderConfig, MissingTraderDetector
@@ -36,7 +35,6 @@ from repro.detectors.runner import run_detectors
 
 __all__ = [
     "ALL_DETECTORS",
-    "AccuracyReport",
     "DETECTORS",
     "CircularTradingConfig",
     "CircularTradingDetector",
@@ -54,7 +52,6 @@ __all__ = [
     "MissingTraderDetector",
     "SharedHouseholdConfig",
     "SharedHouseholdDetector",
-    "accuracy",
     "config_schema",
     "create_detector",
     "detector_info",

@@ -3,8 +3,8 @@
 The project passes need facts that live outside any one source file:
 the declared layer architecture (R012), which functions are marked hot
 (R015), which calls count as blocking I/O under a lock (R014), which
-extra trees should be indexed as *reference* sources so exports used
-only by tests are not declared dead (R013), and which functions the
+extra trees should be indexed as *reference* sources whose imports
+keep modules and exports alive (R013), and which functions the
 console scripts enter (R013).  The constants below are the one
 declaration of all of it; :class:`LintConfig` carries them to the rules
 and lets tests point the rules at fixture trees.
@@ -55,13 +55,14 @@ _DEFAULT_BLOCKING_CALLS: tuple[str, ...] = (
     "self.wfile.write",
 )
 
-#: Trees indexed as reference sources so exports used only by tests,
-#: benchmarks or examples are not declared dead (R013).
+#: Trees indexed as reference sources (R013): a module must be read
+#: from outside ``tests``; a single export may be read from any of them.
 _DEFAULT_REFERENCE_ROOTS: tuple[str, ...] = (
     "src",
     "tests",
     "benchmarks",
     "examples",
+    "perfbench",
 )
 
 #: The ``[project.scripts]`` targets in ``pyproject.toml``; R013 treats

@@ -10,9 +10,9 @@ are pure functions over this index — no file is re-read or re-parsed.
 
 Module naming is positional, mirroring :class:`FileContext`'s package
 scoping: the dotted name starts at the *last* path component that is a
-recognized root (``repro``, ``tests``, ``benchmarks``, ``examples``),
-so fixture trees under ``tests/devtools/fixtures/.../repro/...`` index
-as first-party modules.
+recognized root (``repro``, ``tests``, ``benchmarks``, ``examples``,
+``perfbench``), so fixture trees under
+``tests/devtools/fixtures/.../repro/...`` index as first-party modules.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 #: Path components at which a dotted module name may start.
-_ROOT_MARKERS = frozenset({"repro", "tests", "benchmarks", "examples"})
+_ROOT_MARKERS = frozenset({"repro", "tests", "benchmarks", "examples", "perfbench"})
 
 
 def module_name_for(display_path: str) -> str | None:

@@ -122,16 +122,71 @@ class _ImportAnchor:
         self.end_lineno = lineno
 
 
+def _read_outside_tests(index: ProjectIndex) -> set[str]:
+    """Modules that some indexed module outside ``tests`` reads.
+
+    A read of ``(module, name)`` also reads the submodule ``name`` when
+    there is one, follows a package re-export of ``name`` to the module
+    that defines it, and reads every enclosing package.  A package
+    ``__init__`` importing a name it lists in ``__all__`` is a re-export,
+    not a read.
+    """
+    read: set[str] = set()
+
+    def mark(module: str, name: str | None) -> None:
+        seen: set[tuple[str, str | None]] = set()
+        while (module, name) not in seen:
+            seen.add((module, name))
+            parts = module.split(".")
+            read.update(".".join(parts[:n]) for n in range(1, len(parts) + 1))
+            if name is None:
+                return
+            if f"{module}.{name}" in index.modules:
+                read.add(f"{module}.{name}")
+                return
+            home = index.modules.get(module)
+            binding = home.import_bindings.get(name) if home is not None else None
+            if binding is None:
+                return
+            module, name = binding
+
+    for info in index.modules.values():
+        if info.module.split(".", 1)[0] == "tests":
+            continue
+        reexports: set[tuple[str, str]] = set()
+        if info.is_package:
+            reexports = {
+                info.import_bindings[name]
+                for name in info.exports
+                if name in info.import_bindings
+            }
+        for edge in info.imports:
+            if edge.names and all((edge.target, n) in reexports for n in edge.names):
+                continue
+            if edge.target != info.module:
+                mark(edge.target, None)
+        for ref in info.references:
+            if ref not in reexports:
+                mark(*ref)
+    return read
+
+
 @register_project
 class DeadExportRule:
-    """R013 - every export must have a cross-module reader.
+    """R013 - every module and every export must have a reader.
+
+    A ``repro`` module that nothing outside ``tests`` reads is dead
+    library: no entry point, benchmark or example reaches it, whatever
+    its own tests exercise.  Reading is importing the module or a name
+    it defines (directly or through a package re-export); a package
+    ``__init__``'s own re-export lines are not readers.
 
     An ``__all__`` entry (or, in modules without ``__all__``, a public
     top-level definition) with zero references from any other indexed
     module is dead surface: it misleads readers about the real API and
-    rots silently.  Reference sources include the test, benchmark and
-    example trees (configured via ``reference-roots``), so "used only
-    by tests" still counts as used.
+    rots silently.  For single names the reference sources include the
+    test tree, so a live module's helper "used only by tests" still
+    counts as used.
 
     A *re-export* (an ``__all__`` entry bound by ``from submodule
     import name``, the package ``__init__`` aggregation idiom) inherits
@@ -139,11 +194,12 @@ class DeadExportRule:
     nothing anywhere uses the symbol through *either* import path.
     Preferring the submodule path over the package path is a style
     choice, not drift.  The package root's re-exports and the
-    console-script entry points are the API roots and are exempt.
+    console-script entry points (and their modules) are the API roots
+    and are exempt.
     """
 
     rule_id = "R013"
-    title = "no dead exports (public names nothing references)"
+    title = "no dead modules or exports (a module only tests read is dead)"
 
     def check_project(
         self, index: ProjectIndex, config: LintConfig
@@ -153,6 +209,8 @@ class DeadExportRule:
             module, _, attr = spec.partition(":")
             if attr:
                 entry_points.add((module, attr))
+        entry_modules = {module for module, _ in entry_points}
+        read = _read_outside_tests(index)
 
         for info in index.subject_modules():
             if info.module.split(".", 1)[0] != "repro":
@@ -160,6 +218,14 @@ class DeadExportRule:
             if info.module == "repro" or info.module.endswith("__main__"):
                 # The package root and entry modules are API roots.
                 continue
+            if info.module not in read and info.module not in entry_modules:
+                yield info.diagnostic(
+                    None,
+                    self.rule_id,
+                    f"module '{info.module}' has no reader outside tests",
+                    "delete the module with its tests, or call it from an "
+                    "entry point, benchmark or example",
+                )
             if info.has_all:
                 candidates = info.exports
             else:

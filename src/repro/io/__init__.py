@@ -1,7 +1,5 @@
-"""On-disk formats: edge-list CSV, result files, GraphML and DOT."""
+"""On-disk formats: edge-list and registry CSV, result files, GraphML and SVG."""
 
-from repro.io.bundle_io import read_tpiin_bundle, write_tpiin_bundle
-from repro.io.dot import tpiin_to_dot, write_tpiin_dot
 from repro.io.edge_list_io import (
     read_edge_list_csv,
     read_tpiin_csv,
@@ -31,19 +29,15 @@ __all__ = [
     "group_to_dict",
     "load_registry_csvs",
     "read_detection_json",
-    "read_tpiin_bundle",
     "read_edge_list_csv",
     "read_tpiin_csv",
-    "tpiin_to_dot",
     "tpiin_to_svg",
     "write_detection_json",
     "write_edge_list_csv",
     "write_graphml",
     "write_registry_csvs",
     "write_sus_files",
-    "write_tpiin_bundle",
     "write_tpiin_csv",
-    "write_tpiin_dot",
     "write_tpiin_svg",
     "write_ungraph_graphml",
 ]

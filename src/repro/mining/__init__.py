@@ -7,7 +7,6 @@ from repro.mining.matching import match_component_patterns, match_pairs_naive
 from repro.mining.options import Engine, TraceSpec
 from repro.mining.oracle import suspicious_arc_oracle, suspicious_arc_oracle_closure
 from repro.mining.parallel import parallel_detect
-from repro.mining.sampling import ShareEstimate, estimate_suspicious_share
 from repro.mining.patterns import (
     PatternsTreeResult,
     PatternTrail,
@@ -38,9 +37,7 @@ __all__ = [
     "WindowResult",
     "sliding_window_detect",
     "build_patterns_tree",
-    "ShareEstimate",
     "detect",
-    "estimate_suspicious_share",
     "list_d_order",
     "match_component_patterns",
     "match_pairs_naive",

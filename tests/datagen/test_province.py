@@ -1,9 +1,13 @@
 """Unit tests for the provincial dataset generator."""
 
+import hashlib
+
 import pytest
 
 from repro.datagen.config import ProvinceConfig
 from repro.datagen.province import generate_province
+from repro.errors import DataGenError
+from repro.io.registry_io import write_registry_csvs
 from repro.model.colors import EColor
 
 
@@ -107,3 +111,71 @@ class TestMutualInvestment:
         base = ds.antecedent_tpiin()
         assert base.scs_subgraphs  # contraction recorded provenance
         base.validate()
+
+
+def _assert_people_placed(ds):
+    cfg = ds.config
+    assert sum(len(c.lp_ids) for c in ds.clusters) == cfg.legal_persons
+    assert sum(len(c.director_ids) for c in ds.clusters) == cfg.directors
+    assert all(c.lp_ids for c in ds.clusters)
+    assert set(ds.lp_of) == set(ds.company_ids)
+
+
+class TestSmallProvinces:
+    @pytest.mark.parametrize(
+        "companies, seed",
+        [
+            (20, 0),  # 13 planned clusters, 11 legal persons
+            (69, 161),  # 38 planned clusters, 37 legal persons
+            (41, 186),  # director quotas must drop below 1 per cluster
+        ],
+    )
+    def test_crowded_plans_generate(self, companies, seed):
+        ds = generate_province(ProvinceConfig.small(companies=companies, seed=seed))
+        _assert_people_placed(ds)
+
+    def test_every_size_from_20_to_70_generates(self):
+        for companies in range(20, 71):
+            for seed in range(4):
+                config = ProvinceConfig.small(companies=companies, seed=seed)
+                _assert_people_placed(generate_province(config))
+
+    def test_infeasible_people_budget_raises_datagen_error(self):
+        # More legal persons than companies: an LP must serve a company.
+        config = ProvinceConfig(companies=5, legal_persons=10, directors=1)
+        with pytest.raises(DataGenError, match="cannot rebalance"):
+            generate_province(config)
+
+
+def _heavy(companies, seed):
+    """The conglomerate-heavy settings of the large benchmark tiers."""
+    return ProvinceConfig(
+        companies=companies,
+        legal_persons=max(2, int(companies * 0.55)),
+        directors=max(1, int(companies * 0.316)),
+        investment_extra_arc_share=0.20,
+        dual_holding_attach_both=0.9,
+        seed=seed,
+    )
+
+
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        (ProvinceConfig.small(), "9a17ce03ebdbfb95"),
+        (ProvinceConfig.small(companies=120, seed=29), "bae6c2a77c7aab6f"),
+        (ProvinceConfig.small(companies=60, seed=3), "bddec0953e95de04"),
+        (ProvinceConfig.small(companies=41, seed=0), "79858124fa58b9d1"),
+        (_heavy(1500, 31), "ba2fa875dea48b29"),
+        (ProvinceConfig(seed=31), "de60b11599eeac17"),
+    ],
+)
+def test_registry_bytes_are_pinned(tmp_path, config, digest):
+    # Pinned from the generator before small provinces could fold
+    # clusters: a plan that fitted its people must give the same data.
+    directory = write_registry_csvs(generate_province(config), tmp_path)
+    h = hashlib.sha256()
+    for name in sorted(p.name for p in directory.iterdir()):
+        h.update(name.encode())
+        h.update((directory / name).read_bytes())
+    assert h.hexdigest()[:16] == digest

@@ -3,19 +3,16 @@
 The planted-case generators (:mod:`repro.datagen.planted`) know exactly
 which member sets a detector should recover; :func:`accuracy` turns a
 findings list plus those expected sets into precision/recall, the
-acceptance metric of the detector test-suite (>= 0.9 on every planted
-scenario).
+acceptance metric of ``test_planted_accuracy.py`` (>= 0.9 on every
+planted scenario).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from repro.detectors.base import Finding
-from repro.errors import MiningError
-
-__all__ = ["AccuracyReport", "accuracy"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,12 +25,6 @@ class AccuracyReport:
     precision: float
     recall: float
 
-    @property
-    def f1(self) -> float:
-        if self.precision + self.recall == 0.0:
-            return 0.0
-        return 2 * self.precision * self.recall / (self.precision + self.recall)
-
     def summary(self) -> str:
         return (
             f"precision={self.precision:.3f} recall={self.recall:.3f} "
@@ -43,45 +34,34 @@ class AccuracyReport:
 
 
 def accuracy(
-    expected: Sequence[frozenset[str] | set[str]],
-    findings: Iterable[Finding],
-    *,
-    require: str = "subset",
+    expected: Sequence[frozenset[str] | set[str]], findings: Iterable[Finding]
 ) -> AccuracyReport:
     """Score ``findings`` against the ``expected`` planted member sets.
 
     A finding matches a planted case when the case's members are a
-    subset of the finding's (``require="subset"``, the default — a
-    detector may legitimately pull extra context nodes such as
-    counterparties into a finding) or exactly equal
-    (``require="exact"``).  Precision is the fraction of findings that
-    match some case (vacuously 1.0 with no findings); recall is the
-    fraction of cases recovered by some finding.
+    subset of the finding's: a detector may legitimately pull extra
+    context nodes such as counterparties into a finding.  Precision is
+    the fraction of findings that match some case (vacuously 1.0 with
+    no findings); recall is the fraction of cases recovered by some
+    finding.
     """
-    if require not in ("subset", "exact"):
-        raise MiningError(f"require must be 'subset' or 'exact', got {require!r}")
     cases = [frozenset(str(member) for member in case) for case in expected]
     matched_cases: set[int] = set()
     true_positives = 0
     false_positives = 0
     for finding in findings:
         members = frozenset(str(member) for member in finding.member_set)
-        hit = False
-        for index, case in enumerate(cases):
-            ok = case == members if require == "exact" else case <= members
-            if ok:
-                matched_cases.add(index)
-                hit = True
-        if hit:
+        hits = {index for index, case in enumerate(cases) if case <= members}
+        matched_cases |= hits
+        if hits:
             true_positives += 1
         else:
             false_positives += 1
     found = true_positives + false_positives
-    false_negatives = len(cases) - len(matched_cases)
     return AccuracyReport(
         true_positives=true_positives,
         false_positives=false_positives,
-        false_negatives=false_negatives,
+        false_negatives=len(cases) - len(matched_cases),
         precision=true_positives / found if found else 1.0,
         recall=len(matched_cases) / len(cases) if cases else 1.0,
     )

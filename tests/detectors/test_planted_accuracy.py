@@ -17,7 +17,7 @@ from repro.datagen.planted import (
     plant_shared_households,
 )
 from repro.datagen.province import generate_province
-from repro.detectors import accuracy, run_detectors
+from repro.detectors import run_detectors
 from repro.errors import DataGenError
 from repro.fusion.pipeline import fuse
 from repro.model.homogeneous import (
@@ -26,6 +26,8 @@ from repro.model.homogeneous import (
     InvestmentGraph,
     TradingGraph,
 )
+
+from .evaluation import accuracy
 
 #: The household ring has 4 internal arcs; organic family clusters very
 #: rarely reach 3 at the background trading density used here.

@@ -71,7 +71,18 @@ class TestDeadExports:
         assert flagged == {
             ("core.py", "dead_fn"),  # nothing references it at all
             ("__init__.py", "stale_fn"),  # dead through both import paths
+            ("tested_only.py", "repro.pkg.tested_only"),  # only a test reads it
         }
+
+    def test_module_read_only_by_tests_is_flagged(self):
+        diags = _run(DeadExportRule(), "R013", entry_points=())
+        modules = {
+            d.message.split("'")[1] for d in diags if d.message.startswith("module ")
+        }
+        # tested_only's export is read (by tests/reader.py), so only the
+        # module-level condition catches it; core is read by user.py and
+        # user by the __main__ entry module, through the package path.
+        assert modules == {"repro.pkg.tested_only"}
 
     def test_live_reexport_and_signature_liveness_survive(self):
         diags = _run(DeadExportRule(), "R013", entry_points=())

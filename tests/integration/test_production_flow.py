@@ -2,12 +2,15 @@
 
 Mimics how a provincial office would actually run the system:
 
-1. nightly: ingest registry extracts (CSV), fuse, persist the TPIIN
-   bundle;
-2. daytime: load the bundle in a monitoring process, stream incoming
-   trading filings through the incremental detector, explain alerts;
-3. quarterly: temporal windows over the filing history, a markdown
-   audit report, and sampled share estimation for the dashboard.
+1. nightly: write the registry extracts (CSV);
+2. daytime: load and fuse the extracts in a monitoring process, stream
+   incoming trading filings through the incremental detector, explain
+   alerts;
+3. quarterly: temporal windows over the filing history and a markdown
+   audit report.
+
+Every step loads the TPIIN the way ``repro-tpiin`` does:
+``load_registry_csvs(...).fuse()``.
 """
 
 import pytest
@@ -17,35 +20,33 @@ from repro.analysis.explain import explain_arc
 from repro.datagen.config import ProvinceConfig
 from repro.datagen.province import generate_province
 from repro.datagen.rng import derive_rng
-from repro.io.bundle_io import read_tpiin_bundle, write_tpiin_bundle
 from repro.io.registry_io import load_registry_csvs, write_registry_csvs
 from repro.mining.detector import detect
 from repro.mining.incremental import IncrementalDetector
-from repro.mining.sampling import estimate_suspicious_share
 from repro.mining.temporal import TimedTrade, sliding_window_detect
 
 
 @pytest.fixture(scope="module")
 def office(tmp_path_factory):
-    """Simulated office state: registry dir + fused bundle path."""
+    """Simulated office state: the dataset and its registry CSV dir."""
     root = tmp_path_factory.mktemp("office")
     dataset = generate_province(ProvinceConfig.small(companies=120, seed=29))
-    registry_dir = write_registry_csvs(dataset, root / "registry")
-    bundle = load_registry_csvs(registry_dir)
-    tpiin = bundle.fuse().tpiin
-    bundle_path = write_tpiin_bundle(tpiin, root / "tpiin.json")
-    return dataset, bundle_path
+    return dataset, write_registry_csvs(dataset, root / "registry")
+
+
+def _load(registry_dir):
+    return load_registry_csvs(registry_dir).fuse().tpiin
 
 
 class TestProductionFlow:
-    def test_nightly_ingest_and_bundle(self, office):
-        dataset, bundle_path = office
-        loaded = read_tpiin_bundle(bundle_path)
+    def test_nightly_ingest_and_fuse(self, office):
+        dataset, registry_dir = office
+        loaded = _load(registry_dir)
         assert loaded.graph.number_of_nodes() > dataset.config.companies
 
     def test_daytime_streaming_with_explanations(self, office):
-        dataset, bundle_path = office
-        tpiin = read_tpiin_bundle(bundle_path)
+        dataset, registry_dir = office
+        tpiin = _load(registry_dir)
         monitor = IncrementalDetector(tpiin)
         feed = [
             (s, b)
@@ -68,8 +69,8 @@ class TestProductionFlow:
         assert monitor.suspicious_arcs == batch.suspicious_trading_arcs
 
     def test_quarterly_reporting(self, office):
-        dataset, bundle_path = office
-        tpiin = read_tpiin_bundle(bundle_path)
+        dataset, registry_dir = office
+        tpiin = _load(registry_dir)
         rng = derive_rng(29, "filings")
         trades = []
         for s, b, _c in dataset.trading_graph(0.03).arcs():
@@ -85,5 +86,3 @@ class TestProductionFlow:
         result = detect(full, engine="parallel")
         report = build_audit_report(full, result, title="Quarterly audit")
         assert "Quarterly audit" in report
-        estimate = estimate_suspicious_share(full, sample_size=200, seed=3)
-        assert estimate.low <= result.suspicious_arc_share <= estimate.high

@@ -1,8 +1,7 @@
-"""Unit tests for GraphML and DOT exports."""
+"""Unit tests for the GraphML exports."""
 
 import xml.etree.ElementTree as ET
 
-from repro.io.dot import tpiin_to_dot, write_tpiin_dot
 from repro.io.graphml import write_graphml, write_ungraph_graphml
 from repro.model.homogeneous import InterdependenceGraph
 
@@ -43,21 +42,3 @@ class TestGraphML:
         path = write_graphml(g, tmp_path / "escaped.graphml")
         ET.parse(path)  # must not raise
 
-
-class TestDot:
-    def test_styling_conventions(self, fig8):
-        dot = tpiin_to_dot(fig8)
-        assert dot.startswith("digraph TPIIN {")
-        assert "color=blue" in dot  # influence arcs
-        assert "color=black" in dot  # trading arcs
-        assert "fillcolor=salmon" in dot  # companies are red nodes
-        assert '"L1"' in dot and '"C5"' in dot
-
-    def test_highlighting(self, fig8):
-        dot = tpiin_to_dot(fig8, highlight_arcs={("C3", "C5")})
-        assert "penwidth=2.5" in dot
-        assert dot.count("color=red, penwidth") == 1
-
-    def test_write(self, fig8, tmp_path):
-        path = write_tpiin_dot(fig8, tmp_path / "net.dot")
-        assert path.read_text().rstrip().endswith("}")

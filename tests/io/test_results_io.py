@@ -270,8 +270,6 @@ class TestStreamedBytes:
 
 @settings(max_examples=40, deadline=None)
 @given(
-    # Every (seed, size) pair here generates; some smaller provinces
-    # cannot place their people (datagen raises RuntimeError).
     seed=st.integers(min_value=0, max_value=299),
     companies=st.sampled_from([60, 64, 72, 80, 90]),
     syndicates=st.integers(min_value=0, max_value=3),

@@ -102,21 +102,6 @@ def test_group_from_dict_fails_cleanly(payload):
 from .strategies import tpiins  # noqa: E402 - strategy import for the test below
 
 
-@settings(max_examples=50, deadline=None)
-@given(tpiin=tpiins())
-def test_bundle_roundtrip_preserves_detection(tmp_path_factory, tpiin):
-    """Random TPIINs survive the bundle format byte-for-byte semantically."""
-    from repro.io.bundle_io import read_tpiin_bundle, write_tpiin_bundle
-    from repro.mining.detector import detect
-
-    path = tmp_path_factory.mktemp("bundle") / "t.json"
-    loaded = read_tpiin_bundle(write_tpiin_bundle(tpiin, path))
-    assert set(loaded.graph.arcs()) == set(tpiin.graph.arcs())
-    assert {g.key() for g in detect(loaded, engine="faithful").groups} == {
-        g.key() for g in detect(tpiin, engine="faithful").groups
-    }
-
-
 @settings(max_examples=60, deadline=None)
 @given(tpiin=tpiins())
 def test_svg_well_formed_for_random_tpiins(tpiin):
@@ -127,12 +112,3 @@ def test_svg_well_formed_for_random_tpiins(tpiin):
 
     ET.fromstring(tpiin_to_svg(tpiin, title="fuzz <&> run"))
 
-
-@settings(max_examples=60, deadline=None)
-@given(tpiin=tpiins())
-def test_dot_balanced_for_random_tpiins(tpiin):
-    from repro.io.dot import tpiin_to_dot
-
-    dot = tpiin_to_dot(tpiin)
-    assert dot.startswith("digraph")
-    assert dot.count("{") == dot.count("}")

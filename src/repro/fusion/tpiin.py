@@ -129,10 +129,8 @@ class TPIIN:
             graph.add_node(person, VColor.PERSON)
         for company in companies:
             graph.add_node(company, VColor.COMPANY)
-        for tail, head in influence:
-            graph.add_arc(tail, head, EColor.INFLUENCE)
-        for tail, head in trading:
-            graph.add_arc(tail, head, EColor.TRADING)
+        graph.add_arcs(influence, EColor.INFLUENCE)
+        graph.add_arcs(trading, EColor.TRADING)
         return cls(graph=graph)
 
     # ------------------------------------------------------------------

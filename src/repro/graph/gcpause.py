@@ -4,7 +4,7 @@ CPython's cyclic collector runs every time the count of tracked
 allocations crosses a threshold, and a full collection walks every
 tracked object in the heap.  A builder that allocates hundreds of
 thousands of long-lived tuples and small objects in one go (decoding
-the mined groups, serializing a detection result) therefore triggers
+the mined groups) therefore triggers
 repeated full scans of the whole TPIIN heap, although nothing it builds
 can form a reference cycle.  :func:`gc_paused` turns the collector off
 for the duration of such a builder.

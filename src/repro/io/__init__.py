@@ -14,7 +14,6 @@ from repro.io.registry_io import (
 )
 from repro.io.svg import tpiin_to_svg, write_tpiin_svg
 from repro.io.results_io import (
-    detection_to_dict,
     group_from_dict,
     group_to_dict,
     read_detection_json,
@@ -24,7 +23,6 @@ from repro.io.results_io import (
 
 __all__ = [
     "RegistryBundle",
-    "detection_to_dict",
     "group_from_dict",
     "group_to_dict",
     "load_registry_csvs",

@@ -70,6 +70,9 @@ _INFLUENCE_KINDS = {
     "executive_director": InfluenceKind.CEO_AND_D_OF,
 }
 
+#: ``relations.csv`` affiliation kind -> its :class:`AffiliationKind`.
+_AFFILIATION_KINDS = {kind.value: kind for kind in AffiliationKind}
+
 #: Default major-shareholding threshold turning stakes into GI arcs.
 DEFAULT_INVESTMENT_THRESHOLD = 0.5
 
@@ -305,10 +308,10 @@ def load_registry_csvs(
                     source, registry.companies, "relations.csv", lineno, "company"
                 )
                 gi.add_investment(source, target)
-        elif kind in {k.value for k in AffiliationKind}:
+        elif kind in _AFFILIATION_KINDS:
             _require(source, registry.companies, "relations.csv", lineno, "company")
             _require(target, registry.companies, "relations.csv", lineno, "company")
-            affiliations.add_affiliation(source, target, AffiliationKind(kind))
+            affiliations.add_affiliation(source, target, _AFFILIATION_KINDS[kind])
         elif kind == "trading":
             _require(source, registry.companies, "relations.csv", lineno, "company")
             _require(target, registry.companies, "relations.csv", lineno, "company")

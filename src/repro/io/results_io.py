@@ -7,14 +7,15 @@ faithful and parallel engines, which both keep per-subTPIIN results,
 and writes a single aggregated pair for a result without per-subTPIIN
 data (the streaming :class:`~repro.mining.incremental.IncrementalDetector`'s).
 :func:`write_detection_json` / :func:`read_detection_json` round-trip
-the full result for downstream tooling.
+the full result for downstream tooling; :func:`summary_to_dict` is the
+serving daemon's ``GET /v1/result`` body, that document's header.
 
 Both file writers stream: they walk the groups once as rows (trading
 trail, support trail, kind) and write pre-rendered text to the open
 file in chunks, never holding the whole document.
-:func:`write_detection_json`'s bytes equal
-``json.dumps(detection_to_dict(result), indent=2)``; CPython encodes
-that call with its pure-Python encoder (the C one only serves
+:func:`write_detection_json`'s bytes equal ``json.dumps(payload,
+indent=2)`` of the payload dict its docstring spells out; CPython
+encodes that call with its pure-Python encoder (the C one only serves
 ``indent=None``), which made it the costliest stage of a batch audit.
 """
 
@@ -30,7 +31,6 @@ from typing import IO, TYPE_CHECKING, Any
 
 from repro.errors import MiningError, SerializationError
 from repro.graph.digraph import Node
-from repro.graph.gcpause import gc_paused
 from repro.mining.groups import (
     GroupKind,
     SuspiciousGroup,
@@ -40,9 +40,10 @@ from repro.mining.groups import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mining.detector import DetectionResult
+    from repro.mining.incremental import DetectionSummary
 
 __all__ = [
-    "detection_to_dict",
+    "summary_to_dict",
     "write_sus_files",
     "write_detection_json",
     "read_detection_json",
@@ -154,8 +155,8 @@ def _is_str_list(value: Any) -> bool:
     )
 
 
-def _header(result: "DetectionResult") -> list[tuple[str, Any]]:
-    """The scalar entries of :func:`detection_to_dict`, in key order."""
+def _header(result: "DetectionResult | DetectionSummary") -> list[tuple[str, Any]]:
+    """The scalar entries that open a result's JSON document, in key order."""
     # One classification pass serves both counts.
     simple = result.simple_group_count
     return [
@@ -175,19 +176,14 @@ def _sorted_arcs(result: "DetectionResult") -> list[tuple[str, str]]:
     return sorted((str(a), str(b)) for a, b in result.suspicious_trading_arcs)
 
 
-def detection_to_dict(result: "DetectionResult") -> dict[str, Any]:
-    """The JSON-ready payload for a detection result.
-
-    The serving daemon's ``GET /result`` body; :func:`write_detection_json`
-    streams the same document.  Builds with the cyclic collector
-    paused: one dict and two lists per group, all acyclic and garbage
-    once serialized.
-    """
-    with gc_paused():
-        payload = dict(_header(result))
-        payload["suspicious_trading_arcs"] = [list(arc) for arc in _sorted_arcs(result)]
-        payload["groups"] = [group_to_dict(g) for g in result.groups]
-        return payload
+def summary_to_dict(summary: "DetectionSummary") -> dict[str, Any]:
+    """The JSON-ready summary of a live result: the header of its
+    :func:`write_detection_json` document plus the group and
+    suspicious-arc counts, in place of the two arrays."""
+    payload = dict(_header(summary))
+    payload["group_count"] = summary.group_count
+    payload["suspicious_arc_count"] = summary.suspicious_arc_count
+    return payload
 
 
 class _Labels(dict[Node, str]):
@@ -213,12 +209,15 @@ _KIND_JSON = {kind: json.dumps(kind.value) for kind in GroupKind}
 def write_detection_json(result: "DetectionResult", path: str | Path) -> Path:
     """Serialize a detection result (groups, counts, metadata) as JSON.
 
-    Streams the bytes of ``json.dumps(detection_to_dict(result),
-    indent=2)``: the header value by value, then each arc and group as
-    pre-indented text, written in chunks.  Each distinct node label is
-    encoded once.  Group trails are never empty (the
-    :class:`SuspiciousGroup` invariants), so only the two top-level
-    arrays take ``json``'s empty form ``[]``.
+    Streams the bytes of ``json.dumps(payload, indent=2)`` for the
+    payload dict of the header entries (``detector`` through
+    ``complex_group_count``), then ``suspicious_trading_arcs`` (sorted
+    ``[seller, buyer]`` label pairs) and ``groups``
+    (:func:`group_to_dict` of each group, in order): the header value by
+    value, then each arc and group as pre-indented text, written in
+    chunks.  Each distinct node label is encoded once.  Group trails
+    are never empty (the :class:`SuspiciousGroup` invariants), so only
+    the two top-level arrays take ``json``'s empty form ``[]``.
     """
     path = Path(path)
     label = _Labels().__getitem__

@@ -22,7 +22,10 @@ the aggregate result equals a batch run over the same arc set — a
 property the hypothesis suite verifies.  The live arcs are also
 bucketed by antecedent component (the paper's subTPIINs), so a read
 about one company touches one bucket
-(:meth:`IncrementalDetector.component_result`).
+(:meth:`IncrementalDetector.component_result`).  Running tallies kept
+at each mutation answer :meth:`IncrementalDetector.summary` without
+touching a group, and a sorted index of the suspicious arcs serves the
+groups a page at a time (:meth:`IncrementalDetector.groups_page`).
 
 The groups behind one trading arc ``(c1, c2)`` are enumerated as
 ``paths(r, c1) x paths(r, c2)`` over the endpoints' common influence
@@ -32,6 +35,7 @@ roots ``r`` (matched groups) plus the influence paths ``c2 ~> c1``
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import OrderedDict
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -42,7 +46,11 @@ from repro.graph.bitset import RootAncestorIndex
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import Node
 from repro.graph.traversal import weakly_connected_components
-from repro.mining.detector import DetectionResult
+from repro.mining.detector import (
+    IAT_DETECTOR_NAME,
+    IAT_DETECTOR_VERSION,
+    DetectionResult,
+)
 from repro.mining.groups import GroupKind, SuspiciousGroup
 from repro.mining.parallel import parallel_detect
 from repro.mining.scs_groups import scs_group, scs_membership
@@ -50,11 +58,23 @@ from repro.model.colors import EColor, VColor
 from repro.obs.registry import get_registry
 from repro.obs.tracing import NULL_TRACER, TracerLike
 
-__all__ = ["ArcUpdate", "IncrementalDetector", "PathCacheStats"]
+__all__ = [
+    "ArcUpdate",
+    "DetectionSummary",
+    "IncrementalDetector",
+    "PageCursor",
+    "PathCacheStats",
+]
 
 #: ``DetectionResult.engine`` of :meth:`IncrementalDetector.result`: the
 #: producer's name, not an engine :func:`repro.mining.detect` accepts.
 _RESULT_ENGINE = "incremental"
+
+#: A fused arc's page key, ``(str(tail), str(head))``, and a page
+#: cursor: the last arc a page read from and how many of its groups it
+#: has returned.
+_Label = tuple[str, str]
+PageCursor = tuple[str, str, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,6 +105,31 @@ class PathCacheStats:
             "capacity": self.capacity,
             "hit_rate": self.hit_rate,
         }
+
+
+@dataclass(frozen=True, slots=True)
+class DetectionSummary:
+    """The scalars of :meth:`IncrementalDetector.result`, without its groups.
+
+    Field for field what the result reports under the same names (its
+    ``pattern_trail_count`` is ``None`` too), plus the suspicious-arc
+    count; read from tallies, so it costs the same for any group count.
+    """
+
+    subtpiin_count: int
+    total_trading_arcs: int
+    cross_component_trades: int
+    group_count: int
+    simple_group_count: int
+    suspicious_arc_count: int
+    detector: str = IAT_DETECTOR_NAME
+    detector_version: str = IAT_DETECTOR_VERSION
+    engine: str = _RESULT_ENGINE
+    pattern_trail_count: int | None = None
+
+    @property
+    def complex_group_count(self) -> int:
+        return self.group_count - self.simple_group_count
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,6 +226,9 @@ class IncrementalDetector:
             help="Per-root influence-path cache LRU evictions.",
         )
         self._member_to_scs = scs_membership(tpiin)
+        # The valid trading endpoints: one set probe per endpoint, where
+        # a node lookup plus a color read cost a fifth of a boot seed.
+        self._companies = frozenset(self._graph.nodes(VColor.COMPANY))
 
         self._component_of: dict[Node, int] = {}
         components = weakly_connected_components(self._graph, EColor.INFLUENCE)
@@ -195,8 +243,21 @@ class IncrementalDetector:
         # arc order.  Every group lies inside one component, so a bucket
         # holds all of its subTPIIN's groups.
         self._buckets: dict[int, dict[tuple[Node, Node], tuple[SuspiciousGroup, ...]]] = {}
-        # Live arcs between two components: no subTPIIN holds them.
+        # Tallies over the fused arcs (the live arcs as a batch run over
+        # ``with_trading_arcs`` counts them): how many, how many of those
+        # cross two components, and their groups, simple groups included.
+        # A fused arc's groups count once however many live arcs fuse
+        # onto it; ``_fused_refs`` counts those live arcs, and is only
+        # kept when something is contracted.
+        self._fused_refs: dict[tuple[Node, Node], int] = {}
+        self._fused_arcs = 0
         self._cross_trades = 0
+        self._group_total = 0
+        self._simple_total = 0
+        # Each suspicious fused arc's groups and simple-group count by
+        # page key, and those keys sorted: the order pages walk.
+        self._pages: dict[_Label, tuple[tuple[SuspiciousGroup, ...], int]] = {}
+        self._page_order: list[_Label] = []
 
         baseline = [*tpiin.trading_arcs(), *tpiin.intra_scs_trades]
         if baseline:
@@ -242,7 +303,8 @@ class IncrementalDetector:
                 for arc in cross:
                     groups[arc] = tuple(buckets.get(mapped[arc], ()))
             for arc, ends in mapped.items():
-                self._file(arc, ends, groups[arc])
+                self._file(arc, ends, groups[arc], ordered=False)
+            self._page_order.sort()
             if tracer.enabled:
                 span.set(arcs=len(self._arcs), suspicious=len(self.suspicious_arcs))
 
@@ -271,11 +333,20 @@ class IncrementalDetector:
         groups = self._arcs.pop(key, None)
         if groups is None:
             return ArcUpdate(key, False, (), False)
-        tail, head = self._component_of[self._map(seller)], self._component_of[self._map(buyer)]
+        mapped = (self._map(seller), self._map(buyer))
+        tail, head = self._component_of[mapped[0]], self._component_of[mapped[1]]
         if tail == head:
             del self._buckets[tail][key]
-        else:
-            self._cross_trades -= 1
+        fused = _fused_key(key, mapped)
+        if not self._tpiin.node_map or self._release(fused):
+            self._fused_arcs -= 1
+            self._cross_trades -= tail != head
+            if groups:
+                label = (str(fused[0]), str(fused[1]))
+                _, simple = self._pages.pop(label)
+                del self._page_order[bisect_left(self._page_order, label)]
+                self._group_total -= len(groups)
+                self._simple_total -= simple
         return ArcUpdate(key, bool(groups), groups, True)
 
     def __contains__(self, arc: tuple[Node, Node]) -> bool:
@@ -348,33 +419,88 @@ class IncrementalDetector:
     def result(self) -> DetectionResult:
         """A :class:`DetectionResult` equal to a batch run over the live arcs.
 
-        Groups come in live-arc order.  Live arcs whose endpoints fuse
-        onto one graph arc (their sellers, or their buyers, contracted
-        into one syndicate) each hold that arc's groups; a batch run over
+        Live arcs whose endpoints fuse onto one graph arc (their
+        sellers, or their buyers, contracted into one syndicate) each
+        hold that arc's groups; a batch run over
         :meth:`~repro.fusion.tpiin.TPIIN.with_trading_arcs` mines the
-        fused arc once, so only its first live arc contributes, and the
-        arc counts are of fused arcs.
+        fused arc once, so the groups are the page index's, one entry
+        per suspicious fused arc, and the arc counts are of fused arcs.
+        Groups come in the order their fused arcs went live, which is
+        live-arc order unless a fused arc outlived the live arc that
+        filed it (it keeps that arc's place).
         """
-        groups, total, cross = self._fused(self._arcs, self._cross_trades)
         return DetectionResult(
-            groups=groups,
-            total_trading_arcs=total,
-            cross_component_trades=cross,
+            groups=[g for arc_groups, _ in self._pages.values() for g in arc_groups],
+            total_trading_arcs=self._fused_arcs,
+            cross_component_trades=self._cross_trades,
             subtpiin_count=self._component_count,
             engine=_RESULT_ENGINE,
         )
+
+    def summary(self) -> DetectionSummary:
+        """:meth:`result`'s counts, read from tallies; touches no group."""
+        return DetectionSummary(
+            subtpiin_count=self._component_count,
+            total_trading_arcs=self._fused_arcs,
+            cross_component_trades=self._cross_trades,
+            group_count=self._group_total,
+            simple_group_count=self._simple_total,
+            suspicious_arc_count=len(self._pages),
+        )
+
+    def groups_page(
+        self, after: PageCursor | None, limit: int
+    ) -> tuple[list[SuspiciousGroup], PageCursor | None]:
+        """Up to ``limit`` of :meth:`result`'s groups, and the next page's cursor.
+
+        Pages walk the suspicious fused arcs in ``(str(tail), str(head))``
+        order, each arc's groups in :meth:`result`'s order; the cursor is
+        ``None`` after the last group.  ``after`` is a cursor returned
+        earlier: ``(tail, head, n)`` resumes after the first ``n``
+        groups of that arc, or at the next arc once it is no longer
+        suspicious.  The antecedent network never changes, so an arc
+        keeps its groups while it stays live, and a walk over
+        interleaved writes never repeats or skips a group of an arc
+        that stayed live.  Raises :class:`MiningError` for an ``n``
+        past that arc's groups.
+        """
+        order = self._page_order
+        i = skip = 0
+        if after is not None:
+            label = (after[0], after[1])
+            i = bisect_left(order, label)
+            if i < len(order) and order[i] == label:
+                skip = after[2]
+                held = len(self._pages[label][0])
+                if skip > held:
+                    raise MiningError(
+                        f"cursor offset {skip} is past the {held} groups of "
+                        f"arc ({label[0]!r} -> {label[1]!r})"
+                    )
+        page: list[SuspiciousGroup] = []
+        cursor: PageCursor | None = None
+        while i < len(order) and len(page) < limit:
+            label = order[i]
+            groups = self._pages[label][0]
+            end = min(len(groups), skip + limit - len(page))
+            page.extend(groups[skip:end])
+            if end < len(groups):
+                return page, (*label, end)
+            cursor = (*label, end)
+            i, skip = i + 1, 0
+        return page, cursor if i < len(order) else None
 
     def component_result(self, node: Node) -> DetectionResult:
         """:meth:`result` restricted to ``node``'s subTPIIN: ``susGroup(i)``.
 
         Holds the live arcs with both mapped endpoints in ``node``'s
-        antecedent component, in :meth:`result`'s order and with its
+        antecedent component, in live-arc order and with :meth:`result`'s
         per-fused-arc dedup.  A group never leaves its component, so
         these carry all of the component's groups.  Raises
         :class:`MiningError` for a node the TPIIN lacks.
         """
         bucket = self._buckets.get(self.component_of(node), {})
-        groups, total, _ = self._fused(bucket, 0)
+        groups, total = self._fused(bucket)
         return DetectionResult(
             groups=groups,
             total_trading_arcs=total,
@@ -384,39 +510,25 @@ class IncrementalDetector:
         )
 
     def _fused(
-        self,
-        arcs: dict[tuple[Node, Node], tuple[SuspiciousGroup, ...]],
-        cross_trades: int,
-    ) -> tuple[list[SuspiciousGroup], int, int]:
-        """The groups of ``arcs`` (the arc table or one bucket), each
-        fused graph arc's taken once, with the fused trading-arc count
-        and how many of those cross two components.
-
-        ``cross_trades`` is that last count for ``arcs`` as they are
-        (the running tally, or 0 for a bucket); it holds as is when
-        nothing is contracted.
-        """
+        self, arcs: dict[tuple[Node, Node], tuple[SuspiciousGroup, ...]]
+    ) -> tuple[list[SuspiciousGroup], int]:
+        """The groups of one bucket's ``arcs``, each fused graph arc's
+        taken once, and the fused trading-arc count."""
         groups: list[SuspiciousGroup] = []
         node_map = self._tpiin.node_map
         if not node_map:
             # Nothing is contracted: each live arc is its own graph arc.
             for arc_groups in arcs.values():
                 groups.extend(arc_groups)
-            return groups, len(arcs), cross_trades
-        component_of = self._component_of
+            return groups, len(arcs)
         fused: set[tuple[Node, Node]] = set()
-        intra = cross = 0
-        for (seller, buyer), arc_groups in arcs.items():
-            tail, head = node_map.get(seller, seller), node_map.get(buyer, buyer)
-            if tail == head:
-                intra += 1
-            elif (tail, head) in fused:
-                continue
-            else:
-                fused.add((tail, head))
-                cross += component_of[tail] != component_of[head]
-            groups.extend(arc_groups)
-        return groups, len(fused) + intra, cross
+        for arc, arc_groups in arcs.items():
+            seller, buyer = arc
+            key = _fused_key(arc, (node_map.get(seller, seller), node_map.get(buyer, buyer)))
+            if key not in fused:
+                fused.add(key)
+                groups.extend(arc_groups)
+        return groups, len(fused)
 
     # ------------------------------------------------------------------
     # internals
@@ -428,6 +540,8 @@ class IncrementalDetector:
         if seller == buyer:
             raise MiningError(f"self trade on {seller!r}")
         mapped = (self._map(seller), self._map(buyer))
+        if mapped[0] in self._companies and mapped[1] in self._companies:
+            return mapped
         for original, node in zip((seller, buyer), mapped):
             if not self._graph.has_node(node):
                 raise MiningError(
@@ -442,14 +556,45 @@ class IncrementalDetector:
         arc: tuple[Node, Node],
         mapped: tuple[Node, Node],
         groups: tuple[SuspiciousGroup, ...],
+        *,
+        ordered: bool = True,
     ) -> None:
-        """Record a new live arc in the arc table and its component's bucket."""
+        """Record a new live arc in the arc table, its component's bucket
+        and, for the first live arc on its fused arc, the tallies and
+        the page index (kept sorted unless ``ordered`` is off; ``seed``
+        sorts once at the end instead)."""
         self._arcs[arc] = groups
         tail, head = self._component_of[mapped[0]], self._component_of[mapped[1]]
         if tail == head:
             self._buckets.setdefault(tail, {})[arc] = groups
-        else:
-            self._cross_trades += 1
+        if self._tpiin.node_map and not self._claim(_fused_key(arc, mapped)):
+            return
+        self._fused_arcs += 1
+        self._cross_trades += tail != head
+        if groups:
+            fused = _fused_key(arc, mapped)
+            label = (str(fused[0]), str(fused[1]))
+            simple = sum(1 for g in groups if g.is_simple)
+            self._pages[label] = (groups, simple)
+            if ordered:
+                insort(self._page_order, label)
+            else:
+                self._page_order.append(label)
+            self._group_total += len(groups)
+            self._simple_total += simple
+
+    def _claim(self, fused: tuple[Node, Node]) -> bool:
+        """Count one more live arc on ``fused``; True if it is the first."""
+        held = self._fused_refs.get(fused, 0)
+        self._fused_refs[fused] = held + 1
+        return not held
+
+    def _release(self, fused: tuple[Node, Node]) -> bool:
+        """Count one live arc off ``fused``; True if it was the last."""
+        held = self._fused_refs.pop(fused) - 1
+        if held:
+            self._fused_refs[fused] = held
+        return not held
 
     def _paths_of(self, root: Node) -> dict[Node, list[tuple[Node, ...]]]:
         cached = self._path_cache.get(root)
@@ -480,6 +625,12 @@ class IncrementalDetector:
             # construction, witnessed by an investment trail.
             return (scs_group(self._tpiin, self._member_to_scs, seller, buyer),)
         return tuple(_enumerate_arc_groups(self._csr, self._index, self._paths_of, c1, c2))
+
+
+def _fused_key(arc: tuple[Node, Node], mapped: tuple[Node, Node]) -> tuple[Node, Node]:
+    """The trading arc a live arc's groups name: its fused graph arc, or
+    the arc itself when both ends lie in one syndicate (its SCS group)."""
+    return arc if mapped[0] == mapped[1] else mapped
 
 
 # ----------------------------------------------------------------------

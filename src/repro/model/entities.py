@@ -62,10 +62,6 @@ class Company:
     # trading throughput against it.
     registered_capital: float | None = None
 
-    @property
-    def is_cross_border(self) -> bool:
-        return self.region != "domestic"
-
 
 @dataclass(frozen=True, slots=True)
 class Syndicate:

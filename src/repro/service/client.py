@@ -22,8 +22,9 @@ import http.client
 import json
 import threading
 import time
+from collections.abc import Iterator
 from typing import Any
-from urllib.parse import quote, urlsplit
+from urllib.parse import quote, urlencode, urlsplit
 
 from repro.errors import ServiceClientError
 
@@ -113,13 +114,38 @@ class ServiceClient:
         )
 
     def result(self, *, detector: str | None = None) -> dict[str, Any]:
-        """The detection result; a ``detector`` name selects one portfolio
-        detector's findings payload instead of the legacy IAT dump."""
+        """The detection result's summary (its counts; :meth:`groups`
+        walks the groups); a ``detector`` name selects one portfolio
+        detector's findings payload instead."""
         if detector is None:
             return self._request("GET", "/v1/result")
         return self._request(
             "GET", f"/v1/result?detector={quote(detector, safe='')}"
         )
+
+    def groups_page(
+        self, cursor: str | None = None, *, limit: int | None = None
+    ) -> dict[str, Any]:
+        """One ``GET /v1/groups`` page: ``groups`` and the ``next`` cursor
+        (``None`` after the last page); the daemon picks the default
+        ``limit``."""
+        params = {"cursor": cursor, "limit": limit}
+        query = urlencode({k: v for k, v in params.items() if v is not None})
+        return self._request("GET", "/v1/groups" + (f"?{query}" if query else ""))
+
+    def groups(self, *, limit: int | None = None) -> Iterator[dict[str, Any]]:
+        """Every group of the live result, page by page (``limit`` each).
+
+        Writes between two pages never make the walk repeat or skip a
+        group of an arc that stays live.
+        """
+        cursor: str | None = None
+        while True:
+            page = self.groups_page(cursor, limit=limit)
+            yield from page["groups"]
+            cursor = page["next"]
+            if cursor is None:
+                return
 
     def detectors(self) -> dict[str, Any]:
         """The registered detector listing (name, version, config schema)."""
@@ -215,7 +241,14 @@ class ServiceClient:
         self, method: str, path: str, data: bytes | None, headers: dict[str, str]
     ) -> tuple[int, float | None, bytes]:
         conn = self._connection_locked()
-        conn.request(method, self._prefix + path, body=data, headers=headers)
+        try:
+            conn.request(method, self._prefix + path, body=data, headers=headers)
+        except (BrokenPipeError, ConnectionResetError):
+            # The daemon may have answered before the body was all sent
+            # (a 413 for one over its cap) and hung up: read that answer
+            # rather than send the body again.  A socket that is merely
+            # stale has none, and getresponse() raises as send did.
+            pass
         response = conn.getresponse()
         raw = response.read()  # fully drain so the socket is reusable
         retry_after: float | None = None

@@ -9,8 +9,9 @@ Permanent Redirect`` to their ``/v1`` twin so old clients keep working
 ``POST /v1/arcs``                          apply ``{"op", "seller", "buyer"}``
 ``POST /v1/arcs:batch``                    NDJSON bulk ingest, per-line verdicts
 ``GET  /v1/arcs/{seller}/{buyer}``         status of one trading arc
-``GET  /v1/result``                        full detection result (JSON)
+``GET  /v1/result``                        detection result summary (counts only)
 ``GET  /v1/result?detector={name}``        one portfolio detector's findings
+``GET  /v1/groups?cursor=&limit=``         one page of the result's groups
 ``GET  /v1/detectors``                     registered detector listing
 ``GET  /v1/investigate/{company}``         drill-down briefing for a company
 ``GET  /v1/healthz``                       liveness + recovery summary (503 if not ok)
@@ -18,6 +19,10 @@ Permanent Redirect`` to their ``/v1`` twin so old clients keep working
 ``GET  /v1/metrics?format=prometheus``     Prometheus text exposition
 ``GET  /v1/trace/{subtpiin}``              recent mutation span trees
 =========================================  =====================================
+
+Every response is bounded: the result is a fixed-size summary and its
+groups come a page at a time; request bodies are capped, and a body
+over the cap answers ``413`` without being buffered.
 
 Concurrency is bounded by the service's ingest queue and lock: HTTP
 worker threads carry requests concurrently, but mutations serialize at
@@ -28,9 +33,11 @@ the state layer, never in the transport.  The server keeps
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import signal
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -40,8 +47,8 @@ from urllib.parse import parse_qs, unquote
 from repro.detectors.registry import DETECTORS
 from repro.errors import BackpressureError, MiningError, ServiceError
 from repro.io.registry_io import parse_arc_ndjson
-from repro.io.results_io import detection_to_dict, group_to_dict
-from repro.mining.incremental import ArcUpdate
+from repro.io.results_io import group_to_dict, summary_to_dict
+from repro.mining.incremental import ArcUpdate, PageCursor
 from repro.service.sharding import ShardedDetectionService
 from repro.service.wal import OP_ADD, OP_REMOVE
 
@@ -54,6 +61,22 @@ _logger = logging.getLogger("repro.service")
 _BARE_ROUTES = frozenset(
     {"arcs", "healthz", "investigate", "metrics", "result", "trace"}
 )
+
+#: Largest ``POST`` body read, in bytes; a longer ``Content-Length``
+#: answers 413 and closes the connection with the body unread.
+_MAX_BODY_BYTES = 1 << 20
+#: Most lines one ``POST /v1/arcs:batch`` body may hold (413 above).
+_MAX_BATCH_LINES = 10_000
+#: After answering 413 to a body it did not read, the server half-closes
+#: and throws away up to this much of the body, for at most this long,
+#: before it closes: a close with unread input resets the connection,
+#: which can cost a client still sending the body its answer.
+_DISCARD_MAX_BYTES = 64 << 20
+_DISCARD_SECONDS = 1.0
+#: Groups per ``GET /v1/groups`` page when ``limit`` is not given, and
+#: the largest ``limit`` accepted.
+_PAGE_LIMIT_DEFAULT = 500
+_PAGE_LIMIT_MAX = 5_000
 
 #: ``(endpoint, status, json-payload, text-payload, redirect-location)`` —
 #: exactly one of the last three is non-None.
@@ -69,6 +92,45 @@ def _update_to_dict(update: ArcUpdate) -> dict[str, Any]:
         "group_count": update.group_count,
         "groups": [group_to_dict(g) for g in update.groups],
     }
+
+
+class _PayloadTooLarge(Exception):
+    """A request body over one of the caps: answered with a 413."""
+
+
+def _encode_cursor(cursor: PageCursor) -> str:
+    """The opaque ``next`` token of a groups page (unpadded base64url JSON)."""
+    raw = json.dumps(cursor, separators=(",", ":")).encode("utf-8")
+    return base64.urlsafe_b64encode(raw).decode("ascii").rstrip("=")
+
+
+def _decode_cursor(token: str) -> PageCursor:
+    """Invert :func:`_encode_cursor`; anything else is a :class:`MiningError`."""
+    try:
+        seller, buyer, offset = json.loads(
+            base64.urlsafe_b64decode(token + "=" * (-len(token) % 4))
+        )
+    except (ValueError, TypeError):
+        raise MiningError(f"malformed cursor {token!r}") from None
+    if not (
+        isinstance(seller, str)
+        and isinstance(buyer, str)
+        and type(offset) is int
+        and offset >= 0
+    ):
+        raise MiningError(f"malformed cursor {token!r}")
+    return seller, buyer, offset
+
+
+def _page_limit(text: str) -> int:
+    """The ``limit`` query value: blank or absent is the default."""
+    if not text:
+        return _PAGE_LIMIT_DEFAULT
+    # The length check keeps int() off strings of thousands of digits.
+    if text.isascii() and text.isdigit() and len(text) <= len(str(_PAGE_LIMIT_MAX)):
+        if 1 <= int(text) <= _PAGE_LIMIT_MAX:
+            return int(text)
+    raise MiningError(f"limit must be an integer from 1 to {_PAGE_LIMIT_MAX}, got {text!r}")
 
 
 class DetectionHTTPServer(ThreadingHTTPServer):
@@ -101,10 +163,35 @@ class _DetectionRequestHandler(BaseHTTPRequestHandler):
     # server_close() forever.  Reaping after a quiet second keeps drain
     # bounded; clients transparently reconnect (stale-socket retry).
     timeout = 1.0
+    # Bytes of a refused body left on the socket, discarded by finish().
+    _unread_body = 0
 
     @property
     def service(self) -> ShardedDetectionService:
         return cast(DetectionHTTPServer, self.server).service
+
+    def finish(self) -> None:
+        super().finish()
+        if self._unread_body:
+            self._discard_unread_body()
+
+    def _discard_unread_body(self) -> None:
+        """Half-close, then read and drop the refused body (bounded by
+        ``_DISCARD_MAX_BYTES`` and ``_DISCARD_SECONDS``), so the client
+        finishes sending and reads the 413 instead of a reset."""
+        sock = self.connection
+        left = min(self._unread_body, _DISCARD_MAX_BYTES)
+        deadline = time.monotonic() + _DISCARD_SECONDS
+        try:
+            sock.shutdown(socket.SHUT_WR)
+            while left > 0 and (wait := deadline - time.monotonic()) > 0:
+                sock.settimeout(wait)
+                chunk = sock.recv(min(left, 1 << 16))
+                if not chunk:
+                    break
+                left -= len(chunk)
+        except OSError:
+            pass  # the client hung up or went quiet: close anyway
 
     # ------------------------------------------------------------------
     # routing
@@ -129,6 +216,9 @@ class _DetectionRequestHandler(BaseHTTPRequestHandler):
         except MiningError as exc:
             endpoint = self._endpoint_hint
             status, payload = 400, {"error": str(exc)}
+        except _PayloadTooLarge as exc:
+            endpoint = self._endpoint_hint
+            status, payload = 413, {"error": str(exc)}
         except BackpressureError as exc:
             # Admission control shed the request; tell the client when
             # to retry.  Checked before ServiceError — it subclasses it.
@@ -147,9 +237,11 @@ class _DetectionRequestHandler(BaseHTTPRequestHandler):
         elif text is not None:
             self._send_text(status, text)
         else:
-            headers = (
-                {"Retry-After": f"{retry_after:g}"} if retry_after is not None else None
-            )
+            headers: dict[str, str] = {}
+            if retry_after is not None:
+                headers["Retry-After"] = f"{retry_after:g}"
+            if self._unread_body:
+                headers["Connection"] = "close"
             self._send_json(
                 status, payload if payload is not None else {}, extra_headers=headers
             )
@@ -237,7 +329,10 @@ class _DetectionRequestHandler(BaseHTTPRequestHandler):
                     None,
                     None,
                 )
-            return "result", 200, detection_to_dict(self.service.result()), None, None
+            return "result", 200, summary_to_dict(self.service.summary()), None, None
+        if parts == ["groups"]:
+            self._endpoint_hint = "groups"
+            return "groups", 200, self._groups_page(query), None, None
         if len(parts) == 3 and parts[0] == "arcs":
             self._endpoint_hint = "get_arc"
             status_view = self.service.arc_status(parts[1], parts[2])
@@ -279,6 +374,25 @@ class _DetectionRequestHandler(BaseHTTPRequestHandler):
             )
         return "unknown", 404, {"error": f"no GET route for {self.path!r}"}, None, None
 
+    def _groups_page(self, query: str) -> dict[str, Any]:
+        """One ``GET /v1/groups`` page: ``{"groups": [...], "next": token}``.
+
+        ``next`` is ``null`` after the last group; a repeated parameter,
+        a malformed cursor or a limit out of range is a 400.
+        """
+        params = parse_qs(query, keep_blank_values=True)
+        for name in ("cursor", "limit"):
+            if len(params.get(name, ())) > 1:
+                raise MiningError(f"give {name} at most once")
+        token = params.get("cursor", [""])[0]
+        limit = _page_limit(params.get("limit", [""])[0])
+        after = _decode_cursor(token) if token else None
+        groups, cursor = self.service.groups_page(after, limit)
+        return {
+            "groups": [group_to_dict(g) for g in groups],
+            "next": _encode_cursor(cursor) if cursor is not None else None,
+        }
+
     def _handle_post_arcs(self) -> tuple[int, dict[str, Any]]:
         body = self._read_json_body()
         op = body.get("op", OP_ADD)
@@ -305,6 +419,11 @@ class _DetectionRequestHandler(BaseHTTPRequestHandler):
         raw = self._read_body()
         if not raw:
             raise MiningError("request body is empty; expected NDJSON arc lines")
+        line_count = raw.count(b"\n") + (not raw.endswith(b"\n"))
+        if line_count > _MAX_BATCH_LINES:
+            raise _PayloadTooLarge(
+                f"batch of {line_count} lines exceeds the {_MAX_BATCH_LINES}-line cap"
+            )
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -331,8 +450,10 @@ class _DetectionRequestHandler(BaseHTTPRequestHandler):
 
         A missing header reads as an empty body; a value that is not a
         non-negative integer is a 400 (``rfile.read(-1)`` would block
-        until the socket timeout), and closes the connection, since
-        where the body ends is unknown.
+        until the socket timeout), and one over ``_MAX_BODY_BYTES`` a
+        413.  Both close the connection unread: where the body ends is
+        unknown, or reading it is what the cap refuses (:meth:`finish`
+        discards what the client still sends of it).
         """
         header = self.headers.get("Content-Length") or "0"
         try:
@@ -343,6 +464,12 @@ class _DetectionRequestHandler(BaseHTTPRequestHandler):
             self.close_connection = True
             raise MiningError(
                 f"Content-Length must be a non-negative integer, got {header!r}"
+            )
+        if length > _MAX_BODY_BYTES:
+            self.close_connection = True
+            self._unread_body = length
+            raise _PayloadTooLarge(
+                f"request body of {length} bytes exceeds the {_MAX_BODY_BYTES}-byte cap"
             )
         return self.rfile.read(length) if length else b""
 

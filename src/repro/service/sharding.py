@@ -38,7 +38,12 @@ from repro.fusion.tpiin import TPIIN
 from repro.io.registry_io import ArcLine
 from repro.mining.detector import IAT_DETECTOR_NAME, DetectionResult
 from repro.mining.groups import SuspiciousGroup
-from repro.mining.incremental import ArcUpdate, IncrementalDetector
+from repro.mining.incremental import (
+    ArcUpdate,
+    DetectionSummary,
+    IncrementalDetector,
+    PageCursor,
+)
 from repro.obs.tracing import NULL_TRACER, Tracer, TracerLike
 from repro.service.config import ServiceConfig
 from repro.service.locks import ReadWriteLock
@@ -652,6 +657,19 @@ class ShardedDetectionService:
         """Aggregate result, equal to a batch run over the live arc set."""
         with self._lock.read():
             return self._detector.result()
+
+    def summary(self) -> DetectionSummary:
+        """:meth:`result`'s counts, read from the detector's tallies."""
+        with self._lock.read():
+            return self._detector.summary()
+
+    def groups_page(
+        self, after: PageCursor | None, limit: int
+    ) -> tuple[list[SuspiciousGroup], PageCursor | None]:
+        """One page of :meth:`result`'s groups and the next page's cursor
+        (:meth:`IncrementalDetector.groups_page`)."""
+        with self._lock.read():
+            return self._detector.groups_page(after, limit)
 
     def investigate(self, company: str) -> CompanyInvestigation:
         """The drill-down for one company, read from its subTPIIN only.

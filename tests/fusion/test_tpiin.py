@@ -2,9 +2,50 @@
 
 import pytest
 
+from repro.datagen.config import ProvinceConfig
+from repro.datagen.province import generate_province
 from repro.errors import ValidationError
 from repro.fusion.tpiin import TPIIN
+from repro.graph.digraph import DiGraph
 from repro.model.colors import EColor, VColor
+
+
+def per_arc_graph(persons, companies, influence, trading) -> DiGraph:
+    """What :meth:`TPIIN.build` built before it added arcs per color."""
+    graph = DiGraph()
+    for person in persons:
+        graph.add_node(person, VColor.PERSON)
+    for company in companies:
+        graph.add_node(company, VColor.COMPANY)
+    for tail, head in influence:
+        graph.add_arc(tail, head, EColor.INFLUENCE)
+    for tail, head in trading:
+        graph.add_arc(tail, head, EColor.TRADING)
+    return graph
+
+
+def fig6_lists():
+    return (
+        ["P1"],
+        ["C1", "C2", "C3"],
+        [("P1", "C1"), ("P1", "C3"), ("C1", "C2")],
+        [("C2", "C3")],
+    )
+
+
+def province_lists():
+    """A generated province's node and arc lists, plus a repeated arc and
+    an arc to an undeclared node (created on demand, uncolored)."""
+    dataset = generate_province(ProvinceConfig.small(companies=80, seed=5))
+    tpiin = dataset.overlay_trading(dataset.antecedent_tpiin(), 0.03)
+    influence = list(tpiin.influence_arcs())
+    trading = list(tpiin.trading_arcs())
+    return (
+        list(tpiin.persons()),
+        list(tpiin.companies()),
+        influence + influence[:1],
+        trading + [(trading[0][0], "C-undeclared")],
+    )
 
 
 class TestBuildAndViews:
@@ -35,6 +76,30 @@ class TestBuildAndViews:
         assert set(fig8.antecedent_roots()) == {
             "L1", "L2", "L3", "L4", "L5", "B1", "B2",
         }
+
+
+class TestBuildOrder:
+    @pytest.mark.parametrize("lists", [fig6_lists, province_lists])
+    def test_build_equals_the_per_arc_build(self, lists):
+        persons, companies, influence, trading = lists()
+        built = TPIIN.build(
+            persons=persons,
+            companies=companies,
+            influence=iter(influence),
+            trading=iter(trading),
+        ).graph
+        expected = per_arc_graph(persons, companies, influence, trading)
+        # Node insertion order fixes the component ordinals downstream.
+        assert list(built.nodes()) == list(expected.nodes())
+        assert [built.node_color(n) for n in built.nodes()] == [
+            expected.node_color(n) for n in expected.nodes()
+        ]
+        assert list(built.arcs()) == list(expected.arcs())
+        assert [list(built.predecessors(n)) for n in built.nodes()] == [
+            list(expected.predecessors(n)) for n in expected.nodes()
+        ]
+        for color in (None, EColor.INFLUENCE, EColor.TRADING):
+            assert built.number_of_arcs(color) == expected.number_of_arcs(color)
 
 
 class TestValidation:

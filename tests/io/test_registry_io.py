@@ -135,3 +135,13 @@ class TestAffiliationRelations:
         path.write_text(path.read_text() + "guarantee,C1,CX,\n")
         with pytest.raises(SerializationError, match="not declared"):
             load_registry_csvs(tmp_path)
+
+    @pytest.mark.parametrize("kind", ["GUARANTEE", "exclusive_supply", "AffiliationKind.FRANCHISE"])
+    def test_unknown_kind_names_its_line(self, tmp_path, kind):
+        write_sample(tmp_path)
+        path = tmp_path / "relations.csv"
+        path.write_text(path.read_text() + "licensing,C1,C3,\n" + f"{kind},C1,C2,\n")
+        # Header, eight sample rows, the licensing row: the bad row is line 11.
+        with pytest.raises(SerializationError) as err:
+            load_registry_csvs(tmp_path)
+        assert str(err.value) == f"relations.csv:11: unknown relation kind {kind!r}"

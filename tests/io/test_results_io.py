@@ -15,7 +15,6 @@ from repro.errors import SerializationError
 from repro.fusion.pipeline import fuse
 from repro.fusion.tpiin import TPIIN
 from repro.io.results_io import (
-    detection_to_dict,
     group_from_dict,
     group_to_dict,
     read_detection_json,
@@ -179,6 +178,27 @@ def escaping_tpiin() -> TPIIN:
         ],
         trading=[(han, number), (quote, slash), (tab, slash)],
     )
+
+
+def detection_to_dict(result: DetectionResult) -> dict:
+    """The document :func:`write_detection_json` streams, built as a dict:
+    the oracle its bytes must equal under ``json.dumps(..., indent=2)``."""
+    simple = result.simple_group_count
+    return {
+        "detector": result.detector,
+        "detector_version": result.detector_version,
+        "engine": result.engine,
+        "subtpiin_count": result.subtpiin_count,
+        "total_trading_arcs": result.total_trading_arcs,
+        "cross_component_trades": result.cross_component_trades,
+        "pattern_trail_count": result.pattern_trail_count,
+        "simple_group_count": simple,
+        "complex_group_count": result.group_count - simple,
+        "suspicious_trading_arcs": sorted(
+            [str(a), str(b)] for a, b in result.suspicious_trading_arcs
+        ),
+        "groups": [group_to_dict(g) for g in result.groups],
+    }
 
 
 def assert_byte_identical(result: DetectionResult, directory: Path) -> None:

@@ -1,10 +1,10 @@
-"""Group decoding and result serialization run without cyclic collections.
+"""Group decoding runs without cyclic collections.
 
 Decoding a dense TPIIN's groups allocates thousands of acyclic group
 objects and trail tuples; with the collector running, each collection
 during that growth rescans the whole heap.  These tests pin that the
-first full pass over a parallel result's groups, and its JSON payload,
-start no collection, and that the pause changes no output.
+first full pass over a parallel result's groups starts no collection,
+and that the pause changes no output.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import pytest
 
 from repro.datagen.config import ProvinceConfig
 from repro.datagen.province import generate_province
-from repro.io.results_io import detection_to_dict, group_to_dict
 from repro.mining import compact
 from repro.mining.detector import detect
 
@@ -70,25 +69,6 @@ def count_inside_groups_for(monkeypatch, counter) -> None:
     monkeypatch.setattr(compact._GroupStore, "groups_for", groups_for)
 
 
-def expected_payload(result) -> dict:
-    """The JSON payload, field by field, built with the collector on."""
-    return {
-        "detector": result.detector,
-        "detector_version": result.detector_version,
-        "engine": result.engine,
-        "subtpiin_count": result.subtpiin_count,
-        "total_trading_arcs": result.total_trading_arcs,
-        "cross_component_trades": result.cross_component_trades,
-        "pattern_trail_count": result.pattern_trail_count,
-        "simple_group_count": result.simple_group_count,
-        "complex_group_count": result.complex_group_count,
-        "suspicious_trading_arcs": sorted(
-            [str(a), str(b)] for a, b in result.suspicious_trading_arcs
-        ),
-        "groups": [group_to_dict(g) for g in result.groups],
-    }
-
-
 def test_first_group_pass_starts_no_collection(dense_tpiin, collections, monkeypatch):
     count_inside_groups_for(monkeypatch, collections)
     result = detect(dense_tpiin, engine="parallel")
@@ -100,13 +80,3 @@ def test_first_group_pass_starts_no_collection(dense_tpiin, collections, monkeyp
     assert set(keys) == {group.key() for group in faithful.groups}
     assert len(keys) == len(faithful.groups)
 
-
-def test_detection_to_dict_starts_no_collection(dense_tpiin, collections):
-    result = detect(dense_tpiin, engine="parallel")
-    collections.inside = True
-    payload = detection_to_dict(result)  # also the first group pass
-    collections.inside = False
-    assert collections.started == 0
-    assert gc.isenabled()
-    assert len(payload["groups"]) > 3000
-    assert payload == expected_payload(result)

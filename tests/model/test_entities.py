@@ -21,12 +21,6 @@ class TestPerson:
         assert not person.is_legal_person
 
 
-class TestCompany:
-    def test_cross_border(self):
-        assert Company(company_id="c", region="hongkong").is_cross_border
-        assert not Company(company_id="c").is_cross_border
-
-
 class TestSyndicate:
     def test_requires_two_members(self):
         with pytest.raises(ValueError, match="at least two"):

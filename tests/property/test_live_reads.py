@@ -12,7 +12,15 @@ rebuild gives:
   over ``tpiin.with_trading_arcs(arcs)``;
 * ``iat-groups`` findings equal a faithful run's;
 * ``cross_component_trades`` equals a batch :func:`detect` over the
-  rebuilt network (both count fused arcs, not original ones).
+  rebuilt network (both count fused arcs, not original ones);
+* the summary behind ``GET /v1/result`` equals the header of the live
+  result's document plus its group and suspicious-arc counts;
+* walking the group pages gives the live result's groups, and with
+  writes between pages never repeats or skips a group of an arc that
+  stayed live.
+
+The last two also run on a CSV-loaded copy of the province, which has
+no contraction map.
 
 The streams mix contracted-syndicate arcs (both endpoints in one
 syndicate, or one syndicate member trading out), repeated ops, and the
@@ -21,8 +29,10 @@ removal of one of two original arcs fused onto one graph arc.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,6 +50,8 @@ from repro.datagen.province import generate_province
 from repro.detectors import run_detectors
 from repro.fusion.pipeline import fuse
 from repro.graph.traversal import weakly_connected_components
+from repro.io.edge_list_io import read_tpiin_csv, write_tpiin_csv
+from repro.io.results_io import _header, summary_to_dict
 from repro.mining.detector import detect
 from repro.model.colors import EColor, VColor
 from repro.service.config import ServiceConfig
@@ -190,3 +202,111 @@ def test_live_reads_equal_batch_rebuilds(steps):
                 result.cross_component_trades
                 == detect(rebuilt).cross_component_trades
             )
+
+
+def _csv_loaded(tpiin):
+    """``tpiin`` written to and read back from edge-list CSVs: no node map."""
+    with tempfile.TemporaryDirectory() as tmp:
+        arcs, nodes = Path(tmp) / "net.arcs.csv", Path(tmp) / "net.nodes.csv"
+        write_tpiin_csv(tpiin, arcs, nodes)
+        return read_tpiin_csv(arcs, nodes)
+
+
+PLAIN = _csv_loaded(TPIIN_)
+assert not PLAIN.node_map
+PLAIN_COMPANIES = sorted(PLAIN.graph.nodes(VColor.COMPANY), key=str)
+PLAIN_BASELINE = sorted(PLAIN.trading_arcs(), key=str)
+_plain_step = st.one_of(
+    st.tuples(
+        st.sampled_from(["add", "remove"]),
+        st.tuples(
+            st.sampled_from(PLAIN_COMPANIES), st.sampled_from(PLAIN_COMPANIES)
+        ).filter(lambda arc: arc[0] != arc[1]),
+    ),
+    st.tuples(st.sampled_from(["add", "remove"]), st.sampled_from(PLAIN_BASELINE)),
+)
+
+#: fixture -> (TPIIN, one-step strategy, step expansion)
+FIXTURES = {"fused": (TPIIN_, _step, _expand), "plain": (PLAIN, _plain_step, list)}
+
+
+@contextlib.contextmanager
+def _served(tpiin):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = ServiceConfig(state_dir=Path(tmp), port=0, fsync=False)
+        with ShardedDetectionService.open(tpiin, config) as service:
+            yield service
+
+
+def _apply(service, op, arc):
+    if op == "add":
+        service.add_arc(*arc)
+    else:
+        service.remove_arc(*arc)
+
+
+def _expected_summary(result):
+    return [
+        *_header(result),
+        ("group_count", len(result.groups)),
+        ("suspicious_arc_count", len(result.suspicious_trading_arcs)),
+    ]
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_summary_equals_the_result_header(fixture, data):
+    tpiin, step, expand = FIXTURES[fixture]
+    steps = data.draw(st.lists(step, min_size=1, max_size=12))
+    with _served(tpiin) as service:
+        assert list(summary_to_dict(service.summary()).items()) == _expected_summary(
+            service.result()
+        )
+        for op, arc in expand(steps):
+            _apply(service, op, arc)
+            summary = summary_to_dict(service.summary())
+            assert list(summary.items()) == _expected_summary(service.result())
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_group_pages_walk_the_live_groups(fixture, data):
+    tpiin, step, expand = FIXTURES[fixture]
+    setup = expand(data.draw(st.lists(step, max_size=6)))
+    limit = data.draw(st.integers(min_value=1, max_value=7))
+    with _served(tpiin) as service:
+        for op, arc in setup:
+            _apply(service, op, arc)
+        start = service.result()
+        quiet, after = [], None
+        for _ in range(len(start.groups) + 1):
+            page, after = service.groups_page(after, limit)
+            assert 0 < len(page) <= limit or not start.groups
+            quiet += page
+            if after is None:
+                break
+        assert after is None, "the walk did not end"
+        assert Counter(g.key() for g in quiet) == Counter(g.key() for g in start.groups)
+
+        stayed = set(start.suspicious_trading_arcs)
+        seen = {g.key() for g in start.groups}
+        walked, after = [], None
+        # Bounded: each page returns a group or ends the walk, and the
+        # writes below add at most 2 arcs' groups per page.
+        for _ in range(100 * (len(start.groups) + 1)):
+            page, after = service.groups_page(after, limit)
+            walked += page
+            if after is None:
+                break
+            for op, arc in expand(data.draw(st.lists(step, max_size=2))):
+                _apply(service, op, arc)
+                now = service.result()
+                stayed &= now.suspicious_trading_arcs
+                seen |= {g.key() for g in now.groups}
+        assert after is None, "the walk did not end"
+        assert {g.key() for g in walked} <= seen
+        assert Counter(g.key() for g in walked if g.trading_arc in stayed) == Counter(
+            g.key() for g in start.groups if g.trading_arc in stayed
+        )

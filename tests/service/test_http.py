@@ -13,6 +13,13 @@ import pytest
 
 from repro import Engine, detect
 from repro.errors import ServiceClientError
+from repro.io import results_io
+from repro.io.results_io import _header, group_to_dict
+from repro.mining import groups as groups_module
+from repro.mining.detector import DetectionResult
+from repro.mining.groups import SuspiciousGroup
+from repro.mining.incremental import IncrementalDetector
+from repro.service import server as server_module
 from repro.service.client import ServiceClient
 from repro.service.config import ServiceConfig
 from repro.service.server import DetectionHTTPServer
@@ -58,10 +65,42 @@ class TestQueries:
         batch = detect(fig8, engine=Engine.FAITHFUL)
         result = client.result()
         assert result["engine"] == "incremental"
-        assert len(result["groups"]) == len(batch.groups)
-        assert result["suspicious_trading_arcs"] == sorted(
-            [str(a), str(b)] for a, b in batch.suspicious_trading_arcs
+        assert result["group_count"] == len(batch.groups)
+        assert result["simple_group_count"] == batch.simple_group_count
+        assert result["suspicious_arc_count"] == len(batch.suspicious_trading_arcs)
+        groups = list(client.groups())
+        assert sorted(json.dumps(g, sort_keys=True) for g in groups) == sorted(
+            json.dumps(group_to_dict(g), sort_keys=True) for g in batch.groups
         )
+        assert {tuple(g["trading_trail"][-2:]) for g in groups} == {
+            (str(a), str(b)) for a, b in batch.suspicious_trading_arcs
+        }
+
+    def test_result_is_a_summary(self, served_fig8):
+        client, service = served_fig8
+        body = urllib.request.urlopen(f"{client._base}/v1/result", timeout=5.0).read()
+        assert len(body) <= 2048
+        summary = json.loads(body)
+        assert list(summary) == [key for key, _ in _header(service.result())] + [
+            "group_count",
+            "suspicious_arc_count",
+        ]
+
+    def test_summary_touches_no_group(self, served_fig8, monkeypatch):
+        client, service = served_fig8
+        expected = client.result()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a summary read touched a group")
+
+        monkeypatch.setattr(groups_module, "trails_are_simple", refuse)
+        monkeypatch.setattr(results_io, "trails_are_simple", refuse)
+        monkeypatch.setattr(DetectionResult, "simple_group_count", property(refuse))
+        monkeypatch.setattr(SuspiciousGroup, "__iter__", refuse)
+        monkeypatch.setattr(SuspiciousGroup, "is_simple", property(refuse))
+        monkeypatch.setattr(IncrementalDetector, "result", refuse)
+        monkeypatch.setattr(IncrementalDetector, "_fused", refuse)
+        assert client.result() == expected
 
     def test_get_arc(self, served_fig8):
         client, _ = served_fig8
@@ -179,6 +218,145 @@ class TestDetectorsAPI:
         assert "choices: circular-trading, iat-groups" in error
 
 
+def raw_exchange(client, request: bytes) -> tuple[bytes, bytes, float]:
+    """Send ``request`` on a fresh socket and read until the daemon
+    closes it: ``(status line and headers, body, seconds taken)``."""
+    host, port = client._base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=5.0) as sock:
+        started = time.monotonic()
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return head, body, time.monotonic() - started
+
+
+class TestGroupsAPI:
+    @pytest.mark.parametrize("limit", [1, 2, None])
+    def test_pages_walk_every_group_once(self, served_fig8, limit):
+        client, service = served_fig8
+        walked = [json.dumps(g, sort_keys=True) for g in client.groups(limit=limit)]
+        assert sorted(walked) == sorted(
+            json.dumps(group_to_dict(g), sort_keys=True) for g in service.result().groups
+        )
+        arcs = [tuple(json.loads(g)["trading_trail"][-2:]) for g in walked]
+        assert arcs == sorted(arcs)
+
+    def test_last_page_has_no_next(self, served_fig8):
+        client, _ = served_fig8
+        first = client.groups_page(limit=2)
+        assert len(first["groups"]) == 2 and first["next"] is not None
+        second = client.groups_page(first["next"], limit=2)
+        assert len(second["groups"]) == 1 and second["next"] is None
+        assert len(client.groups_page()["groups"]) == 3  # default limit
+
+    def test_a_removed_arc_drops_out_of_the_walk(self, served_fig8):
+        client, _ = served_fig8
+        first = client.groups_page(limit=1)
+        assert first["groups"][0]["trading_trail"][-2:] == ["C3", "C5"]
+        client.remove_arc("C5", "C6")
+        rest = client.groups_page(first["next"], limit=5)["groups"]
+        assert [g["trading_trail"][-2:] for g in rest] == [["C7", "C8"]]
+        client.add_arc("C5", "C6")
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "cursor=!!!",
+            "cursor=" + server_module._encode_cursor(("C3", "C5", -1)),
+            "cursor=" + server_module._encode_cursor(("C3", "C5", 2)),
+            "cursor=WyJDMyIsIkM1Il0",  # ["C3","C5"]: no offset
+            "limit=0",
+            "limit=5001",
+            "limit=ten",
+            "limit=" + "9" * 5000,
+            "limit=1&limit=2",
+            "cursor=a&cursor=b",
+        ],
+    )
+    def test_bad_cursor_or_limit_is_400(self, served_fig8, query):
+        client, _ = served_fig8
+        with pytest.raises(ServiceClientError) as err:
+            client._request("GET", f"/v1/groups?{query}")
+        assert err.value.status == 400
+
+    def test_cursor_round_trips(self):
+        cursor = ("C\u00e9", 'a"b', 7)
+        token = server_module._encode_cursor(cursor)
+        assert "=" not in token and token.isascii()
+        assert server_module._decode_cursor(token) == cursor
+
+
+class TestBodyCaps:
+    @pytest.mark.parametrize("route", ["/v1/arcs", "/v1/arcs:batch"])
+    def test_body_over_the_cap_is_413_unread(self, served_fig8, route):
+        client, _ = served_fig8
+        length = server_module._MAX_BODY_BYTES + 1
+        head, body, seconds = raw_exchange(
+            client,
+            f"POST {route} HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n".encode(),
+        )
+        # Answered with no body sent, not after the 1 s idle timeout,
+        # and the connection closed.
+        assert seconds < 0.9
+        assert head.startswith(b"HTTP/1.1 413 ")
+        assert "cap" in json.loads(body)["error"]
+
+    @pytest.mark.parametrize("discarded", [True, False])
+    def test_client_sees_413_for_an_oversized_body(self, served_fig8, monkeypatch, discarded):
+        client, service = served_fig8
+        if not discarded:
+            # The daemon closes on the unread body: the client's send
+            # fails, and it reads the answer already on the socket.
+            monkeypatch.setattr(server_module, "_DISCARD_MAX_BYTES", 0)
+        raw = b" " * (24 * server_module._MAX_BODY_BYTES)
+        for route in ("/v1/arcs", "/v1/arcs:batch"):
+            with pytest.raises(ServiceClientError) as err:
+                client._request("POST", route, raw_body=raw)
+            assert err.value.status == 413
+            assert "cap" in str(err.value)
+        assert client.healthz()["status"] == "ok"
+        # Refused once, not sent again on a fresh connection.
+        client.healthz()
+        requests = service.metrics.to_dict()["requests"]
+        assert requests["post_arcs"] == requests["post_arcs_batch"] == 1
+
+    def test_plain_http_client_reads_the_413(self, served_fig8):
+        client, _ = served_fig8
+        request = urllib.request.Request(
+            f"{client._base}/v1/arcs",
+            data=b" " * (24 * server_module._MAX_BODY_BYTES),
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request, timeout=5.0)
+        assert err.value.code == 413
+        assert err.value.headers["Connection"] == "close"
+
+    def test_body_at_the_cap_is_read(self, served_fig8):
+        client, _ = served_fig8
+        record = {"op": "add", "seller": "C1", "buyer": "C6", "pad": ""}
+        padding = server_module._MAX_BODY_BYTES - len(json.dumps(record).encode())
+        record["pad"] = "x" * padding
+        raw = json.dumps(record).encode()
+        assert len(raw) == server_module._MAX_BODY_BYTES
+        verdict = client._request("POST", "/v1/arcs", raw_body=raw)
+        assert verdict["applied"]
+
+    def test_batch_line_cap(self, served_fig8):
+        client, _ = served_fig8
+        cap = server_module._MAX_BATCH_LINES
+        line = b'{"op": "noop"}\n'  # rejected per line: nothing applies
+        report = client._request("POST", "/v1/arcs:batch", raw_body=line * cap)
+        assert report["lines"] == report["rejected"] == cap
+        with pytest.raises(ServiceClientError) as err:
+            client._request("POST", "/v1/arcs:batch", raw_body=line * (cap + 1))
+        assert err.value.status == 413
+        assert "line" in str(err.value)
+        assert client.healthz()["status"] == "ok"
+
+
 class TestErrorMapping:
     def test_unknown_endpoint_is_400(self, served_fig8):
         client, _ = served_fig8
@@ -212,21 +390,13 @@ class TestErrorMapping:
     @pytest.mark.parametrize("length", ["abc", "-1"])
     def test_bad_content_length_is_400(self, served_fig8, route, length):
         client, _ = served_fig8
-        host, port = client._base.removeprefix("http://").split(":")
-        request = (
-            f"POST {route} HTTP/1.1\r\nHost: {host}\r\n"
-            f"Content-Length: {length}\r\n\r\n"
-        ).encode()
-        with socket.create_connection((host, int(port)), timeout=5.0) as sock:
-            started = time.monotonic()
-            sock.sendall(request)
-            reply = b""
-            while chunk := sock.recv(4096):
-                reply += chunk
+        head, body, seconds = raw_exchange(
+            client,
+            f"POST {route} HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n".encode(),
+        )
         # Answered at once, not after the server's 1 s idle timeout, and
         # the connection closed: where the body ends is unknown.
-        assert time.monotonic() - started < 0.9
-        head, _, body = reply.partition(b"\r\n\r\n")
+        assert seconds < 0.9
         assert head.startswith(b"HTTP/1.1 400 ")
         assert "Content-Length" in json.loads(body)["error"]
 

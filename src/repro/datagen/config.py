@@ -14,8 +14,18 @@ from dataclasses import dataclass, field
 
 from repro.errors import DataGenError
 
-__all__ = ["ClusterPlan", "ProvinceConfig", "TradingConfig", "PAPER_TRADING_PROBABILITIES"]
+__all__ = [
+    "DIRECTORS_PER_COMPANY",
+    "ClusterPlan",
+    "ProvinceConfig",
+    "TradingConfig",
+    "PAPER_TRADING_PROBABILITIES",
+]
 
+
+#: Most directors one company takes: a cluster's director quota is
+#: capped at this many per company it holds.
+DIRECTORS_PER_COMPANY = 3
 
 #: The twenty trading-probability settings of Table 1.
 PAPER_TRADING_PROBABILITIES: tuple[float, ...] = (
@@ -49,7 +59,8 @@ class ProvinceConfig:
     Attributes
     ----------
     companies / legal_persons / directors:
-        Entity counts; the defaults match the paper's Figs. 11-12.
+        Entity counts; the defaults match the paper's Figs. 11-12.  At
+        most ``DIRECTORS_PER_COMPANY`` (3) directors per company.
     target_suspicious_share:
         Desired probability that a uniformly random ordered company pair
         shares an antecedent (drives the business-cluster size mix).
@@ -107,6 +118,11 @@ class ProvinceConfig:
             raise DataGenError("legal_persons must be positive")
         if self.directors < 0:
             raise DataGenError("directors must be non-negative")
+        if self.directors > DIRECTORS_PER_COMPANY * self.companies:
+            raise DataGenError(
+                f"{self.directors} directors exceed {DIRECTORS_PER_COMPANY} per "
+                f"company for {self.companies} companies"
+            )
         if not 0.0 <= self.target_suspicious_share < 1.0:
             raise DataGenError("target_suspicious_share must be in [0, 1)")
         if not 0.0 < self.max_cluster_fraction <= 1.0:

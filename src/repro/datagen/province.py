@@ -19,7 +19,12 @@ from dataclasses import dataclass, field
 
 from repro.datagen.clusters import ordered_pair_share, plan_cluster_sizes
 from repro.datagen.companies import INDUSTRIES, make_company
-from repro.datagen.config import ClusterPlan, ProvinceConfig, TradingConfig
+from repro.datagen.config import (
+    DIRECTORS_PER_COMPANY,
+    ClusterPlan,
+    ProvinceConfig,
+    TradingConfig,
+)
 from repro.datagen.influence import build_influence
 from repro.datagen.interdependence import build_interdependence
 from repro.datagen.investment import build_investment
@@ -182,7 +187,8 @@ def generate_province(config: ProvinceConfig | None = None) -> ProvincialDataset
     # plan more singletons than it has legal persons, so fold the two
     # smallest clusters together until the people fit.
     while len(sizes) > config.legal_persons:
-        sizes[-2] += sizes.pop()
+        smallest = sizes.pop()
+        sizes[-1] += smallest
         sizes.sort(reverse=True)
 
     clusters: list[ClusterPlan] = []
@@ -282,7 +288,10 @@ def _allocate_people(clusters: list[ClusterPlan], config: ProvinceConfig) -> Non
         int(round(c.size * config.directors / n_companies)) for c in clusters
     ]
     _rebalance(
-        director_quota, config.directors, caps=[3 * c.size for c in clusters], least=0
+        director_quota,
+        config.directors,
+        caps=[DIRECTORS_PER_COMPANY * c.size for c in clusters],
+        least=0,
     )
 
     lp_counter = 0

@@ -21,6 +21,7 @@ from repro.detectors.base import DetectionContext, DetectorRun, FindingsReport
 from repro.detectors.registry import create_detector, resolve_detectors
 from repro.errors import MiningError
 from repro.fusion.tpiin import TPIIN
+from repro.graph.gcpause import gc_paused
 from repro.obs.registry import get_registry
 from repro.obs.tracing import TraceSpec, resolve_tracer
 
@@ -29,6 +30,7 @@ __all__ = ["run_detectors", "run_in_context"]
 _RUN_BUCKETS_MS = (1.0, 5.0, 25.0, 100.0, 250.0, 1000.0, 5000.0, 30000.0)
 
 
+@gc_paused()
 def run_detectors(
     tpiin: TPIIN,
     detectors: "str | Iterable[str]" = "all",
@@ -53,6 +55,10 @@ def run_detectors(
     trace:
         ``True`` collects a span tree onto ``FindingsReport.trace``;
         a caller-owned tracer nests the run under its spans.
+
+    The batch run builds its indexes and findings with the cyclic
+    collector paused (:func:`~repro.graph.gcpause.gc_paused`);
+    :func:`run_in_context`, the serving daemon's live reads, does not.
     """
     return run_in_context(
         DetectionContext(tpiin=tpiin), detectors, configs=configs, trace=trace

@@ -86,21 +86,26 @@ def contract_interdependence(
 
     node_map: dict[Node, Node] = {}
     syndicates: dict[Node, Syndicate] = {}
-    for component in interdependence.connected_components():
-        if len(component) < 2:
-            continue
-        members = frozenset(component)
+    components = [
+        frozenset(component)
+        for component in interdependence.connected_components()
+        if len(component) >= 2
+    ]
+    # Each link's kind, bucketed by its component in one pass over the
+    # links (both endpoints of a link share a component).
+    component_of = {
+        member: index for index, members in enumerate(components) for member in members
+    }
+    link_kinds: list[set[str]] = [set() for _ in components]
+    for u, _v, kind in interdependence.edges():
+        link_kinds[component_of[u]].add(str(getattr(kind, "value", kind)))
+    for members, kinds in zip(components, link_kinds):
         syndicate_id = namer(members)
-        link_kinds = frozenset(
-            str(getattr(kind, "value", kind))
-            for u, v, kind in interdependence.edges()
-            if u in members and v in members
-        )
         syndicate = Syndicate(
             syndicate_id=syndicate_id,
             members=frozenset(str(m) for m in members),
             kind="person",
-            via=link_kinds,
+            via=frozenset(kinds),
         )
         syndicates[syndicate_id] = syndicate
         for member in members:

@@ -27,6 +27,7 @@ from repro.fusion.contraction import contract_interdependence
 from repro.fusion.scc import contract_strongly_connected
 from repro.fusion.tpiin import TPIIN
 from repro.graph.digraph import DiGraph, Node
+from repro.graph.gcpause import gc_paused
 from repro.model.colors import EColor, RelationKind, VColor
 from repro.model.entities import EntityRegistry
 from repro.model.homogeneous import (
@@ -70,6 +71,7 @@ class FusionResult:
         return "\n".join(lines)
 
 
+@gc_paused()
 def fuse(
     interdependence: InterdependenceGraph,
     influence: InfluenceGraph,
@@ -98,6 +100,11 @@ def fuse(
 
     ``registry`` receives the created syndicates so that mined groups can
     be expanded back to source entities.
+
+    The stages run with the cyclic collector paused
+    (:func:`~repro.graph.gcpause.gc_paused`): they build acyclic graphs
+    only, and the last stage inserts the influence and the trading arcs
+    with one bulk ``add_arcs`` call each.
     """
     if validate_inputs:
         with tracer.span("validate_inputs"):
@@ -216,22 +223,30 @@ def fuse(
         arc_provenance: dict[tuple[Node, Node], set[str]] = {}
         for node in g123.nodes():
             fused.add_node(node, g123.node_color(node))
+        influence_arcs: list[tuple[Node, Node]] = []
         for tail, head, color in g123.arcs():
-            fused.add_arc(tail, head, EColor.INFLUENCE)
+            influence_arcs.append((tail, head))
             label = str(getattr(color, "value", color))
             arc_provenance.setdefault((tail, head), set()).add(label)
+        fused.add_arcs(influence_arcs, EColor.INFLUENCE)
 
         company_map = scs_contraction.node_map
         intra_scs: list[tuple[Node, Node]] = []
+        trading_arcs: list[tuple[Node, Node]] = []
+        # Every trading endpoint, first seen first: each becomes (or
+        # must already be) a Company before the arcs go in.
+        endpoints: dict[Node, None] = {}
         for seller, buyer, _color in trading.arcs():
             new_seller = company_map.get(seller, seller)
             new_buyer = company_map.get(buyer, buyer)
-            fused.add_node(new_seller, VColor.COMPANY)
-            fused.add_node(new_buyer, VColor.COMPANY)
+            endpoints[new_seller] = endpoints[new_buyer] = None
             if new_seller == new_buyer:
                 intra_scs.append((seller, buyer))
-                continue
-            fused.add_arc(new_seller, new_buyer, EColor.TRADING)
+            else:
+                trading_arcs.append((new_seller, new_buyer))
+        for node in endpoints:
+            fused.add_node(node, VColor.COMPANY)
+        fused.add_arcs(trading_arcs, EColor.TRADING)
         if tracer.enabled:
             stage_span.set(
                 nodes=fused.number_of_nodes(),

@@ -232,34 +232,35 @@ class TPIIN:
         * influence arcs end at companies (a person never receives
           influence; person-to-person links were contracted away);
         * the antecedent network is acyclic (Property 1).
+
+        The node colors are read once into two sets and the arc checks
+        run in one pass over the arcs; acyclicity is one topological
+        sort of the influence arcs.
         """
-        for node in self.graph.nodes():
-            color = self.graph.node_color(node)
-            if color not in (VColor.PERSON, VColor.COMPANY):
-                raise ValidationError(f"TPIIN node {node!r} has color {color!r}")
-            if color == VColor.PERSON and self.graph.in_degree(node) != 0:
-                raise ValidationError(f"TPIIN person {node!r} has positive indegree")
-        for tail, head, color in self.graph.arcs():
+        graph = self.graph
+        persons = set(graph.nodes(VColor.PERSON))
+        companies = set(graph.nodes(VColor.COMPANY))
+        if len(persons) + len(companies) != graph.number_of_nodes():
+            for node in graph.nodes():
+                if node not in persons and node not in companies:
+                    raise ValidationError(
+                        f"TPIIN node {node!r} has color {graph.node_color(node)!r}"
+                    )
+        for tail, head, color in graph.arcs():
+            if head in persons:
+                raise ValidationError(f"TPIIN person {head!r} has positive indegree")
             if color == EColor.TRADING:
-                if (
-                    self.graph.node_color(tail) != VColor.COMPANY
-                    or self.graph.node_color(head) != VColor.COMPANY
-                ):
+                if tail not in companies:
                     raise ValidationError(
                         f"trading arc ({tail!r} -> {head!r}) must join companies"
                     )
-            elif color == EColor.INFLUENCE:
-                if self.graph.node_color(head) != VColor.COMPANY:
-                    raise ValidationError(
-                        f"influence arc ({tail!r} -> {head!r}) must end at a company"
-                    )
-            else:
+            elif color != EColor.INFLUENCE:
                 raise ValidationError(
                     f"arc ({tail!r} -> {head!r}) has unknown color {color!r}"
                 )
             if tail == head:
                 raise ValidationError(f"self-loop on {tail!r}")
-        if not is_dag(self.graph, EColor.INFLUENCE):
+        if not is_dag(graph, EColor.INFLUENCE):
             raise ValidationError(
                 "antecedent network contains a directed cycle; run SCC "
                 "contraction (repro.fusion) before building the TPIIN"

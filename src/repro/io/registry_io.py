@@ -31,11 +31,19 @@ import csv
 import json
 from collections.abc import Container
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import SerializationError
-from repro.model.colors import AffiliationKind, InfluenceKind, InterdependenceKind
+from repro.graph.gcpause import gc_paused
+from repro.model.colors import (
+    AffiliationKind,
+    InfluenceKind,
+    InterdependenceKind,
+    RelationKind,
+)
 from repro.model.entities import Company, EntityRegistry, Person
 from repro.model.homogeneous import (
     AffiliationGraph,
@@ -70,8 +78,18 @@ _INFLUENCE_KINDS = {
     "executive_director": InfluenceKind.CEO_AND_D_OF,
 }
 
-#: ``relations.csv`` affiliation kind -> its :class:`AffiliationKind`.
-_AFFILIATION_KINDS = {kind.value: kind for kind in AffiliationKind}
+# The graph a ``relations.csv`` row feeds.
+_G1, _G2, _GI, _G4, _AFFILIATION = "G1", "G2", "GI", "G4", "affiliation"
+
+#: ``relations.csv`` kind -> (the graph its row feeds, the row's color).
+_RELATION_KINDS: dict[str, tuple[str, Any]] = {
+    **{kind.value: (_G1, kind) for kind in InterdependenceKind},
+    **{name: (_G2, kind) for name, kind in _INFLUENCE_KINDS.items()},
+    "investment": (_GI, RelationKind.INVESTMENT),
+    "trading": (_G4, RelationKind.TRADING),
+    **{kind.value: (_AFFILIATION, kind) for kind in AffiliationKind},
+}
+_UNKNOWN_KIND: tuple[None, None] = (None, None)
 
 #: Default major-shareholding threshold turning stakes into GI arcs.
 DEFAULT_INVESTMENT_THRESHOLD = 0.5
@@ -201,7 +219,7 @@ def _read_rows(path: Path, expected_header: list[str]) -> list[list[str]]:
             )
         rows = []
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell for cell in row):
+            if not any(row):
                 continue
             if len(row) != len(expected_header):
                 raise SerializationError(
@@ -211,6 +229,7 @@ def _read_rows(path: Path, expected_header: list[str]) -> list[list[str]]:
         return rows
 
 
+@gc_paused()
 def load_registry_csvs(
     directory: str | Path,
     *,
@@ -221,6 +240,13 @@ def load_registry_csvs(
     Investment relations populate the shareholding register; direct
     company stakes at or above ``investment_threshold`` also become *GI*
     arcs (the paper's "major shareholding" relation).
+
+    Rows are checked in file order, so the first bad row raises with its
+    line number; the influence, investment and trading arcs then go in
+    with bulk ``DiGraph.add_arcs`` calls.  The load runs with the cyclic
+    collector paused (:func:`~repro.graph.gcpause.gc_paused`): it builds only
+    long-lived graphs and records, which the pause's exit promotes to
+    the oldest generation instead of scanning them while they grow.
     """
     directory = Path(directory)
     registry = EntityRegistry()
@@ -270,25 +296,30 @@ def load_registry_csvs(
     relation_rows = _read_rows(
         directory / "relations.csv", ["kind", "source", "target", "value"]
     )
+    companies = registry.companies
     legal_person_of: dict[str, list[str]] = {}
+    # Each graph's arcs in row order, inserted in bulk once every row
+    # has passed its checks; G1 and affiliation rows are rare and go in
+    # one by one.
+    influences: list[tuple[str, str, InfluenceKind]] = []
+    investments: list[tuple[str, str]] = []
+    trades: list[tuple[str, str]] = []
     for lineno, (kind, source, target, value) in enumerate(relation_rows, start=2):
-        if kind in ("kinship", "interlocking"):
+        graph, color = _RELATION_KINDS.get(kind, _UNKNOWN_KIND)
+        if graph is _G4:
+            _require(source, companies, "relations.csv", lineno, "company")
+            _require(target, companies, "relations.csv", lineno, "company")
+            g4.check_arc(source, target)
+            trades.append((source, target))
+        elif graph is _G2:
             _require(source, pending_persons, "relations.csv", lineno, "person")
-            _require(target, pending_persons, "relations.csv", lineno, "person")
-            g1.add_link(source, target, InterdependenceKind(kind))
-        elif kind in _INFLUENCE_KINDS:
-            _require(source, pending_persons, "relations.csv", lineno, "person")
-            _require(target, registry.companies, "relations.csv", lineno, "company")
-            g2.add_influence(
-                source,
-                target,
-                _INFLUENCE_KINDS[kind],
-                legal_person=(kind == "legal_person"),
-            )
+            _require(target, companies, "relations.csv", lineno, "company")
             if kind == "legal_person":
+                g2.designate_legal_person(source, target)
                 legal_person_of.setdefault(source, []).append(target)
-        elif kind == "investment":
-            _require(target, registry.companies, "relations.csv", lineno, "company")
+            influences.append((source, target, color))
+        elif graph is _GI:
+            _require(target, companies, "relations.csv", lineno, "company")
             if value:
                 # Fractional stake: recorded in the register; becomes a
                 # GI arc only at/above the major-shareholding threshold.
@@ -299,27 +330,32 @@ def load_registry_csvs(
                         f"relations.csv:{lineno}: bad stake fraction {value!r}"
                     ) from exc
                 shareholdings.add_stake(source, target, fraction)
-                if source in registry.companies and fraction >= investment_threshold:
-                    gi.add_investment(source, target)
+                if source not in companies or fraction < investment_threshold:
+                    continue
             else:
                 # Declared major shareholding with no fraction on file:
                 # exactly the paper's GI relation.
-                _require(
-                    source, registry.companies, "relations.csv", lineno, "company"
-                )
-                gi.add_investment(source, target)
-        elif kind in _AFFILIATION_KINDS:
-            _require(source, registry.companies, "relations.csv", lineno, "company")
-            _require(target, registry.companies, "relations.csv", lineno, "company")
-            affiliations.add_affiliation(source, target, _AFFILIATION_KINDS[kind])
-        elif kind == "trading":
-            _require(source, registry.companies, "relations.csv", lineno, "company")
-            _require(target, registry.companies, "relations.csv", lineno, "company")
-            g4.add_trade(source, target)
+                _require(source, companies, "relations.csv", lineno, "company")
+            gi.check_arc(source, target)
+            investments.append((source, target))
+        elif graph is _G1:
+            _require(source, pending_persons, "relations.csv", lineno, "person")
+            _require(target, pending_persons, "relations.csv", lineno, "person")
+            g1.add_link(source, target, color)
+        elif graph is _AFFILIATION:
+            _require(source, companies, "relations.csv", lineno, "company")
+            _require(target, companies, "relations.csv", lineno, "company")
+            affiliations.add_affiliation(source, target, color)
         else:
             raise SerializationError(
                 f"relations.csv:{lineno}: unknown relation kind {kind!r}"
             )
+    # Every endpoint is a declared node already, so the bulk inserts
+    # create none; G2's colors go in as runs to keep the row order.
+    for color, run in groupby(influences, key=itemgetter(2)):
+        g2.graph.add_arcs([(person, company) for person, company, _ in run], color)
+    gi.graph.add_arcs(investments, RelationKind.INVESTMENT)
+    g4.graph.add_arcs(trades, RelationKind.TRADING)
 
     for person_id, (name, role) in pending_persons.items():
         registry.add_person(

@@ -22,7 +22,7 @@ encodes that call with its pure-Python encoder (the C one only serves
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -34,7 +34,9 @@ from repro.graph.digraph import Node
 from repro.mining.groups import (
     GroupKind,
     SuspiciousGroup,
-    render_trails,
+    render_line,
+    support_text,
+    trading_text,
     trails_are_simple,
 )
 
@@ -68,8 +70,10 @@ def _group_rows(groups: Iterable[SuspiciousGroup]) -> Iterator[_GroupRow]:
 def write_sus_files(result: "DetectionResult", directory: Path) -> list[Path]:
     """Write ``susGroup(i)`` / ``susTrade(i)`` files; returns the paths.
 
-    Each group line is :meth:`SuspiciousGroup.render`'s, rendered from
-    the group's row with one simple/complex classification.
+    Each group line is :meth:`SuspiciousGroup.render`'s, assembled by
+    :func:`~repro.mining.groups.render_line` from its row with one
+    simple/complex classification; each support trail's text is rendered
+    once per file, and a trading trail's once per run of its groups.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -79,12 +83,22 @@ def write_sus_files(result: "DetectionResult", directory: Path) -> list[Path]:
         group_path = directory / f"susGroup({index}).txt"
         trade_path = directory / f"susTrade({index}).txt"
         arcs: set[tuple[Node, Node]] = set()
+        supports = _Texts(support_text)
+        # A trading trail's groups come one after another (one per
+        # support trail), so its text is made once per run.
+        last_trading: tuple[Node, ...] = ()
+        trading_line = ""
         lines: list[str] = []
         with group_path.open("w") as handle:
             for trading, support, kind in rows:
-                arcs.add((trading[-2], trading[-1]))
+                if trading is not last_trading:
+                    last_trading = trading
+                    trading_line = trading_text(trading)
+                    arcs.add((trading[-2], trading[-1]))
                 simple = trails_are_simple(trading, support, kind)
-                lines.append(render_trails(trading, support, kind, simple))
+                lines.append(
+                    render_line(kind, simple, trading_line, supports[support])
+                )
                 if len(lines) == _CHUNK_ROWS:
                     _write_lines(handle, lines)
             _write_lines(handle, lines)
@@ -102,9 +116,11 @@ def write_sus_files(result: "DetectionResult", directory: Path) -> list[Path]:
         for sub in result.sub_results:
             if sub.groups:
                 dump(str(sub.index), _group_rows(sub.groups))
-        extras = [row for row in _group_rows(result.groups) if row[2] is GroupKind.SCS]
-        if extras:
-            dump("scs", extras)
+        if result.kind_counts()[GroupKind.SCS]:
+            dump(
+                "scs",
+                [row for row in _group_rows(result.groups) if row[2] is GroupKind.SCS],
+            )
     else:
         dump("all", _group_rows(result.groups))
     return written
@@ -115,6 +131,21 @@ def _write_lines(handle: IO[str], lines: list[str]) -> None:
     if lines:
         handle.write("\n".join(lines) + "\n")
         lines.clear()
+
+
+class _Texts(dict[tuple[Node, ...], str]):
+    """Trail -> its text, rendered on first use (mined groups share each
+    support trail among several trading trails)."""
+
+    __slots__ = ("_render",)
+
+    def __init__(self, render: Callable[[tuple[Node, ...]], str]) -> None:
+        super().__init__()
+        self._render = render
+
+    def __missing__(self, trail: tuple[Node, ...]) -> str:
+        text = self[trail] = self._render(trail)
+        return text
 
 
 def group_to_dict(group: SuspiciousGroup) -> dict[str, Any]:
@@ -201,9 +232,10 @@ _ARC_CLOSE = "\n    ]"
 _GROUP_OPEN = '    {\n      "trading_trail": [\n        '
 _TRAIL_SEP = ",\n        "
 _GROUP_SUPPORT = '\n      ],\n      "support_trail": [\n        '
-_GROUP_KIND = '\n      ],\n      "kind": '
-_GROUP_CLOSE = "\n    }"
-_KIND_JSON = {kind: json.dumps(kind.value) for kind in GroupKind}
+_GROUP_TAIL = {
+    kind: f'\n      ],\n      "kind": {json.dumps(kind.value)}\n    }}'
+    for kind in GroupKind
+}
 
 
 def write_detection_json(result: "DetectionResult", path: str | Path) -> Path:
@@ -215,9 +247,10 @@ def write_detection_json(result: "DetectionResult", path: str | Path) -> Path:
     ``[seller, buyer]`` label pairs) and ``groups``
     (:func:`group_to_dict` of each group, in order): the header value by
     value, then each arc and group as pre-indented text, written in
-    chunks.  Each distinct node label is encoded once.  Group trails
-    are never empty (the :class:`SuspiciousGroup` invariants), so only
-    the two top-level arrays take ``json``'s empty form ``[]``.
+    chunks.  Each distinct node label is encoded once, and each
+    trading trail's text once per run of its groups.  Group trails are
+    never empty (the :class:`SuspiciousGroup` invariants), so only the
+    two top-level arrays take ``json``'s empty form ``[]``.
     """
     path = Path(path)
     label = _Labels().__getitem__
@@ -234,21 +267,26 @@ def write_detection_json(result: "DetectionResult", path: str | Path) -> Path:
             ),
         )
         handle.write(',\n  "groups": ')
-        _write_array(
-            handle,
-            (
-                _GROUP_OPEN
-                + _TRAIL_SEP.join(map(label, trading))
-                + _GROUP_SUPPORT
-                + _TRAIL_SEP.join(map(label, support))
-                + _GROUP_KIND
-                + _KIND_JSON[kind]
-                + _GROUP_CLOSE
-                for trading, support, kind in _group_rows(result.groups)
-            ),
-        )
+        _write_array(handle, _group_entries(_group_rows(result.groups), label))
         handle.write("\n}")
     return path
+
+
+def _group_entries(
+    rows: Iterable[_GroupRow], label: Callable[[Node], str]
+) -> Iterator[str]:
+    """Each row's pre-indented ``groups`` entry."""
+    join = _TRAIL_SEP.join
+    supports = _Texts(lambda trail: join(map(label, trail)))
+    last_trading: tuple[Node, ...] = ()
+    head = ""
+    for trading, support, kind in rows:
+        # A trading trail's groups come one after another (one per
+        # support trail), so its text is joined once per run.
+        if trading is not last_trading:
+            last_trading = trading
+            head = f"{_GROUP_OPEN}{join(map(label, trading))}{_GROUP_SUPPORT}"
+        yield f"{head}{supports[support]}{_GROUP_TAIL[kind]}"
 
 
 def _write_array(handle: IO[str], items: Iterator[str]) -> None:

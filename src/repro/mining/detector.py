@@ -107,6 +107,9 @@ class DetectionResult:
     # plugin framework (repro.detectors) stamps ports of other miners.
     detector: str = IAT_DETECTOR_NAME
     detector_version: str = IAT_DETECTOR_VERSION
+    _simple_group_count: int | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     @property
@@ -122,8 +125,14 @@ class DetectionResult:
 
     @property
     def simple_group_count(self) -> int:
-        """Simple groups (Definition 3), including circle and SCS groups."""
-        return sum(1 for g in self.groups if g.is_simple)
+        """Simple groups (Definition 3), including circle and SCS groups.
+
+        Classified once per result and kept: the groups of a result
+        never change after detection.
+        """
+        if self._simple_group_count is None:
+            self._simple_group_count = sum(1 for g in self.groups if g.is_simple)
+        return self._simple_group_count
 
     @property
     def complex_group_count(self) -> int:

@@ -32,7 +32,9 @@ __all__ = [
     "GroupKind",
     "SuspiciousGroup",
     "minimal_groups",
-    "render_trails",
+    "render_line",
+    "support_text",
+    "trading_text",
     "trails_are_simple",
 ]
 
@@ -149,8 +151,11 @@ class SuspiciousGroup:
 
     def render(self) -> str:
         """Human-readable form, e.g. ``{L1, C1, C3 -> C5} + {L1, C2, C5}``."""
-        return render_trails(
-            self.trading_trail, self.support_trail, self.kind, self.is_simple
+        return render_line(
+            self.kind,
+            self.is_simple,
+            trading_text(self.trading_trail),
+            support_text(self.support_trail),
         )
 
     def __iter__(self) -> Iterator[Node]:
@@ -162,39 +167,56 @@ class SuspiciousGroup:
 _SET_TRADING = SuspiciousGroup.__dict__["trading_trail"].__set__
 _SET_SUPPORT = SuspiciousGroup.__dict__["support_trail"].__set__
 _SET_KIND = SuspiciousGroup.__dict__["kind"].__set__
+# Read per classification: a module global costs less than the enum
+# class attribute.
+_MATCHED = GroupKind.MATCHED
 
 
 def trails_are_simple(
     trading_trail: tuple[Node, ...], support_trail: tuple[Node, ...], kind: GroupKind
 ) -> bool:
-    """:attr:`SuspiciousGroup.is_simple` for a group given as its trails."""
-    if kind in (GroupKind.CIRCLE, GroupKind.SCS):
+    """:attr:`SuspiciousGroup.is_simple` for a group given as its trails.
+
+    Looks each node of the support interior (the shorter one in mined
+    groups, one to three nodes) up in the trading interior; building a
+    set of either costs more at those sizes.
+    """
+    if kind is not _MATCHED:
         return True
-    return set(trading_trail[1:-1]).isdisjoint(support_trail[1:-1])
+    interior = trading_trail[1:-1]
+    for node in support_trail[1:-1]:
+        if node in interior:
+            return False
+    return True
 
 
-#: ``render_trails``' line head per (kind, simple), e.g. ``[simple/circle] {``.
+#: ``render_line``'s line head per kind, complex then simple, e.g.
+#: ``_LINE_PREFIX[GroupKind.CIRCLE][True] == "[simple/circle] {"``.
 _LINE_PREFIX = {
-    (kind, simple): f"[{'simple' if simple else 'complex'}/{kind.value}] {{"
+    kind: tuple(f"[{label}/{kind.value}] {{" for label in ("complex", "simple"))
     for kind in GroupKind
-    for simple in (True, False)
 }
 
 
-def render_trails(
-    trading_trail: tuple[Node, ...],
-    support_trail: tuple[Node, ...],
-    kind: GroupKind,
-    simple: bool,
-) -> str:
-    """One ``susGroup(i)`` line (without its newline): :meth:`SuspiciousGroup.render`.
+def trading_text(trail: tuple[Node, ...]) -> str:
+    """A trading trail as its line shows it: ``L1, C1, C3 -> C5``."""
+    return f"{', '.join(map(str, trail[:-1]))} -> {trail[-1]}"
 
-    The file writer renders its rows through this too, so the line
-    format lives here only.
+
+def support_text(trail: tuple[Node, ...]) -> str:
+    """A support trail as its line shows it: ``L1, C2, C5``."""
+    return ", ".join(map(str, trail))
+
+
+def render_line(kind: GroupKind, simple: bool, trading: str, support: str) -> str:
+    """One ``susGroup(i)`` line (without its newline), from its trails'
+    :func:`trading_text` and :func:`support_text`.
+
+    :meth:`SuspiciousGroup.render` and the file writer, which renders
+    each trail once for all its groups, both assemble their lines here,
+    so the line format lives here only.
     """
-    trading = ", ".join(map(str, trading_trail[:-1]))
-    support = ", ".join(map(str, support_trail))
-    return f"{_LINE_PREFIX[kind, simple]}{trading} -> {trading_trail[-1]}}} + {{{support}}}"
+    return f"{_LINE_PREFIX[kind][simple]}{trading}}} + {{{support}}}"
 
 
 def minimal_groups(groups: list[SuspiciousGroup]) -> list[SuspiciousGroup]:

@@ -129,14 +129,19 @@ class InfluenceGraph:
         self.add_person(person_id)
         self.add_company(company_id)
         if legal_person:
-            current = self._legal_person_of.get(company_id)
-            if current is not None and current != person_id:
-                raise ValidationError(
-                    f"company {company_id!r} already has legal person "
-                    f"{current!r}; cannot also assign {person_id!r}"
-                )
-            self._legal_person_of[company_id] = person_id
+            self.designate_legal_person(person_id, company_id)
         return self.graph.add_arc(person_id, company_id, kind)
+
+    def designate_legal_person(self, person_id: Node, company_id: Node) -> None:
+        """Record ``person_id`` as the LP of ``company_id`` without adding
+        the influence arc (a bulk loader inserts the arcs afterwards)."""
+        current = self._legal_person_of.get(company_id)
+        if current is not None and current != person_id:
+            raise ValidationError(
+                f"company {company_id!r} already has legal person "
+                f"{current!r}; cannot also assign {person_id!r}"
+            )
+        self._legal_person_of[company_id] = person_id
 
     def legal_person(self, company_id: Node) -> Node | None:
         return self._legal_person_of.get(company_id)
@@ -204,13 +209,17 @@ class _CompanyArcGraph:
         self.graph.add_node(company_id, VColor.COMPANY)
 
     def add_arc(self, tail: Node, head: Node) -> bool:
+        self.check_arc(tail, head)
+        self.add_company(tail)
+        self.add_company(head)
+        return self.graph.add_arc(tail, head, self._color)
+
+    def check_arc(self, tail: Node, head: Node) -> None:
+        """Reject what :meth:`add_arc` rejects: a self-arc."""
         if tail == head:
             raise ValidationError(
                 f"self-arc on {tail!r}: a company cannot {self._color.value.lower()} itself"
             )
-        self.add_company(tail)
-        self.add_company(head)
-        return self.graph.add_arc(tail, head, self._color)
 
     def arcs(self) -> Iterator[tuple[Node, Node, RelationKind]]:
         return self.graph.arcs()

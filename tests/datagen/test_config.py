@@ -29,6 +29,7 @@ class TestProvinceConfig:
             {"companies": 0},
             {"legal_persons": 0},
             {"directors": -1},
+            {"companies": 10, "directors": 31},
             {"target_suspicious_share": 1.5},
             {"max_cluster_fraction": 0.0},
             {"family_size_range": (0, 2)},

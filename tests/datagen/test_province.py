@@ -3,8 +3,10 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.datagen.config import ProvinceConfig
+from repro.datagen.config import DIRECTORS_PER_COMPANY, ProvinceConfig
 from repro.datagen.province import generate_province
 from repro.errors import DataGenError
 from repro.io.registry_io import write_registry_csvs
@@ -140,6 +142,42 @@ class TestSmallProvinces:
                 config = ProvinceConfig.small(companies=companies, seed=seed)
                 _assert_people_placed(generate_province(config))
 
+    def test_folding_clusters_keeps_every_company(self):
+        # The plan has more clusters than legal persons, so clusters fold
+        # down to 12; a fold merges the two smallest and loses no company.
+        config = ProvinceConfig(companies=40, legal_persons=12, directors=100, seed=9)
+        ds = generate_province(config)
+        assert len(ds.clusters) == 12
+        assert sum(c.size for c in ds.clusters) == len(ds.registry.companies) == 40
+
+    def test_more_than_three_directors_per_company_rejected(self):
+        with pytest.raises(DataGenError, match="40 directors .* 5 companies"):
+            ProvinceConfig(companies=5, legal_persons=2, directors=40)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        companies=st.integers(5, 40),
+        share=st.floats(0.0, 1.0),
+        lp_share=st.floats(0.05, 1.0),
+        seed=st.integers(0, 50),
+    )
+    def test_director_quota_never_exceeds_the_cap(self, companies, share, lp_share, seed):
+        config = ProvinceConfig(
+            companies=companies,
+            legal_persons=max(1, int(companies * lp_share)),
+            directors=int(DIRECTORS_PER_COMPANY * companies * share),
+            seed=seed,
+        )
+        try:
+            ds = generate_province(config)
+        except DataGenError as exc:  # an LP budget the clusters cannot fit
+            assert "cannot rebalance" in str(exc)
+            return
+        _assert_people_placed(ds)
+        assert len(ds.registry.companies) == companies
+        for cluster in ds.clusters:
+            assert len(cluster.director_ids) <= DIRECTORS_PER_COMPANY * cluster.size
+
     def test_infeasible_people_budget_raises_datagen_error(self):
         # More legal persons than companies: an LP must serve a company.
         config = ProvinceConfig(companies=5, legal_persons=10, directors=1)
@@ -168,6 +206,16 @@ def _heavy(companies, seed):
         (ProvinceConfig.small(companies=41, seed=0), "79858124fa58b9d1"),
         (_heavy(1500, 31), "ba2fa875dea48b29"),
         (ProvinceConfig(seed=31), "de60b11599eeac17"),
+        # At and near the director cap of 3 per company.
+        (ProvinceConfig(companies=5, legal_persons=2, directors=15), "3a8c84e1f6ddbd21"),
+        (
+            ProvinceConfig(companies=30, legal_persons=10, directors=90, seed=4),
+            "ca300d9be4ada2e2",
+        ),
+        (
+            ProvinceConfig(companies=40, legal_persons=25, directors=100, seed=9),
+            "ec412bde6ffc999f",
+        ),
     ],
 )
 def test_registry_bytes_are_pinned(tmp_path, config, digest):

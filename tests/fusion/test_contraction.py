@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.datagen.config import ProvinceConfig
+from repro.datagen.province import generate_province
 from repro.errors import FusionError
 from repro.fusion.contraction import (
     contract_edge_once,
@@ -120,3 +122,24 @@ class TestEmptyEdgeIteration:
         )
         syndicate = next(iter(result.syndicates.values()))
         assert syndicate.via == frozenset({"kinship", "interlocking"})
+
+
+@pytest.mark.parametrize("companies, seed", [(120, 1), (200, 3), (400, 8)])
+def test_syndicate_via_matches_a_scan_of_every_link(companies, seed):
+    """``via`` is bucketed in one pass over the links; it must equal the
+    kinds of the links a full scan finds inside each syndicate."""
+    dataset = generate_province(ProvinceConfig.small(companies=companies, seed=seed))
+    inter = dataset.interdependence.graph
+    result = contract_interdependence(dataset.influence.graph, inter)
+    assert result.syndicates
+    kinds = set()
+    for syndicate in result.syndicates.values():
+        members = syndicate.members
+        scanned = frozenset(
+            str(getattr(kind, "value", kind))
+            for u, v, kind in inter.edges()
+            if u in members and v in members
+        )
+        assert syndicate.via == scanned
+        kinds |= scanned
+    assert kinds == {"kinship", "interlocking"}

@@ -149,3 +149,25 @@ class TestValidationGates:
         g4.add_trade("a", "mystery")
         result = fuse(g1, g2, gi, g4, validate_inputs=False)
         assert result.tpiin.graph.has_node("mystery")
+
+    def test_skipped_validation_adds_unknown_trading_endpoints_as_companies(self):
+        g2 = InfluenceGraph()
+        g2.add_influence("p", "a", InfluenceKind.CEO_OF, legal_person=True)
+        g4 = TradingGraph()
+        for seller, buyer in [("a", "mystery"), ("ghost", "a"), ("ghost", "mystery")]:
+            g4.add_trade(seller, buyer)
+        graph = fuse(
+            InterdependenceGraph(), g2, InvestmentGraph(), g4, validate_inputs=False
+        ).tpiin.graph
+        assert list(graph.nodes()) == ["p", "a", "mystery", "ghost"]
+        assert graph.node_color("mystery") == graph.node_color("ghost") == VColor.COMPANY
+        assert list(graph.successors("ghost")) == ["a", "mystery"]
+        assert graph.number_of_arcs(EColor.TRADING) == 3
+
+    def test_skipped_validation_keeps_a_person_off_a_trading_arc(self):
+        g2 = InfluenceGraph()
+        g2.add_influence("p", "a", InfluenceKind.CEO_OF, legal_person=True)
+        g4 = TradingGraph()
+        g4.add_trade("a", "p")
+        with pytest.raises(ValueError, match="already has color"):
+            fuse(InterdependenceGraph(), g2, InvestmentGraph(), g4, validate_inputs=False)

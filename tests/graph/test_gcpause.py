@@ -38,6 +38,58 @@ def test_reenables_after_an_exception():
     assert gc.isenabled()
 
 
+def test_decorated_function_runs_paused():
+    @gc_paused()
+    def build(fail: bool) -> bool:
+        if fail:
+            raise RuntimeError("builder failed")
+        return gc.isenabled()
+
+    assert build(False) is False
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError):
+        build(True)
+    assert gc.isenabled()
+    with gc_paused():
+        build(False)
+        assert not gc.isenabled()
+    assert gc.isenabled()
+
+
+def test_the_batch_builders_run_paused(tmp_path, monkeypatch):
+    """The registry load, fusion and the batch detector portfolio."""
+    from repro.datagen.config import ProvinceConfig
+    from repro.datagen.province import generate_province
+    from repro.detectors import runner
+    from repro.fusion import pipeline
+    from repro.io import registry_io
+
+    dataset = generate_province(ProvinceConfig.small(companies=40, seed=2))
+    registry_io.write_registry_csvs(dataset, tmp_path, trading_probability=0.05)
+    collector_on: dict[str, bool] = {}
+
+    def spy(module, name):
+        inner = getattr(module, name)
+
+        def call(*args, **kwargs):
+            collector_on[name] = gc.isenabled()
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    spy(registry_io, "_read_rows")
+    spy(pipeline, "contract_interdependence")
+    spy(runner, "run_in_context")
+    tpiin = registry_io.load_registry_csvs(tmp_path).fuse().tpiin
+    runner.run_detectors(tpiin, "circular-trading")
+    assert collector_on == {
+        "_read_rows": False,
+        "contract_interdependence": False,
+        "run_in_context": False,
+    }
+    assert gc.isenabled()
+
+
 def test_nested_pause_holds_until_the_outermost_exit():
     with gc_paused():
         with gc_paused():

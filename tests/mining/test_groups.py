@@ -1,9 +1,11 @@
 """Unit tests for the SuspiciousGroup structure (Definitions 2-3)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MiningError
-from repro.mining.groups import GroupKind, SuspiciousGroup
+from repro.mining.groups import GroupKind, SuspiciousGroup, trails_are_simple
 
 
 def matched(trading=("a", "x", "t"), support=("a", "t")) -> SuspiciousGroup:
@@ -79,6 +81,20 @@ class TestClassification:
             kind=GroupKind.SCS,
         )
         assert g.is_simple
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        trading=st.lists(st.sampled_from("abcdefg"), min_size=2, max_size=7),
+        support=st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=6),
+        kind=st.sampled_from(list(GroupKind)),
+    )
+    def test_trails_are_simple_is_definition_3(self, trading, support, kind):
+        """Interiors sharing no node, for any trail lengths and repeats;
+        circle and SCS groups are simple by construction."""
+        literal = kind is not GroupKind.MATCHED or not (
+            set(trading[1:-1]) & set(support[1:-1])
+        )
+        assert trails_are_simple(tuple(trading), tuple(support), kind) is literal
 
 
 class TestAccessors:

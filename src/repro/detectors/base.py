@@ -84,7 +84,7 @@ class Finding:
             "detector": self.detector,
             "kind": self.kind,
             "members": [str(n) for n in self.members],
-            "arcs": sorted([str(a), str(b)] for a, b in self.arcs),
+            "arcs": sorted([[str(a), str(b)] for a, b in self.arcs]),
             "score": round(self.score, 6),
             "summary": self.summary,
         }
@@ -110,36 +110,50 @@ class FrozenTradingView:
     def __init__(
         self, arcs: Iterable[tuple[Node, Node]], companies: Iterable[Node]
     ) -> None:
-        out: dict[Node, list[Node]] = {}
-        incoming: dict[Node, list[Node]] = {}
         #: Every trading arc, in the given order.
         self.arcs: tuple[tuple[Node, Node], ...] = tuple(arcs)
-        for seller, buyer in self.arcs:
-            out.setdefault(seller, []).append(buyer)
-            incoming.setdefault(buyer, []).append(seller)
-        self._out: dict[Node, tuple[Node, ...]] = {
-            node: tuple(heads) for node, heads in out.items()
-        }
-        self._in: dict[Node, tuple[Node, ...]] = {
-            node: tuple(tails) for node, tails in incoming.items()
-        }
+        self._out = _adjacency(self.arcs)
+        # Built on the first in-adjacency read: only missing-trader
+        # reads it, so a circular-trading read never pays for it.
+        self._in: dict[Node, tuple[Node, ...]] | None = None
         #: Every company node of the TPIIN (traders and non-traders).
         self.companies: tuple[Node, ...] = tuple(companies)
+
+    def sellers(self) -> Iterable[Node]:
+        """Every node with a trading arc out, once, in first-arc order."""
+        return self._out.keys()
 
     def buyers_of(self, seller: Node) -> tuple[Node, ...]:
         return self._out.get(seller, ())
 
     def sellers_to(self, buyer: Node) -> tuple[Node, ...]:
-        return self._in.get(buyer, ())
+        return self._in_index().get(buyer, ())
 
     def out_degree(self, node: Node) -> int:
         return len(self._out.get(node, ()))
 
     def in_degree(self, node: Node) -> int:
-        return len(self._in.get(node, ()))
+        return len(self._in_index().get(node, ()))
+
+    def _in_index(self) -> dict[Node, tuple[Node, ...]]:
+        if self._in is None:
+            self._in = _adjacency((buyer, seller) for seller, buyer in self.arcs)
+        return self._in
 
     def __len__(self) -> int:
         return len(self.arcs)
+
+
+def _adjacency(arcs: Iterable[tuple[Node, Node]]) -> dict[Node, tuple[Node, ...]]:
+    """Tail -> heads of ``arcs``: tails in first-arc order, heads in arc order."""
+    heads_of: dict[Node, list[Node]] = {}
+    for tail, head in arcs:
+        heads = heads_of.get(tail)
+        if heads is None:
+            heads_of[tail] = [head]
+        else:
+            heads.append(head)
+    return {tail: tuple(heads) for tail, heads in heads_of.items()}
 
 
 @dataclass(slots=True)

@@ -17,13 +17,14 @@ trades sits near 1, while incidental SCCs in organic trading are lopsided.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.detectors.base import (
     DetectionContext,
     DetectorOutcome,
     Finding,
-    FrozenTradingView,
 )
 from repro.errors import MiningError
 from repro.graph.digraph import Node
@@ -72,25 +73,17 @@ class CircularTradingDetector:
 
     def run(self, context: DetectionContext) -> DetectorOutcome:
         trading = context.trading
+        buyers_of = trading.buyers_of
         # Every ring member sells, so the sellers are roots enough.
-        sellers = (seller for seller, _ in trading.arcs)
         components = [
             component
-            for component in tarjan_sccs(sellers, trading.buyers_of)
-            if len(component) > 1 or component[0] in trading.buyers_of(component[0])
+            for component in tarjan_sccs(trading.sellers(), buyers_of)
+            if len(component) > 1 or component[0] in buyers_of(component[0])
         ]
+        rings = [c for c in components if len(c) >= self.config.min_cycle_size]
         findings: list[Finding] = []
-        for component in components:
-            if len(component) < self.config.min_cycle_size:
-                continue
-            ring = set(component)
-            internal: list[tuple[Node, Node]] = [
-                (seller, buyer)
-                for seller in component
-                for buyer in trading.buyers_of(seller)
-                if buyer in ring
-            ]
-            balance = self._flow_balance(component, ring, trading)
+        for component, internal in zip(rings, _internal_arcs(rings, trading.arcs)):
+            balance = _flow_balance(component, internal)
             if balance < self.config.min_balance:
                 continue
             findings.append(
@@ -121,19 +114,38 @@ class CircularTradingDetector:
             },
         )
 
-    @staticmethod
-    def _flow_balance(
-        component: list[Node], ring: set[Node], trading: FrozenTradingView
-    ) -> float:
-        """Mean per-member ``min(in, out) / max(in, out)`` within the ring.
 
-        Summed exactly (``math.fsum``), so the score does not depend on
-        the order Tarjan emits the members in, which follows arc order.
-        """
-        ratios = []
-        for node in component:
-            out_internal = sum(1 for b in trading.buyers_of(node) if b in ring)
-            in_internal = sum(1 for s in trading.sellers_to(node) if s in ring)
-            high = max(out_internal, in_internal)
-            ratios.append((min(out_internal, in_internal) / high) if high else 0.0)
-        return math.fsum(ratios) / len(component) if component else 0.0
+def _internal_arcs(
+    rings: list[list[Node]], arcs: tuple[tuple[Node, Node], ...]
+) -> list[list[tuple[Node, Node]]]:
+    """Each ring's internal arcs, in arc order, from one scan of ``arcs``.
+
+    The rings are disjoint (they are SCCs), so an arc is internal to at
+    most one of them: the one holding both its ends.
+    """
+    internal: list[list[tuple[Node, Node]]] = [[] for _ in rings]
+    if not rings:
+        return internal
+    ring_of = {node: index for index, ring in enumerate(rings) for node in ring}
+    ring_at = ring_of.get
+    for arc in arcs:
+        index = ring_at(arc[0])
+        if index is not None and ring_at(arc[1]) == index:
+            internal[index].append(arc)
+    return internal
+
+
+def _flow_balance(ring: list[Node], internal: list[tuple[Node, Node]]) -> float:
+    """Mean per-member ``min(in, out) / max(in, out)`` over ``internal``.
+
+    Every member of a ring of two or more has an internal arc in and out.
+    Summed exactly (``math.fsum``), so the score does not depend on the
+    order Tarjan emits the members in, which follows arc order.
+    """
+    out_internal = Counter(map(itemgetter(0), internal))
+    in_internal = Counter(map(itemgetter(1), internal))
+    ratios = []
+    for node in ring:
+        counts = (out_internal[node], in_internal[node])
+        ratios.append(min(counts) / max(counts))
+    return math.fsum(ratios) / len(ring)

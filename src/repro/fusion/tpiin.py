@@ -178,9 +178,18 @@ class TPIIN:
         first-seen order, and the arcs whose endpoints fused into one
         syndicate, in their original ids.
         """
-        graph_arcs: dict[tuple[Node, Node], None] = {}
-        intra: list[tuple[Node, Node]] = []
         node_map = self.node_map
+        if not node_map:
+            # Nothing fused (a CSV-loaded TPIIN): every id maps to itself,
+            # so only self-arcs are intra-syndicate trades.
+            arcs = list(arcs)
+            intra = [(seller, buyer) for seller, buyer in arcs if seller == buyer]
+            unique = dict.fromkeys(arcs)
+            for arc in intra:
+                unique.pop(arc, None)
+            return list(unique), intra
+        graph_arcs: dict[tuple[Node, Node], None] = {}
+        intra = []
         for seller, buyer in arcs:
             tail = node_map.get(seller, seller)
             head = node_map.get(buyer, buyer)

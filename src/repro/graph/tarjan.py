@@ -20,12 +20,17 @@ trading view as the fusion pipeline runs it over a
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable, Iterable, Iterator
 from typing import Any
 
 from repro.graph.digraph import DiGraph, Node
 
 __all__ = ["strongly_connected_components", "nontrivial_sccs", "tarjan_sccs"]
+
+#: The index a node takes once its component is emitted: above every
+#: real index, so a later arc into it never lowers a lowlink.
+_DONE = sys.maxsize
 
 
 def strongly_connected_components(graph: DiGraph, color: Any = None) -> list[list[Node]]:
@@ -50,7 +55,6 @@ def tarjan_sccs(
     """
     index_of: dict[Node, int] = {}
     lowlink: dict[Node, int] = {}
-    on_stack: set[Node] = set()
     stack: list[Node] = []
     components: list[list[Node]] = []
     counter = 0
@@ -63,36 +67,37 @@ def tarjan_sccs(
         index_of[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
         while work:
             node, pending = work[-1]
-            advanced = False
+            low = lowlink[node]
             for nxt in pending:
-                if nxt not in index_of:
+                index = index_of.get(nxt)
+                if index is None:
+                    lowlink[node] = low
                     index_of[nxt] = lowlink[nxt] = counter
                     counter += 1
                     stack.append(nxt)
-                    on_stack.add(nxt)
                     work.append((nxt, iter(successors(nxt))))
-                    advanced = True
                     break
-                if nxt in on_stack:
-                    lowlink[node] = min(lowlink[node], index_of[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index_of[node]:
-                component: list[Node] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(component)
+                # A node whose component is out carries _DONE, so only
+                # nodes still on the stack can lower ``low``.
+                if index < low:
+                    low = index
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low < lowlink[parent]:
+                        lowlink[parent] = low
+                if low == index_of[node]:
+                    component: list[Node] = []
+                    while True:
+                        member = stack.pop()
+                        index_of[member] = _DONE
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
     return components
 
 

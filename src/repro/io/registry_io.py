@@ -206,7 +206,14 @@ class RegistryBundle:
         )
 
 
-def _read_rows(path: Path, expected_header: list[str]) -> list[list[str]]:
+def _read_rows(
+    path: Path, expected_header: list[str]
+) -> tuple[list[int], list[list[str]]]:
+    """``(line numbers, rows)`` of one registry file's non-blank rows.
+
+    A row's number is the physical line it starts on, so blank lines and
+    quoted fields that span lines do not shift the numbers in errors.
+    """
     if not path.exists():
         raise SerializationError(f"missing registry file {path}")
     with path.open(newline="") as handle:
@@ -217,16 +224,20 @@ def _read_rows(path: Path, expected_header: list[str]) -> list[list[str]]:
                 f"{path}: expected header {','.join(expected_header)!r}, "
                 f"got {header!r}"
             )
+        lines: list[int] = []
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if not any(row):
                 continue
             if len(row) != len(expected_header):
                 raise SerializationError(
                     f"{path}:{lineno}: expected {len(expected_header)} columns"
                 )
+            lines.append(lineno)
             rows.append(row)
-        return rows
+        return lines, rows
 
 
 @gc_paused()
@@ -257,25 +268,28 @@ def load_registry_csvs(
     affiliations = AffiliationGraph()
     shareholdings = ShareholdingRegister()
 
-    person_rows = _read_rows(
+    person_lines, person_rows = _read_rows(
         directory / "persons.csv", ["person_id", "name", "positions"]
     )
     pending_persons: dict[str, tuple[str, Role]] = {}
-    for person_id, name, positions in person_rows:
+    for lineno, (person_id, name, positions) in zip(person_lines, person_rows):
         tokens = [t for t in positions.split("|") if t]
         if not tokens:
             raise SerializationError(
-                f"person {person_id}: at least one position required"
+                f"persons.csv:{lineno}: person {person_id}: "
+                "at least one position required"
             )
         try:
             role = Role.from_positions(*tokens)
         except ValueError as exc:
-            raise SerializationError(f"person {person_id}: {exc}") from exc
+            raise SerializationError(
+                f"persons.csv:{lineno}: person {person_id}: {exc}"
+            ) from exc
         pending_persons[person_id] = (name, role)
         g1.add_person(person_id)
         g2.add_person(person_id)
 
-    company_rows = _read_rows(
+    _, company_rows = _read_rows(
         directory / "companies.csv",
         ["company_id", "name", "industry", "region", "scale"],
     )
@@ -293,7 +307,7 @@ def load_registry_csvs(
         gi.add_company(company_id)
         g4.add_company(company_id)
 
-    relation_rows = _read_rows(
+    relation_lines, relation_rows = _read_rows(
         directory / "relations.csv", ["kind", "source", "target", "value"]
     )
     companies = registry.companies
@@ -304,7 +318,7 @@ def load_registry_csvs(
     influences: list[tuple[str, str, InfluenceKind]] = []
     investments: list[tuple[str, str]] = []
     trades: list[tuple[str, str]] = []
-    for lineno, (kind, source, target, value) in enumerate(relation_rows, start=2):
+    for lineno, (kind, source, target, value) in zip(relation_lines, relation_rows):
         graph, color = _RELATION_KINDS.get(kind, _UNKNOWN_KIND)
         if graph is _G4:
             _require(source, companies, "relations.csv", lineno, "company")

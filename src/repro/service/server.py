@@ -316,14 +316,16 @@ class _DetectionRequestHandler(BaseHTTPRequestHandler):
             names = parse_qs(query, keep_blank_values=True).get("detector")
             if names is not None:
                 # Portfolio detector requested: answer with its findings
-                # payload instead of the legacy IAT group dump.
+                # payload instead of the summary.  It is counted as
+                # ``findings``: it runs a detector, a summary read does not.
+                self._endpoint_hint = "findings"
                 if len(names) != 1:
                     raise MiningError(
                         f"give one detector, not {len(names)} "
                         f"(choices: {', '.join(DETECTORS)})"
                     )
                 return (
-                    "result",
+                    "findings",
                     200,
                     dict(self.service.detector_findings(names[0])),
                     None,

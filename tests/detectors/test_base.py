@@ -59,6 +59,12 @@ class TestFinding:
         assert payload["score"] == 0.25
         assert payload["details"] == {"count": 2}
 
+    def test_to_dict_sorts_arcs_by_their_text(self):
+        finding = Finding(
+            detector="toy", kind="k", members=(2, 9, 10), arcs=((10, 2), (9, 10), (2, 9))
+        )
+        assert finding.to_dict()["arcs"] == [["10", "2"], ["2", "9"], ["9", "10"]]
+
 
 class TestFrozenTradingView:
     def test_adjacency(self):

@@ -77,6 +77,52 @@ class TestLoading:
         with pytest.raises(SerializationError, match=match):
             load_registry_csvs(tmp_path)
 
+    @pytest.mark.parametrize(
+        "filename,tail,message",
+        [
+            # Each sample file is a header and 3 or 8 rows; the tail
+            # starts on the next line.
+            (
+                "relations.csv",
+                "\n\ntrading,C1,CX,\n",
+                "relations.csv:12: company 'CX' is not declared",
+            ),
+            (
+                "relations.csv",
+                'guarantee,C1,C2,"two\nlines"\ntrading,C1,CX,\n',
+                "relations.csv:12: company 'CX' is not declared",
+            ),
+            (
+                "relations.csv",
+                '\ntrading,C1,"C\nX",\n',
+                "relations.csv:11: company 'C\\nX' is not declared",
+            ),
+            (
+                "relations.csv",
+                "\n\n\ninvestment,C1,C2,high\n",
+                "relations.csv:13: bad stake fraction 'high'",
+            ),
+            (
+                "persons.csv",
+                '\nP8,"Two\nLines",D\n\nP9,No Positions,\n',
+                "persons.csv:9: person P9: at least one position required",
+            ),
+            ("persons.csv", "\n\nP9,Short\n", "persons.csv:7: expected 3 columns"),
+            (
+                "companies.csv",
+                '\nC4,"Delta\nCo",retail,domestic,small\nC5,Short\n',
+                "companies.csv:8: expected 5 columns",
+            ),
+        ],
+    )
+    def test_errors_name_the_physical_line(self, tmp_path, filename, tail, message):
+        write_sample(tmp_path)
+        path = tmp_path / filename
+        path.write_text(path.read_text() + tail)
+        with pytest.raises(SerializationError) as err:
+            load_registry_csvs(tmp_path)
+        assert str(err.value).endswith(message)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(SerializationError, match="missing"):
             load_registry_csvs(tmp_path)

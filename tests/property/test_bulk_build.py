@@ -63,15 +63,15 @@ def per_row_load(directory: Path, threshold: float = DEFAULT_INVESTMENT_THRESHOL
     gi, g4 = InvestmentGraph(), TradingGraph()
     affiliations, stakes = AffiliationGraph(), ShareholdingRegister()
     persons: dict[str, tuple[str, Role]] = {}
-    for person_id, name, positions in _read_rows(
-        directory / "persons.csv", ["person_id", "name", "positions"]
-    ):
+    _, person_rows = _read_rows(directory / "persons.csv", ["person_id", "name", "positions"])
+    for person_id, name, positions in person_rows:
         persons[person_id] = (name, Role.from_positions(*positions.split("|")))
         g1.add_person(person_id)
         g2.add_person(person_id)
-    for company_id, name, industry, region, scale in _read_rows(
+    _, company_rows = _read_rows(
         directory / "companies.csv", ["company_id", "name", "industry", "region", "scale"]
-    ):
+    )
+    for company_id, name, industry, region, scale in company_rows:
         registry.add_company(Company(company_id, name, industry, region, scale))
         g2.add_company(company_id)
         gi.add_company(company_id)
@@ -85,8 +85,8 @@ def per_row_load(directory: Path, threshold: float = DEFAULT_INVESTMENT_THRESHOL
             )
 
     lp_of: dict[str, list[str]] = {}
-    rows = _read_rows(directory / "relations.csv", ["kind", "source", "target", "value"])
-    for lineno, (kind, source, target, value) in enumerate(rows, start=2):
+    lines, rows = _read_rows(directory / "relations.csv", ["kind", "source", "target", "value"])
+    for lineno, (kind, source, target, value) in zip(lines, rows):
         if kind in ("kinship", "interlocking"):
             require(source, persons, lineno, "person")
             require(target, persons, lineno, "person")

@@ -217,6 +217,24 @@ class TestDetectorsAPI:
         error = json.loads(err.value.read())["error"]
         assert "choices: circular-trading, iat-groups" in error
 
+    def test_findings_reads_have_their_own_endpoint(self, served_fig8):
+        client, service = served_fig8
+        client.result()
+        client.result(detector="circular-trading")
+        with pytest.raises(ServiceClientError):
+            client.result(detector="nope")
+        # Counted after its response is sent: this fences the counts.
+        client.healthz()
+        samples = prometheus_samples(service.metrics.render_prometheus())
+        assert samples['repro_http_requests_total{endpoint="result"}'] == 1
+        assert samples['repro_http_requests_total{endpoint="findings"}'] == 2
+        assert samples['repro_http_errors_total{endpoint="findings"}'] == 1
+        assert 'repro_http_errors_total{endpoint="result"}' not in samples
+        by_status = "repro_http_request_duration_by_status_ms_count"
+        assert samples[f'{by_status}{{endpoint="findings",status_class="2xx"}}'] == 1
+        assert samples[f'{by_status}{{endpoint="findings",status_class="4xx"}}'] == 1
+        assert client.metrics()["latency_ms"]["findings"]["count"] == 2
+
 
 def raw_exchange(client, request: bytes) -> tuple[bytes, bytes, float]:
     """Send ``request`` on a fresh socket and read until the daemon

@@ -26,13 +26,14 @@ Counting and materialization follow the Appendix-B matcher's emission
 semantics (one matched group per same-root prefix ending at an
 emission's target, circles deduped on their cycle), so the group *set*
 (the cross-engine contract) and every count agree with the faithful
-engine.
+engine.  Both read one matcher index per mine, built by whichever asks
+first and kept on the :class:`CompactMine`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -41,7 +42,13 @@ from repro.errors import NotADagError
 from repro.graph.csr import CSRGraph, IntBuffer
 from repro.graph.digraph import Node
 from repro.graph.gcpause import gc_paused
-from repro.mining.groups import GroupKind, SuspiciousGroup
+from repro.mining.groups import (
+    _SET_KIND,
+    _SET_SUPPORT,
+    _SET_TRADING,
+    GroupKind,
+    SuspiciousGroup,
+)
 from repro.model.colors import EColor
 
 __all__ = [
@@ -56,7 +63,6 @@ __all__ = [
     "unpack_arcs",
 ]
 
-_trusted = SuspiciousGroup.trusted
 _MATCHED = GroupKind.MATCHED
 _CIRCLE = GroupKind.CIRCLE
 
@@ -242,6 +248,23 @@ def build_plan(csr: CSRGraph, order_nodes: Iterable[Node]) -> MiningPlan:
 # ----------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
+class _MatcherIndex:
+    """The Appendix-B matcher's per-root prefix index over one mine.
+
+    ``order`` lists the tree indices sorted by their ``(root, node)``
+    key; the supports of emission ``e`` are ``order[lo[e]:hi[e]]``, the
+    tree nodes under ``e``'s root labelled with its target.  ``circle``
+    flags the emissions whose target lies on their own path: they make
+    circle groups, which take no support.
+    """
+
+    circle: np.ndarray
+    order: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
 @dataclass(slots=True)
 class CompactMine:
     """Flat-array outcome of mining a set of components.
@@ -262,6 +285,11 @@ class CompactMine:
     emit_tree: np.ndarray
     emit_target: np.ndarray
     rule1_by_comp: np.ndarray
+    #: Built by :func:`_matcher_index` on first use, then shared by
+    #: :func:`count_mine` and the group decode.
+    _index: _MatcherIndex | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 def _circle_flags(mine: CompactMine) -> np.ndarray:
@@ -290,18 +318,26 @@ def _circle_flags(mine: CompactMine) -> np.ndarray:
     return flags
 
 
-def _support_index(
-    mine: CompactMine, n_nodes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tree indices sorted by ``(root, node)`` key, plus the sorted keys.
+def _matcher_index(mine: CompactMine, n_nodes: int) -> _MatcherIndex:
+    """``mine``'s matcher index, computed on the first call and kept.
 
-    The per-root matcher index in array form: the supports of emission
-    ``(u, t)`` are the tree nodes whose key equals ``root(u) * n + t`` —
-    one contiguous run of the sorted order.
+    The supports of emission ``(u, t)`` are the tree nodes whose key
+    equals ``root(u) * n + t`` — one contiguous run of the tree indices
+    stably sorted by ``root * n + node``, found by two binary searches.
     """
-    keys = mine.root * n_nodes + mine.node
-    order = np.argsort(keys, kind="stable")
-    return order, keys[order]
+    index = mine._index
+    if index is None:
+        keys = mine.root * n_nodes + mine.node
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        queries = mine.root[mine.emit_tree] * n_nodes + mine.emit_target
+        index = mine._index = _MatcherIndex(
+            circle=_circle_flags(mine),
+            order=order,
+            lo=np.searchsorted(sorted_keys, queries, side="left"),
+            hi=np.searchsorted(sorted_keys, queries, side="right"),
+        )
+    return index
 
 
 # ----------------------------------------------------------------------
@@ -344,17 +380,10 @@ def count_mine(mine: CompactMine, plan: MiningPlan) -> CompactCounts:
     emit_comp = comp_id[emit_node]
     trails += np.bincount(emit_comp, minlength=n_components)
 
-    circle = _circle_flags(mine)
+    index = _matcher_index(mine, plan.n_nodes)
+    circle = index.circle
     noncircle = np.flatnonzero(~circle)
-    order, sorted_keys = _support_index(mine, plan.n_nodes)
-    del order
-    queries = (
-        mine.root[mine.emit_tree[noncircle]] * plan.n_nodes
-        + mine.emit_target[noncircle]
-    )
-    lo = np.searchsorted(sorted_keys, queries, side="left")
-    hi = np.searchsorted(sorted_keys, queries, side="right")
-    supports = hi - lo
+    supports = (index.hi - index.lo)[noncircle]
     np.add.at(matched, emit_comp[noncircle], supports)
 
     # Circle dedup: reversed parent-walk keys, one python walk per
@@ -455,57 +484,78 @@ def _materialize(
     groups deduped on their cycle node tuple.  The group set — and the
     per-component count — equal :func:`count_mine`'s tallies by
     construction (same index, same dedup keys).
+
+    Only the lanes that make a group are visited: circles, and the
+    others with at least one support.  A stable sort by component lays
+    them out in component runs that keep emission order, so each
+    component's list is filled in one go, in lane order.
     """
     by_comp: dict[int, list[SuspiciousGroup]] = {}
-    n_tree = len(mine.node)
-    if not n_tree:
+    index = _matcher_index(mine, n_nodes)
+    lanes = np.flatnonzero(index.circle | (index.hi > index.lo))
+    if not lanes.size:
         return by_comp
+    lane_comp = comp_id[mine.emit_target[lanes]]
+    by_run = np.argsort(lane_comp, kind="stable")
+    lanes = lanes[by_run]
+    lane_comp = lane_comp[by_run]
+    cuts = (np.flatnonzero(np.diff(lane_comp)) + 1).tolist()
+    run_starts = [0, *cuts]
+    run_stops = [*cuts, lanes.size]
+
     parent_l = mine.parent.tolist()
     node_l = mine.node.tolist()
     # Prefix tuples in one forward pass (parents precede children).
-    prefixes: list[tuple[Node, ...]] = [()] * n_tree
-    for i in range(n_tree):
-        p = parent_l[i]
+    prefixes: list[tuple[Node, ...]] = [()] * len(node_l)
+    for i, p in enumerate(parent_l):
         label = decode[node_l[i]]
         prefixes[i] = prefixes[p] + (label,) if p >= 0 else (label,)
 
-    circle = _circle_flags(mine)
-    order, sorted_keys = _support_index(mine, n_nodes)
-    queries = mine.root[mine.emit_tree] * n_nodes + mine.emit_target
-    lo_arr = np.searchsorted(sorted_keys, queries, side="left").tolist()
-    hi_arr = np.searchsorted(sorted_keys, queries, side="right").tolist()
-    order_l = order.tolist()
-    emit_tree_l = mine.emit_tree.tolist()
-    emit_target_l = mine.emit_target.tolist()
-    circle_l = circle.tolist()
-    comp_id_l = comp_id.tolist()
+    order_l = index.order.tolist()
+    tree_l = mine.emit_tree[lanes].tolist()
+    target_l = mine.emit_target[lanes].tolist()
+    lo_l = index.lo[lanes].tolist()
+    hi_l = index.hi[lanes].tolist()
+    circle_l = index.circle[lanes].tolist()
+    # Bound once: the innermost loop runs once per matched group.
+    new = object.__new__
+    set_trading = _SET_TRADING
+    set_support = _SET_SUPPORT
+    set_kind = _SET_KIND
+    matched = _MATCHED
     seen: set[tuple[int, ...]] = set()
-    for lane in range(len(emit_tree_l)):
-        tree_idx = emit_tree_l[lane]
-        target = emit_target_l[lane]
-        out = by_comp.setdefault(comp_id_l[target], [])
-        end = decode[target]
-        if circle_l[lane]:
-            cursor = tree_idx
-            walk = [node_l[cursor]]
-            while node_l[cursor] != target:
-                cursor = parent_l[cursor]
-                walk.append(node_l[cursor])
-            key = tuple(walk)
-            if key in seen:
+    for comp, a, b in zip(lane_comp[run_starts].tolist(), run_starts, run_stops):
+        out: list[SuspiciousGroup] = []
+        append = out.append
+        for tree_idx, target, lo, hi, is_circle in zip(
+            tree_l[a:b], target_l[a:b], lo_l[a:b], hi_l[a:b], circle_l[a:b]
+        ):
+            end = decode[target]
+            if is_circle:
+                cursor = tree_idx
+                walk = [node_l[cursor]]
+                while node_l[cursor] != target:
+                    cursor = parent_l[cursor]
+                    walk.append(node_l[cursor])
+                key = tuple(walk)
+                if key in seen:
+                    continue
+                seen.add(key)
+                walk.reverse()
+                group = new(SuspiciousGroup)
+                set_trading(group, tuple(decode[u] for u in walk) + (end,))
+                set_support(group, (end,))
+                set_kind(group, _CIRCLE)
+                append(group)
                 continue
-            seen.add(key)
-            walk.reverse()
-            trail = tuple(decode[u] for u in walk) + (end,)
-            out.append(_trusted(trail, (end,), _CIRCLE))
-            continue
-        lo = lo_arr[lane]
-        hi = hi_arr[lane]
-        if lo == hi:
-            continue
-        trading_trail = prefixes[tree_idx] + (end,)
-        for j in range(lo, hi):
-            out.append(_trusted(trading_trail, prefixes[order_l[j]], _MATCHED))
+            trading_trail = prefixes[tree_idx] + (end,)
+            for support in order_l[lo:hi]:
+                group = new(SuspiciousGroup)
+                set_trading(group, trading_trail)
+                set_support(group, prefixes[support])
+                set_kind(group, matched)
+                append(group)
+        by_comp[comp] = out
     return by_comp
 
 

@@ -110,6 +110,9 @@ class DetectionResult:
     _simple_group_count: int | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _groups_by_arc: dict[tuple[Node, Node], list[SuspiciousGroup]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     @property
@@ -165,8 +168,20 @@ class DetectionResult:
         return Counter(g.kind for g in self.groups)
 
     def groups_for_arc(self, arc: tuple[Node, Node]) -> list[SuspiciousGroup]:
-        """Every group certifying one trading arc (the proof chains)."""
-        return [g for g in self.groups if g.trading_arc == arc]
+        """Every group certifying one trading arc (the proof chains), in
+        group order.
+
+        The first call files every group under its trading arc and keeps
+        the index, as :attr:`simple_group_count` keeps its tally: the
+        groups of a result never change after detection.
+        """
+        if self._groups_by_arc is None:
+            by_arc: dict[tuple[Node, Node], list[SuspiciousGroup]] = {}
+            for group in self.groups:
+                trail = group.trading_trail
+                by_arc.setdefault((trail[-2], trail[-1]), []).append(group)
+            self._groups_by_arc = by_arc
+        return list(self._groups_by_arc.get(arc, ()))
 
     def summary(self) -> str:
         kinds = self.kind_counts()

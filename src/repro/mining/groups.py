@@ -22,8 +22,9 @@ Three shapes arise in a TPIIN:
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import MiningError
 from repro.graph.digraph import Node
@@ -43,6 +44,17 @@ class GroupKind(str, enum.Enum):
     MATCHED = "matched"
     CIRCLE = "circle"
     SCS = "scs"
+
+    # ``Enum.value`` is an ``enum.property``, two Python-level calls per
+    # read; a C getter over the member's ``_value_`` returns the same str
+    # at a third of the cost (a full group pass reads it per group).
+    if TYPE_CHECKING:
+
+        @property
+        def value(self) -> str: ...
+
+    else:
+        value = property(operator.attrgetter("_value_"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,26 +97,6 @@ class SuspiciousGroup:
                 raise MiningError("the two trails must share their end node")
 
     # ------------------------------------------------------------------
-    @classmethod
-    def trusted(
-        cls,
-        trading_trail: tuple[Node, ...],
-        support_trail: tuple[Node, ...],
-        kind: GroupKind,
-    ) -> "SuspiciousGroup":
-        """Construct without ``__post_init__`` validation.
-
-        For miners that guarantee the trail invariants by construction
-        (the parallel engine's lazy group decoding emits millions on
-        dense settings, where per-group re-validation is pure overhead).
-        Everything else should go through the regular constructor.
-        """
-        self = object.__new__(cls)
-        _SET_TRADING(self, trading_trail)
-        _SET_SUPPORT(self, support_trail)
-        _SET_KIND(self, kind)
-        return self
-
     @property
     def antecedent(self) -> Node:
         """The shared start node of the two trails."""
@@ -162,8 +154,12 @@ class SuspiciousGroup:
         return iter(sorted(self.members, key=str))
 
 
-# Slot descriptors sidestep both the frozen-dataclass __setattr__ guard
-# and object.__setattr__'s per-call attribute-name lookup in trusted().
+# The slot stores, for miners that guarantee the trail invariants by
+# construction and build groups without ``__post_init__`` validation
+# (the parallel engine's decode, ``repro.mining.compact``): a new
+# ``object.__new__(SuspiciousGroup)`` gets its three fields through
+# them, which sidesteps both the frozen-dataclass ``__setattr__`` guard
+# and ``object.__setattr__``'s per-call attribute-name lookup.
 _SET_TRADING = SuspiciousGroup.__dict__["trading_trail"].__set__
 _SET_SUPPORT = SuspiciousGroup.__dict__["support_trail"].__set__
 _SET_KIND = SuspiciousGroup.__dict__["kind"].__set__

@@ -71,6 +71,23 @@ class TestResultAccounting:
         assert groups[0].antecedent == "L1"
         assert result.groups_for_arc(("C8", "C4")) == []
 
+    @pytest.mark.parametrize("engine", ["faithful", "parallel"])
+    def test_groups_for_arc_index_equals_the_scan(self, fig8, small_province_tpiin, engine):
+        for tpiin in (fig8, small_province_tpiin):
+            result = detect(tpiin, engine=engine)
+            arcs = [g.trading_arc for g in result.groups] + [("C8", "C4"), ("nobody", "C1")]
+            for arc in arcs:
+                scan = [g for g in result.groups if g.trading_arc == arc]
+                got = result.groups_for_arc(arc)
+                assert len(got) == len(scan)
+                assert all(a is b for a, b in zip(got, scan))
+            # Callers own the returned list: editing it leaves the index.
+            arc = arcs[0]
+            result.groups_for_arc(arc).clear()
+            assert len(result.groups_for_arc(arc)) == sum(
+                g.trading_arc == arc for g in result.groups
+            )
+
     def test_kind_counts(self, fig8):
         counts = detect(fig8).kind_counts()
         assert counts[GroupKind.MATCHED] == 3

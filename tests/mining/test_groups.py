@@ -1,15 +1,66 @@
 """Unit tests for the SuspiciousGroup structure (Definitions 2-3)."""
 
+import copy
+import json
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MiningError
-from repro.mining.groups import GroupKind, SuspiciousGroup, trails_are_simple
+from repro.mining.groups import (
+    _LINE_PREFIX,
+    GroupKind,
+    SuspiciousGroup,
+    trails_are_simple,
+)
 
 
 def matched(trading=("a", "x", "t"), support=("a", "t")) -> SuspiciousGroup:
     return SuspiciousGroup(trading_trail=trading, support_trail=support)
+
+
+class TestGroupKind:
+    """``GroupKind.value`` is a plain getter over ``_value_``; everything
+    the enum machinery gives a member must read as before."""
+
+    VALUES = {"MATCHED": "matched", "CIRCLE": "circle", "SCS": "scs"}
+
+    def test_members_names_and_order(self):
+        assert [kind.name for kind in GroupKind] == list(self.VALUES)
+        assert list(GroupKind.__members__) == list(self.VALUES)
+        assert len(GroupKind) == 3
+
+    @pytest.mark.parametrize("kind", list(GroupKind))
+    def test_value_is_a_plain_str(self, kind):
+        assert type(kind.value) is str
+        assert kind.value == self.VALUES[kind.name]
+        assert kind.value is kind._value_
+        assert kind == kind.value
+
+    @pytest.mark.parametrize("kind", list(GroupKind))
+    def test_lookups_round_trip(self, kind):
+        assert GroupKind(kind.value) is kind
+        assert GroupKind[kind.name] is kind
+
+    @pytest.mark.parametrize("kind", list(GroupKind))
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_and_copy_keep_identity(self, kind, protocol):
+        assert pickle.loads(pickle.dumps(kind, protocol=protocol)) is kind
+        assert copy.copy(kind) is kind
+        assert copy.deepcopy(kind) is kind
+
+    @pytest.mark.parametrize("kind", list(GroupKind))
+    def test_json_and_line_heads(self, kind):
+        value = self.VALUES[kind.name]
+        assert json.dumps(kind) == f'"{value}"'
+        assert json.dumps({"kind": kind.value}) == f'{{"kind": "{value}"}}'
+        assert _LINE_PREFIX[kind] == (f"[complex/{value}] {{", f"[simple/{value}] {{")
+
+    def test_unknown_value_is_rejected(self):
+        with pytest.raises(ValueError):
+            GroupKind("ring")
 
 
 class TestValidation:

@@ -115,13 +115,54 @@ class ServiceClient:
 
     def result(self, *, detector: str | None = None) -> dict[str, Any]:
         """The detection result's summary (its counts; :meth:`groups`
-        walks the groups); a ``detector`` name selects one portfolio
-        detector's findings payload instead."""
+        walks the groups); a ``detector`` name selects the first page of
+        one portfolio detector's findings instead (:meth:`findings`
+        walks them)."""
         if detector is None:
             return self._request("GET", "/v1/result")
-        return self._request(
-            "GET", f"/v1/result?detector={quote(detector, safe='')}"
-        )
+        return self.findings_page(detector)
+
+    def findings_page(
+        self, detector: str, cursor: str | None = None, *, limit: int | None = None
+    ) -> dict[str, Any]:
+        """One ``GET /v1/result?detector=`` page: the run's identity,
+        ``finding_count``, a ``findings`` page of at most ``limit``
+        evidence items and the ``next`` cursor (``None`` after the last
+        page); the daemon picks the default ``limit``."""
+        params = {"detector": detector, "cursor": cursor, "limit": limit}
+        query = urlencode({k: v for k, v in params.items() if v is not None})
+        return self._request("GET", f"/v1/result?{query}")
+
+    def findings(
+        self, detector: str, *, limit: int | None = None
+    ) -> Iterator[dict[str, Any]]:
+        """Every finding of one detector, page by page (``limit`` items
+        each), each a :meth:`Finding.to_dict` payload plus its ``id``.
+
+        A finding cut across pages is joined back before it is yielded.
+        Writes between two pages never make the walk repeat or skip a
+        finding whose score and members held.
+        """
+        cursor: str | None = None
+        joined: dict[str, Any] | None = None
+        while True:
+            page = self.findings_page(detector, cursor, limit=limit)
+            for entry in page["findings"]:
+                if joined is not None and joined["id"] == entry["id"] and (
+                    len(joined["members"]) < joined["member_count"]
+                    or len(joined["arcs"]) < joined["arc_count"]
+                ):
+                    joined["members"] += entry["members"]
+                    joined["arcs"] += entry["arcs"]
+                    continue
+                if joined is not None:
+                    yield _finding(joined)
+                joined = entry
+            cursor = page["next"]
+            if cursor is None:
+                break
+        if joined is not None:
+            yield _finding(joined)
 
     def groups_page(
         self, cursor: str | None = None, *, limit: int | None = None
@@ -288,3 +329,8 @@ class ServiceClient:
                 status=status,
             )
         return payload
+
+
+def _finding(entry: dict[str, Any]) -> dict[str, Any]:
+    """A joined findings-page entry without its page-only counts."""
+    return {k: v for k, v in entry.items() if k not in ("member_count", "arc_count")}

@@ -10,7 +10,7 @@ Permanent Redirect`` to their ``/v1`` twin so old clients keep working
 ``POST /v1/arcs:batch``                    NDJSON bulk ingest, per-line verdicts
 ``GET  /v1/arcs/{seller}/{buyer}``         status of one trading arc
 ``GET  /v1/result``                        detection result summary (counts only)
-``GET  /v1/result?detector={name}``        one portfolio detector's findings
+``GET  /v1/result?detector={name}``        a page of one detector's findings
 ``GET  /v1/groups?cursor=&limit=``         one page of the result's groups
 ``GET  /v1/detectors``                     registered detector listing
 ``GET  /v1/investigate/{company}``         drill-down briefing for a company
@@ -20,9 +20,10 @@ Permanent Redirect`` to their ``/v1`` twin so old clients keep working
 ``GET  /v1/trace/{subtpiin}``              recent mutation span trees
 =========================================  =====================================
 
-Every response is bounded: the result is a fixed-size summary and its
-groups come a page at a time; request bodies are capped, and a body
-over the cap answers ``413`` without being buffered.
+Every response is bounded: the result is a fixed-size summary, and its
+groups and a detector's findings come a page at a time; request bodies
+are capped, and a body over the cap answers ``413`` without being
+buffered.
 
 Concurrency is bounded by the service's ingest queue and lock: HTTP
 worker threads carry requests concurrently, but mutations serialize at
@@ -49,6 +50,7 @@ from repro.errors import BackpressureError, MiningError, ServiceError
 from repro.io.registry_io import parse_arc_ndjson
 from repro.io.results_io import group_to_dict, summary_to_dict
 from repro.mining.incremental import ArcUpdate, PageCursor
+from repro.service.findings import decode_findings_cursor, findings_page
 from repro.service.sharding import ShardedDetectionService
 from repro.service.wal import OP_ADD, OP_REMOVE
 
@@ -73,8 +75,8 @@ _MAX_BATCH_LINES = 10_000
 #: which can cost a client still sending the body its answer.
 _DISCARD_MAX_BYTES = 64 << 20
 _DISCARD_SECONDS = 1.0
-#: Groups per ``GET /v1/groups`` page when ``limit`` is not given, and
-#: the largest ``limit`` accepted.
+#: Groups per ``GET /v1/groups`` page (evidence items per findings page)
+#: when ``limit`` is not given, and the largest ``limit`` accepted.
 _PAGE_LIMIT_DEFAULT = 500
 _PAGE_LIMIT_MAX = 5_000
 
@@ -313,24 +315,13 @@ class _DetectionRequestHandler(BaseHTTPRequestHandler):
             self._endpoint_hint = "result"
             # Blank values kept: ``?detector=`` names no detector, it
             # does not ask for the whole result.
-            names = parse_qs(query, keep_blank_values=True).get("detector")
-            if names is not None:
-                # Portfolio detector requested: answer with its findings
-                # payload instead of the summary.  It is counted as
+            params = parse_qs(query, keep_blank_values=True)
+            if "detector" in params:
+                # Portfolio detector requested: answer with a page of
+                # its findings instead of the summary.  It is counted as
                 # ``findings``: it runs a detector, a summary read does not.
                 self._endpoint_hint = "findings"
-                if len(names) != 1:
-                    raise MiningError(
-                        f"give one detector, not {len(names)} "
-                        f"(choices: {', '.join(DETECTORS)})"
-                    )
-                return (
-                    "findings",
-                    200,
-                    dict(self.service.detector_findings(names[0])),
-                    None,
-                    None,
-                )
+                return "findings", 200, self._findings_page(params), None, None
             return "result", 200, summary_to_dict(self.service.summary()), None, None
         if parts == ["groups"]:
             self._endpoint_hint = "groups"
@@ -394,6 +385,26 @@ class _DetectionRequestHandler(BaseHTTPRequestHandler):
             "groups": [group_to_dict(g) for g in groups],
             "next": _encode_cursor(cursor) if cursor is not None else None,
         }
+
+    def _findings_page(self, params: dict[str, list[str]]) -> dict[str, Any]:
+        """One ``GET /v1/result?detector=`` page (:func:`findings_page`).
+
+        A blank, unknown or repeated detector, a repeated parameter, a
+        malformed cursor or a limit out of range is a 400.
+        """
+        names = params["detector"]
+        if len(names) != 1:
+            raise MiningError(
+                f"give one detector, not {len(names)} "
+                f"(choices: {', '.join(DETECTORS)})"
+            )
+        for name in ("cursor", "limit"):
+            if len(params.get(name, ())) > 1:
+                raise MiningError(f"give {name} at most once")
+        token = params.get("cursor", [""])[0]
+        limit = _page_limit(params.get("limit", [""])[0])
+        cursor = decode_findings_cursor(token, names[0]) if token else None
+        return findings_page(self.service.findings_run(names[0]), cursor, limit)
 
     def _handle_post_arcs(self) -> tuple[int, dict[str, Any]]:
         body = self._read_json_body()

@@ -46,6 +46,7 @@ from repro.mining.incremental import (
 )
 from repro.obs.tracing import NULL_TRACER, Tracer, TracerLike
 from repro.service.config import ServiceConfig
+from repro.service.findings import FindingsRun
 from repro.service.locks import ReadWriteLock
 from repro.service.metrics import ServiceMetrics
 from repro.service.snapshot import Snapshot, read_snapshot, write_snapshot
@@ -320,6 +321,8 @@ class ShardedDetectionService:
         self._snapshot_path = config.shard_snapshot_path(0)
         self._subtpiin_count = detector.component_count
         self._antecedent = detector.antecedent
+        #: Detector name -> its newest run (:meth:`findings_run`).
+        self._findings_runs: dict[str, FindingsRun] = {}
         self.metrics = ServiceMetrics()
         self.metrics.count_wal_replay(recovered_records, torn_tail=healed_torn_tail)
         self.metrics.set_queue_depth(0, config.ingest_queue_limit)
@@ -686,22 +689,34 @@ class ShardedDetectionService:
         """The ``GET /v1/detectors`` listing (name, version, config schema)."""
         return {"detectors": [detector_info(name).to_dict() for name in DETECTORS]}
 
-    def detector_findings(self, detector: str) -> dict[str, object]:
-        """Run one portfolio detector over the live arc set.
+    def findings_run(self, detector: str) -> FindingsRun:
+        """One portfolio detector's run over the live arc set, cached.
 
-        Only the copy of the live arcs (and, for ``iat-groups``, of their
-        groups) is taken under the read lock; the detector runs after it,
-        over the immutable antecedent view plus those arcs.
+        The service keeps the newest run per detector, keyed on the WAL
+        sequence number read under the same read lock as the live arcs:
+        while no write lands, every read (each page of a walk) shares
+        one run.  Only the copy of the live arcs (and, for
+        ``iat-groups``, of their groups) is taken under the lock; the
+        detector runs after it, over the immutable antecedent view plus
+        those arcs.
         """
         if detector not in DETECTORS:
             raise MiningError(
                 f"unknown detector {detector!r} (choices: {', '.join(DETECTORS)})"
             )
         with self._lock.read():
+            seq = self._wal.last_seq
+            cached = self._findings_runs.get(detector)
+            if cached is not None and cached.seq == seq:
+                return cached
             arcs = self._detector.trading_arcs()
             iat = self._detector.result() if detector == IAT_DETECTOR_NAME else None
         context = DetectionContext(tpiin=self._antecedent, live_arcs=arcs, iat_result=iat)
-        return run_in_context(context, [detector])[detector].to_dict()
+        run = FindingsRun(seq, run_in_context(context, [detector])[detector])
+        # Two readers may race here; either run is a correct one, and a
+        # stale one only costs the next reader a rerun.
+        self._findings_runs[detector] = run
+        return run
 
     def arc_count(self) -> int:
         with self._lock.read():

@@ -17,9 +17,13 @@ rebuild gives:
   result's document plus its group and suspicious-arc counts;
 * walking the group pages gives the live result's groups, and with
   writes between pages never repeats or skips a group of an arc that
-  stayed live.
+  stayed live;
+* walking a detector's findings pages gives its batch findings, every
+  page within its item budget and one detector run per quiet walk, and
+  with writes between pages never repeats or skips a finding whose
+  score and members held, nor an item of it that stayed.
 
-The last two also run on a CSV-loaded copy of the province, which has
+The last three also run on a CSV-loaded copy of the province, which has
 no contraction map.
 
 The streams mix contracted-syndicate arcs (both endpoints in one
@@ -29,11 +33,15 @@ removal of one of two original arcs fused onto one graph arc.
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import dataclasses
+import hashlib
+import json
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -48,13 +56,16 @@ from repro.datagen.planted import (
 )
 from repro.datagen.province import generate_province
 from repro.detectors import run_detectors
+from repro.errors import MiningError
 from repro.fusion.pipeline import fuse
 from repro.graph.traversal import weakly_connected_components
 from repro.io.edge_list_io import read_tpiin_csv, write_tpiin_csv
 from repro.io.results_io import _header, summary_to_dict
 from repro.mining.detector import detect
 from repro.model.colors import EColor, VColor
+from repro.service import sharding
 from repro.service.config import ServiceConfig
+from repro.service.findings import FindingsRun, decode_findings_cursor, findings_page
 from repro.service.sharding import ShardedDetectionService
 
 STRUCTURAL = ("circular-trading", "missing-trader", "shared-household")
@@ -191,10 +202,10 @@ def test_live_reads_equal_batch_rebuilds(steps):
             rebuilt = TPIIN_.with_trading_arcs(arcs)
             batch = run_detectors(rebuilt, "all")
             for name in STRUCTURAL:
-                assert _without_elapsed(service.detector_findings(name)) == (
+                assert _without_elapsed(service.findings_run(name).run.to_dict()) == (
                     _without_elapsed(batch[name].to_dict())
                 )
-            iat = service.detector_findings("iat-groups")
+            iat = service.findings_run("iat-groups").run.to_dict()
             faithful = batch["iat-groups"].to_dict()
             assert iat["findings"] == faithful["findings"]
             assert iat["attributes"] == {**faithful["attributes"], "engine": "incremental"}
@@ -310,3 +321,216 @@ def test_group_pages_walk_the_live_groups(fixture, data):
         assert Counter(g.key() for g in walked if g.trading_arc in stayed) == Counter(
             g.key() for g in start.groups if g.trading_arc in stayed
         )
+
+
+#: Every portfolio detector, and the page budgets the walks use.
+DETECTOR_NAMES = ("circular-trading", "iat-groups", "missing-trader", "shared-household")
+LIMITS = (1, 2, 7, 500)
+
+
+def _finding_id(kind, members):
+    text = "\x1f".join([kind, *members])
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
+
+
+def _findings_page(service, name, token, limit):
+    """One findings page as the wire carries it, checked against its budget."""
+    cursor = None if token is None else decode_findings_cursor(token, name)
+    page = json.loads(json.dumps(findings_page(service.findings_run(name), cursor, limit)))
+    # A finding with no evidence still costs one item.
+    cost = sum(max(len(e["members"]) + len(e["arcs"]), 1) for e in page["findings"])
+    assert cost <= limit
+    if page["next"] is not None:
+        assert cost == limit, "a page before the last one must be full"
+    return page
+
+
+def _join(entries):
+    """Findings of a quiet walk: a cut finding continues in the next entry,
+    under the same header."""
+    joined = []
+    for entry in entries:
+        header = {k: v for k, v in entry.items() if k not in ("members", "arcs")}
+        if joined and (
+            len(joined[-1][1]["members"]) < joined[-1][0]["member_count"]
+            or len(joined[-1][1]["arcs"]) < joined[-1][0]["arc_count"]
+        ):
+            assert header == joined[-1][0], "a continued finding lost its header"
+            joined[-1][1]["members"] += entry["members"]
+            joined[-1][1]["arcs"] += entry["arcs"]
+            continue
+        finding = {k: v for k, v in header.items() if k not in ("member_count", "arc_count")}
+        joined.append((header, {**finding, "members": entry["members"], "arcs": entry["arcs"]}))
+    for header, finding in joined:
+        assert len(finding["members"]) == header["member_count"]
+        assert len(finding["arcs"]) == header["arc_count"]
+    return [finding for _, finding in joined]
+
+
+def _walk(service, name, limit, between=None):
+    """Every entry of one findings walk; ``between()`` runs between pages."""
+    entries, token = [], None
+    # Bounded: each page holds an item or ends the walk, and a run of
+    # the fixtures holds well under 1,000 items.
+    for _ in range(1000):
+        page = _findings_page(service, name, token, limit)
+        assert page["detector"] == name
+        entries += page["findings"]
+        token = page["next"]
+        if token is None:
+            return entries
+        if between is not None:
+            between()
+    raise AssertionError("the walk did not end")
+
+
+def _live_arcs(tpiin, ops):
+    live = dict.fromkeys([*tpiin.trading_arcs(), *tpiin.intra_scs_trades])
+    for op, arc in ops:
+        if op == "add":
+            live.setdefault(arc)
+        else:
+            live.pop(arc, None)
+    return list(live)
+
+
+@pytest.mark.parametrize("name", DETECTOR_NAMES)
+@pytest.mark.parametrize("fixture", sorted(FIXTURES))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_quiet_findings_walks_equal_the_batch_run(fixture, name, data):
+    tpiin, step, expand = FIXTURES[fixture]
+    ops = expand(data.draw(st.lists(step, max_size=6)))
+    batch = run_detectors(tpiin.with_trading_arcs(_live_arcs(tpiin, ops)), [name])
+    # As the wire carries it: a tuple detail reads back as a list.
+    expected = json.loads(json.dumps(batch[name].to_dict()["findings"]))
+    with _served(tpiin) as service:
+        for op, arc in ops:
+            _apply(service, op, arc)
+        with mock.patch.object(
+            sharding, "run_in_context", wraps=sharding.run_in_context
+        ) as runs:
+            for limit in LIMITS:
+                walked = _join(_walk(service, name, limit))
+                assert [
+                    {k: v for k, v in f.items() if k != "id"} for f in walked
+                ] == expected
+                assert [f["id"] for f in walked] == [
+                    _finding_id(f["kind"], f["members"]) for f in expected
+                ]
+        assert runs.call_count == 1, "a quiet walk ran the detector more than once"
+        keys = service.findings_run(name).keys()
+        assert keys == sorted(keys), "the pager's sort key is not the detector's order"
+
+
+def _held(name, runs):
+    """Findings whose id and score held across ``runs``, one per id in each:
+    id -> (members, arcs in every run).  An ``iat-groups`` finding must
+    also keep its trade: two trades between one pair share an id."""
+    seen = []
+    for run in runs:
+        pager = FindingsRun(0, run)
+        by_id = {}
+        for index, finding in enumerate(run.findings):
+            finding_id = pager.evidence(index)[0]
+            arcs = {(str(a), str(b)) for a, b in finding.arcs}
+            trade = finding.arcs[0] if name == "iat-groups" else None
+            by_id.setdefault(finding_id, []).append(
+                (finding.score, trade, [str(m) for m in finding.members], arcs)
+            )
+        seen.append(by_id)
+    held = {}
+    for finding_id, versions in seen[0].items():
+        if len(versions) != 1:
+            continue
+        score, trade, members, arcs = versions[0]
+        for by_id in seen[1:]:
+            later = by_id.get(finding_id, ())
+            if len(later) != 1 or later[0][:2] != (score, trade):
+                break
+            arcs = arcs & later[0][3]
+        else:
+            held[finding_id] = (members, arcs)
+    return held
+
+
+@pytest.mark.parametrize("name", DETECTOR_NAMES)
+@pytest.mark.parametrize("fixture", sorted(FIXTURES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_findings_walks_with_writes_between_pages(fixture, name, data):
+    tpiin, step, expand = FIXTURES[fixture]
+    setup = expand(data.draw(st.lists(step, max_size=4)))
+    limit = data.draw(st.sampled_from(LIMITS))
+    with _served(tpiin) as service:
+        for op, arc in setup:
+            _apply(service, op, arc)
+        runs = [service.findings_run(name).run]
+
+        def write():
+            for op, arc in expand(data.draw(st.lists(step, max_size=2))):
+                _apply(service, op, arc)
+            runs.append(service.findings_run(name).run)
+
+        entries = _walk(service, name, limit, between=write)
+    walked = {}
+    for entry in entries:
+        members, arcs = walked.setdefault(entry["id"], ([], []))
+        members += entry["members"]
+        arcs += [tuple(arc) for arc in entry["arcs"]]
+    for finding_id, (members, stayed) in _held(name, runs).items():
+        assert finding_id in walked, "a finding that held was skipped"
+        got_members, got_arcs = walked[finding_id]
+        assert got_members == members, "a member was repeated or skipped"
+        assert len(got_arcs) == len(set(got_arcs)), "an arc was repeated"
+        assert stayed <= set(got_arcs), "an arc that stayed was skipped"
+
+
+#: One run per detector of the fused province, at sequence number 3.
+FINDINGS_RUNS = {
+    name: FindingsRun(3, run_detectors(TPIIN_, [name])[name]) for name in DETECTOR_NAMES
+}
+
+
+def _token(fields):
+    raw = json.dumps(fields).encode("utf-8")
+    return base64.urlsafe_b64encode(raw).decode("ascii").rstrip("=")
+
+
+_field = st.one_of(
+    st.integers(-1, 4),
+    st.floats(allow_nan=True),
+    st.text(max_size=3),
+    st.lists(st.one_of(st.text(max_size=2), st.floats(), st.integers(-1, 1)), max_size=3),
+    st.none(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(DETECTOR_NAMES), data=st.data())
+def test_forged_findings_cursors_are_refused_or_placed(name, data):
+    """A real token with any field forged is refused with a
+    :class:`MiningError` (a 400), or places a page; with only its
+    sequence number changed it always places one."""
+    run = FINDINGS_RUNS[name]
+    index = data.draw(st.integers(0, len(run.run.findings) - 1))
+    finding = run.run.findings[index]
+    offset = data.draw(st.integers(0, len(finding.members) + len(finding.arcs) - 1))
+    fields = json.loads(base64.urlsafe_b64decode(run.cursor_at(index, offset).encode() + "=="))
+    forge = data.draw(st.sampled_from(["seq", "field", "text"]))
+    if forge == "seq":
+        fields[0] = data.draw(st.integers(0, 6))
+        findings_page(run, decode_findings_cursor(_token(fields), name), 7)
+        return
+    if forge == "field":
+        at = data.draw(st.integers(0, len(fields)))
+        fields[at : at + 1] = data.draw(st.lists(_field, max_size=2))
+        token = _token(fields)
+    else:
+        token = data.draw(st.text(max_size=40))
+    try:
+        cursor = decode_findings_cursor(token, name)
+    except MiningError:
+        return
+    with contextlib.suppress(MiningError):
+        findings_page(run, cursor, 7)

@@ -12,6 +12,7 @@ import urllib.request
 import pytest
 
 from repro import Engine, detect
+from repro.detectors import run_detectors
 from repro.errors import ServiceClientError
 from repro.io import results_io
 from repro.io.results_io import _header, group_to_dict
@@ -185,18 +186,42 @@ class TestDetectorsAPI:
         client, _ = served_fig8
         payload = client.result(detector="iat-groups")
         assert payload["detector"] == "iat-groups"
+        assert payload["finding_count"] == len(payload["findings"]) == 3
+        assert payload["next"] is None
         arcs = {tuple(f["members"]) for f in payload["findings"]}
         assert ("C3", "C5") in arcs
+        for entry in payload["findings"]:
+            assert entry["member_count"] == len(entry["members"]) == 2
+            assert entry["arc_count"] == len(entry["arcs"]) == 1
+            assert len(entry["id"]) == 16
         rings = client.result(detector="circular-trading")
         assert rings["detector"] == "circular-trading"
         assert rings["findings"] == []
+        assert rings["finding_count"] == 0 and rings["next"] is None
+
+    def test_findings_walk_joins_cut_findings(self, served_fig8, fig8):
+        client, _ = served_fig8
+        batch = run_detectors(fig8, ["iat-groups"])["iat-groups"].to_dict()
+        first = client.findings_page("iat-groups", limit=2)
+        # Two of the first finding's three items: it is cut there.
+        assert [len(e["members"]) + len(e["arcs"]) for e in first["findings"]] == [2]
+        assert first["next"] is not None
+        second = client.findings_page("iat-groups", first["next"], limit=2)
+        assert second["findings"][0]["id"] == first["findings"][0]["id"]
+        assert second["findings"][0]["arcs"] and not second["findings"][0]["members"]
+        walked = list(client.findings("iat-groups", limit=1))
+        assert [{k: v for k, v in f.items() if k != "id"} for f in walked] == batch[
+            "findings"
+        ]
+        assert walked == list(client.findings("iat-groups"))
 
     def test_detector_findings_track_mutations(self, served_fig8):
         client, _ = served_fig8
-        before = client.result(detector="iat-groups")["findings"]
+        before = list(client.findings("iat-groups", limit=2))
         client.remove_arc("C3", "C5")
-        after = client.result(detector="iat-groups")["findings"]
+        after = list(client.findings("iat-groups", limit=2))
         assert len(after) == len(before) - 1
+        assert [f for f in before if f["members"] != ["C3", "C5"]] == after
         client.add_arc("C3", "C5")
 
     def test_unknown_detector_is_400(self, served_fig8):
@@ -234,6 +259,34 @@ class TestDetectorsAPI:
         assert samples[f'{by_status}{{endpoint="findings",status_class="2xx"}}'] == 1
         assert samples[f'{by_status}{{endpoint="findings",status_class="4xx"}}'] == 1
         assert client.metrics()["latency_ms"]["findings"]["count"] == 2
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "cursor=%21%21",
+            "cursor=WzFd",
+            "limit=0",
+            "limit=5001",
+            "limit=x",
+            "cursor=&cursor=",
+            "limit=1&limit=2",
+        ],
+    )
+    def test_bad_findings_page_query_is_400(self, served_fig8, query):
+        client, _ = served_fig8
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(
+                f"{client._base}/v1/result?detector=iat-groups&{query}", timeout=5.0
+            )
+        assert err.value.code == 400
+        assert json.loads(err.value.read())["error"]
+
+    def test_findings_cursor_from_another_detector_is_400(self, served_fig8):
+        client, _ = served_fig8
+        token = client.findings_page("iat-groups", limit=1)["next"]
+        with pytest.raises(ServiceClientError) as err:
+            client.findings_page("circular-trading", token)
+        assert err.value.status == 400
 
 
 def raw_exchange(client, request: bytes) -> tuple[bytes, bytes, float]:

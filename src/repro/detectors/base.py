@@ -228,12 +228,15 @@ class DetectorOutcome:
     (and surfaced in :meth:`DetectorRun.to_dict`); ``detection`` is the
     raw group-level :class:`~repro.mining.detector.DetectionResult`,
     filled only by the IAT reference detector so legacy consumers (sus
-    files, ``/v1/result``) keep their full payload.
+    files, ``/v1/result``) keep their full payload; ``state`` is what a
+    later run can be advanced from instead of rerun, filled only by
+    ``circular-trading`` (a :class:`~repro.detectors.circular.RingState`).
     """
 
     findings: list[Finding] = field(default_factory=list)
     attributes: dict[str, Attr] = field(default_factory=dict)
     detection: DetectionResult | None = None
+    state: object | None = None
 
 
 @runtime_checkable
@@ -311,6 +314,8 @@ class DetectorRun:
     elapsed_seconds: float
     attributes: dict[str, Attr] = field(default_factory=dict)
     detection: DetectionResult | None = None
+    #: The outcome's ``state`` (:class:`DetectorOutcome`), not serialized.
+    state: object | None = None
 
     def summary(self) -> str:
         line = (

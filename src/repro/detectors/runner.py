@@ -8,24 +8,33 @@ detector under its own trace span, meters every run through
 :mod:`repro.obs`, and merges the outcomes into a per-detector-keyed
 :class:`~repro.detectors.base.FindingsReport`.  :func:`run_in_context`
 is the same run over a context the caller built (the serving daemon's
-live state).
+live state), and :func:`advance_run` carries a finished run past
+trading-arc changes when its detector can (``circular-trading``).
+Every run, scanned or advanced, is metered in one place.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Iterable, Mapping
+from typing import Iterable, Literal, Mapping
 
-from repro.detectors.base import DetectionContext, DetectorRun, FindingsReport
+from repro.detectors.base import (
+    DetectionContext,
+    DetectorOutcome,
+    DetectorRun,
+    FindingsReport,
+)
+from repro.detectors.circular import RingState, advance, ring_findings
 from repro.detectors.registry import create_detector, resolve_detectors
 from repro.errors import MiningError
 from repro.fusion.tpiin import TPIIN
+from repro.graph.digraph import Node
 from repro.graph.gcpause import gc_paused
 from repro.obs.registry import get_registry
 from repro.obs.tracing import TraceSpec, resolve_tracer
 
-__all__ = ["run_detectors", "run_in_context"]
+__all__ = ["advance_run", "run_detectors", "run_in_context"]
 
 _RUN_BUCKETS_MS = (1.0, 5.0, 25.0, 100.0, 250.0, 1000.0, 5000.0, 30000.0)
 
@@ -86,7 +95,6 @@ def run_in_context(
                 f"(selected: {', '.join(names)})"
             )
     tracer = resolve_tracer(trace)
-    metrics = get_registry()
     runs: dict[str, DetectorRun] = {}
     with tracer.span("run_detectors") as root:
         context = dataclasses.replace(context, tracer=tracer)
@@ -98,30 +106,7 @@ def run_in_context(
                 if tracer.enabled:
                     span.set(findings=len(outcome.findings), version=detector.version)
             elapsed = time.perf_counter() - started
-            metrics.counter(
-                "repro_detector_runs_total",
-                help="Completed detector runs, by detector.",
-                detector=name,
-            ).inc()
-            metrics.counter(
-                "repro_detector_findings_total",
-                help="Findings emitted by detector runs.",
-                detector=name,
-            ).inc(len(outcome.findings))
-            metrics.histogram(
-                "repro_detector_duration_ms",
-                buckets=_RUN_BUCKETS_MS,
-                help="Per-detector wall time in milliseconds.",
-                detector=name,
-            ).observe(elapsed * 1e3)
-            runs[name] = DetectorRun(
-                name=name,
-                version=detector.version,
-                findings=tuple(outcome.findings),
-                elapsed_seconds=elapsed,
-                attributes=dict(outcome.attributes),
-                detection=outcome.detection,
-            )
+            runs[name] = _record_run(name, detector.version, outcome, elapsed, mode="scan")
         if tracer.enabled:
             root.set(
                 detectors=len(runs),
@@ -130,3 +115,70 @@ def run_in_context(
         trace_record = root.record
     return FindingsReport(runs=runs, trace=trace_record)
 
+
+def advance_run(
+    run: DetectorRun, changes: Iterable[tuple[str, Node, Node]]
+) -> DetectorRun | None:
+    """``run`` carried past trading-arc ``changes``, or ``None`` when only
+    a rerun can tell what changed.
+
+    ``changes`` are ``(op, seller, buyer)`` changes to the trading view
+    the run read, in fused ids (see :func:`repro.detectors.circular.advance`).
+    Only a ``circular-trading`` run carries a state to advance.
+    """
+    if not isinstance(run.state, RingState):
+        return None
+    started = time.perf_counter()
+    state = advance(run.state, changes)
+    if state is None:
+        return None
+    outcome = ring_findings(state)
+    elapsed = time.perf_counter() - started
+    return _record_run(run.name, run.version, outcome, elapsed, mode="advance")
+
+
+def _record_run(
+    name: str,
+    version: str,
+    outcome: DetectorOutcome,
+    elapsed: float,
+    *,
+    mode: Literal["scan", "advance"],
+) -> DetectorRun:
+    """Meter one finished run and wrap its ``outcome``.
+
+    ``mode`` says how the run was made: ``scan`` ran the detector over
+    a whole context, ``advance`` carried an earlier run forward.
+    """
+    metrics = get_registry()
+    metrics.counter(
+        "repro_detector_runs_total",
+        help="Completed detector runs, by detector.",
+        detector=name,
+    ).inc()
+    metrics.counter(
+        "repro_findings_runs_total",
+        help="Completed detector runs, by detector and how each was made.",
+        detector=name,
+        mode=mode,
+    ).inc()
+    metrics.counter(
+        "repro_detector_findings_total",
+        help="Findings emitted by detector runs.",
+        detector=name,
+    ).inc(len(outcome.findings))
+    metrics.histogram(
+        "repro_detector_duration_ms",
+        buckets=_RUN_BUCKETS_MS,
+        help="Per-detector wall time in milliseconds.",
+        detector=name,
+    ).observe(elapsed * 1e3)
+    return DetectorRun(
+        name=name,
+        version=version,
+        findings=tuple(outcome.findings),
+        elapsed_seconds=elapsed,
+        attributes=dict(outcome.attributes),
+        detection=outcome.detection,
+        state=outcome.state,
+    )

@@ -355,6 +355,13 @@ class IncrementalDetector:
     def __len__(self) -> int:
         return len(self._arcs)
 
+    def has_fused_arc(self, tail: Node, head: Node) -> bool:
+        """Whether a live arc fuses onto the graph arc ``tail -> head``
+        (two fused ids, ``tail != head``)."""
+        if self._tpiin.node_map:
+            return (tail, head) in self._fused_refs
+        return (tail, head) in self._arcs
+
     def trading_arcs(self) -> list[tuple[Node, Node]]:
         """The currently live trading arcs, in insertion order.
 

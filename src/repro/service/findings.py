@@ -36,6 +36,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.detectors.base import DetectorRun, Finding
+from repro.detectors.circular import RingState
 from repro.errors import MiningError
 from repro.graph.digraph import Node
 from repro.mining.detector import IAT_DETECTOR_NAME
@@ -135,16 +136,24 @@ class FindingsRun:
 
     Each finding's id and ``str``-sorted arcs are built the first time a
     page reaches it, and the sort keys of every finding only when a
-    token from an older run needs placing.  HTTP threads share the
-    object: a value two threads build at once is built twice, equal.
+    token from an older run needs placing.  A run advanced from
+    ``previous`` (:func:`~repro.detectors.runner.advance_run`) shares
+    its ids, which digest only a finding's kind and members, and its
+    findings' arcs come sorted already.  HTTP threads share the object:
+    a value two threads build at once is built twice, equal.
     """
 
-    __slots__ = ("seq", "run", "_evidence", "_keys")
+    __slots__ = ("seq", "run", "_evidence", "_ids", "_keys")
 
-    def __init__(self, seq: int, run: DetectorRun) -> None:
+    def __init__(
+        self, seq: int, run: DetectorRun, previous: "FindingsRun | None" = None
+    ) -> None:
         self.seq = seq
         self.run = run
         self._evidence: dict[int, tuple[str, tuple[_Arc, ...]]] = {}
+        self._ids: dict[tuple[str, tuple[Node, ...]], str] = (
+            {} if previous is None else previous._ids
+        )
         self._keys: list[_Key] | None = None
 
     def evidence(self, index: int) -> tuple[str, tuple[_Arc, ...]]:
@@ -153,16 +162,25 @@ class FindingsRun:
         cached = self._evidence.get(index)
         if cached is None:
             finding = self.run.findings[index]
-            text = "\x1f".join([finding.kind, *map(str, finding.members)])
-            finding_id = hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
+            named = (finding.kind, finding.members)
+            finding_id = self._ids.get(named)
+            if finding_id is None:
+                text = "\x1f".join([finding.kind, *map(str, finding.members)])
+                finding_id = hashlib.blake2b(
+                    text.encode("utf-8"), digest_size=8
+                ).hexdigest()
+                self._ids[named] = finding_id
             arcs = finding.arcs
-            # Pairs of str sort as to_dict sorts them, without a key
-            # call per arc (3x faster on an 11,732-arc ring).
-            if all(type(a) is str and type(b) is str for a, b in arcs):
-                ordered = sorted(arcs)
+            if isinstance(self.run.state, RingState):
+                # circular-trading emits its arcs sorted already.
+                ordered = arcs
+            elif all(type(a) is str and type(b) is str for a, b in arcs):
+                # Pairs of str sort as to_dict sorts them, without a key
+                # call per arc (3x faster on an 11,732-arc ring).
+                ordered = tuple(sorted(arcs))
             else:
-                ordered = sorted(arcs, key=_str_arc)
-            cached = (finding_id, tuple(ordered))
+                ordered = tuple(sorted(arcs, key=_str_arc))
+            cached = (finding_id, ordered)
             self._evidence[index] = cached
         return cached
 

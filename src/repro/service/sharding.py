@@ -32,9 +32,10 @@ from repro.analysis.investigate import (
 )
 from repro.detectors.base import DetectionContext
 from repro.detectors.registry import DETECTORS, detector_info
-from repro.detectors.runner import run_in_context
+from repro.detectors.runner import advance_run, run_in_context
 from repro.errors import BackpressureError, MiningError, ServiceError
 from repro.fusion.tpiin import TPIIN
+from repro.graph.digraph import Node
 from repro.io.registry_io import ArcLine
 from repro.mining.detector import IAT_DETECTOR_NAME, DetectionResult
 from repro.mining.groups import SuspiciousGroup
@@ -64,6 +65,11 @@ _T = TypeVar("_T")
 #: before declaring the commit thread dead.  Generous: a full group of
 #: fsyncs plus a compaction finishes orders of magnitude faster.
 _RESOLVE_TIMEOUT_SECONDS = 60.0
+
+#: How many applied changes the writer keeps for findings reads to
+#: advance a cached run past (:meth:`ShardedDetectionService.findings_run`);
+#: a read further behind than this reruns the detector.
+_CHANGE_LOG_LIMIT = 1024
 
 #: One mutation's verdict: the update, or the error that refused it.
 _Outcome = ArcUpdate | BaseException
@@ -298,7 +304,7 @@ class ShardedDetectionService:
     #: Enforced flow-sensitively by reprolint R014.  The ingest queue is
     #: *not* in this set: it has its own condition variable so admission
     #: control never contends with the detector's critical sections.
-    _lock_guarded = frozenset({"_detector", "_wal", "_ops_since_snapshot"})
+    _lock_guarded = frozenset({"_detector", "_wal", "_ops_since_snapshot", "_changes"})
 
     def __init__(
         self,
@@ -321,8 +327,11 @@ class ShardedDetectionService:
         self._snapshot_path = config.shard_snapshot_path(0)
         self._subtpiin_count = detector.component_count
         self._antecedent = detector.antecedent
+        #: ``(wal_seq, op, seller, buyer)`` of the newest applied changes.
+        self._changes: deque[tuple[int, str, str, str]] = deque(maxlen=_CHANGE_LOG_LIMIT)
         #: Detector name -> its newest run (:meth:`findings_run`).
         self._findings_runs: dict[str, FindingsRun] = {}
+        self._findings_lock = threading.Lock()
         self.metrics = ServiceMetrics()
         self.metrics.count_wal_replay(recovered_records, torn_tail=healed_torn_tail)
         self.metrics.set_queue_depth(0, config.ingest_queue_limit)
@@ -569,6 +578,7 @@ class ShardedDetectionService:
                                 op, seller, buyer, sync=False
                             )
                         appended = True
+                        self._changes.append((self._wal.last_seq, op, seller, buyer))
                         self._ops_since_snapshot += 1
                         self.metrics.count_wal_append()
                         self.metrics.count_arc_applied(op)
@@ -695,8 +705,13 @@ class ShardedDetectionService:
         The service keeps the newest run per detector, keyed on the WAL
         sequence number read under the same read lock as the live arcs:
         while no write lands, every read (each page of a walk) shares
-        one run.  Only the copy of the live arcs (and, for
-        ``iat-groups``, of their groups) is taken under the lock; the
+        one run.  After writes, a run that carries a state
+        (``circular-trading``) is advanced past the changes logged since
+        it (:func:`~repro.detectors.runner.advance_run`); it is rerun
+        when they may have changed its components, when the log no
+        longer reaches back to it, or when nothing is cached.  Only the
+        read of the changes, or the copy of the live arcs (and, for
+        ``iat-groups``, of their groups), is taken under the lock; the
         detector runs after it, over the immutable antecedent view plus
         those arcs.
         """
@@ -709,14 +724,67 @@ class ShardedDetectionService:
             cached = self._findings_runs.get(detector)
             if cached is not None and cached.seq == seq:
                 return cached
-            arcs = self._detector.trading_arcs()
-            iat = self._detector.result() if detector == IAT_DETECTOR_NAME else None
+            changes = None
+            if cached is not None and cached.run.state is not None:
+                changes = self._fused_changes_rlocked(cached.seq, seq)
+            if changes is None:
+                arcs = self._detector.trading_arcs()
+                iat = self._detector.result() if detector == IAT_DETECTOR_NAME else None
+        if cached is not None and changes is not None:
+            advanced = advance_run(cached.run, changes)
+            if advanced is not None:
+                return self._keep(detector, FindingsRun(seq, advanced, cached))
+            with self._lock.read():
+                seq = self._wal.last_seq
+                arcs = self._detector.trading_arcs()
+                iat = None
         context = DetectionContext(tpiin=self._antecedent, live_arcs=arcs, iat_result=iat)
-        run = FindingsRun(seq, run_in_context(context, [detector])[detector])
-        # Two readers may race here; either run is a correct one, and a
-        # stale one only costs the next reader a rerun.
-        self._findings_runs[detector] = run
+        return self._keep(
+            detector, FindingsRun(seq, run_in_context(context, [detector])[detector])
+        )
+
+    def _keep(self, detector: str, run: FindingsRun) -> FindingsRun:
+        """Cache ``run`` unless a newer run of ``detector`` is cached."""
+        with self._findings_lock:
+            cached = self._findings_runs.get(detector)
+            if cached is None or cached.seq <= run.seq:
+                self._findings_runs[detector] = run
         return run
+
+    def _fused_changes_rlocked(
+        self, since: int, seq: int
+    ) -> list[tuple[str, Node, Node]] | None:
+        """The trading-view changes between WAL sequence numbers ``since``
+        and ``seq``, in fused ids, or ``None`` when the log no longer
+        holds them all.
+
+        One change per fused arc the logged changes touched, by its
+        state now: ``remove`` when no live arc fuses onto it; ``add``
+        when one does and it may not have before.  A fused arc is
+        surely live before when the first logged change to it removed a
+        live arc that fuses onto it; then it is left out.  An arc whose
+        ends fuse into one syndicate is no trading-view arc at all.
+        """
+        logged: list[tuple[int, str, str, str]] = []
+        for change in reversed(self._changes):
+            if change[0] <= since:
+                break
+            logged.append(change)
+        if len(logged) != seq - since or (logged and logged[-1][0] != since + 1):
+            return None
+        node_map = self._antecedent.node_map
+        was_live: dict[tuple[Node, Node], bool] = {}
+        for _, op, seller, buyer in reversed(logged):
+            arc = (node_map.get(seller, seller), node_map.get(buyer, buyer))
+            if arc[0] != arc[1]:
+                was_live.setdefault(arc, op == OP_REMOVE)
+        changes: list[tuple[str, Node, Node]] = []
+        for (tail, head), live_before in was_live.items():
+            if not self._detector.has_fused_arc(tail, head):
+                changes.append((OP_REMOVE, tail, head))
+            elif not live_before:
+                changes.append((OP_ADD, tail, head))
+        return changes
 
     def arc_count(self) -> int:
         with self._lock.read():

@@ -200,7 +200,7 @@ class TestServiceTree:
     def test_daemon_declares_its_guarded_state(self):
         # R014 skips a class without the declaration, so pin it here.
         assert ShardedDetectionService._lock_guarded == frozenset(
-            {"_detector", "_wal", "_ops_since_snapshot"}
+            {"_detector", "_wal", "_ops_since_snapshot", "_changes"}
         )
 
     def test_service_package_is_lock_clean(self, capsys):
